@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -108,7 +109,7 @@ class ValidationReport:
 
     @property
     def max_deviation(self) -> float:
-        return max((c.deviation for c in self.checks), default=0.0)
+        return float(_max_nan(c.deviation for c in self.checks))
 
     def lines(self):
         for c in self.checks:
@@ -166,28 +167,30 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
 
 
+def _max_nan(values):
+    """max() that returns NaN if an item is NaN; plain max() may drop it."""
+    values = list(values)
+    if any(isinstance(v, float) and v != v for v in values):
+        return math.nan
+    return max(values, default=0)
+
+
 def _asym_dev(rows):
     n = len(rows)
-    return max((abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n)), default=0)
+    return _max_nan(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
 
 
 def _antisym_dev(rows):
     n = len(rows)
-    return max((abs(rows[i][j] + rows[j][i]) for i in range(n) for j in range(n)), default=0)
+    return _max_nan(abs(rows[i][j] + rows[j][i]) for i in range(n) for j in range(n))
 
 
 def _transpose_dev(cs, sc):
-    return max(
-        (abs(cs[i][j] - sc[j][i]) for i in range(len(cs)) for j in range(len(cs[i]))),
-        default=0,
-    )
+    return _max_nan(abs(cs[i][j] - sc[j][i]) for i in range(len(cs)) for j in range(len(cs[i])))
 
 
 def _equal_dev(a, b):
-    return max(
-        (abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
-        default=0,
-    )
+    return _max_nan(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _combine(a, b, op):
@@ -212,14 +215,7 @@ def _antidiagonal_groups(rows, extras):
 
 def _group_spread(groups):
     """Largest max - min over the groups; singletons impose no constraint."""
-    worst = 0
-    for entries in groups:
-        if len(entries) < 2:
-            continue
-        spread = max(entries) - min(entries)
-        if spread > worst:
-            worst = spread
-    return float(worst)
+    return float(_max_nan(_max_nan(g) - min(g) for g in groups if len(g) > 1))
 
 
 def extract_conductivity_moments(mset: DtnMatrixSet, k: int, parity: str = "cos") -> MomentData:
@@ -278,44 +274,22 @@ def solve_moment_problem(data: MomentData) -> list:
     """Coefficients p_n of the profile in the LM^k basis from its moments.
 
     Exact-rational input gives exact rational output.  Float input is lifted
-    to exact dyadic rationals, pushed through the exact solver rows and
-    rounded once per coefficient; the solver row sums reach 1e6 by n = 7, so
-    rounding the individual products would already cost ~1e-10 per term.
-    Values that do not lift (non-finite) fall back to compensated (Kahan)
-    summation in descending magnitude.
+    to exact dyadic rationals, pushed through the same exact solver rows and
+    rounded once per coefficient, at the cost of the exact solve; the solver
+    row sums reach 1e6 by n = 7, so rounding the individual products would
+    already cost ~1e-10 per term.
     """
     m = len(data.values)
     if m == 0:
         return []
     solver = inverse_matrix(ExponentSequence.shifted(data.k, m), m)
     exact_in = all(isinstance(v, (Fraction, int)) for v in data.values)
-    try:
-        lifted = None if exact_in else [Fraction(v) for v in data.values]
-    except (ValueError, OverflowError):
-        lifted = None
+    values = data.values if exact_in else [Fraction(v) for v in data.values]
     out = []
-    for n in range(m):
-        row = solver.rows[n]
-        if exact_in:
-            out.append(sum((row[l] * data.values[l] for l in range(n + 1)), Fraction(0)))
-        elif lifted is not None:
-            out.append(float(sum((row[l] * lifted[l] for l in range(n + 1)), Fraction(0))))
-        else:
-            terms = [float(row[l]) * data.values[l] for l in range(n + 1)]
-            terms.sort(key=abs, reverse=True)
-            out.append(_kahan(terms))
+    for row in solver.rows:
+        c = sum(map(mul, row, values), Fraction(0))
+        out.append(c if exact_in else float(c))
     return out
-
-
-def _kahan(terms):
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-    return total
 
 
 def condition_sums(k: int, count: int) -> list:
@@ -394,28 +368,15 @@ class Reconstruction:
             return None
         fam = self._families[k]
         exact_in = all(isinstance(c, (Fraction, int)) for c in coeffs)
-        try:
-            lifted = None if exact_in else [Fraction(c) for c in coeffs]
-        except (ValueError, OverflowError):
-            lifted = None
+        # family coefficients reach 1e4 by n = 7; lift the floats and round
+        # once instead of rounding every product
+        lifted = coeffs if exact_in else [Fraction(c) for c in coeffs]
         terms = []
         for l in range(len(coeffs)):
-            if exact_in:
-                c = sum((coeffs[n] * fam.rows[n][l] for n in range(l, len(coeffs))), Fraction(0))
-                if halve:
-                    c = c / 2
-            elif lifted is not None:
-                # family coefficients reach 1e4 by n = 7; lift the floats and
-                # round once instead of rounding every product
-                c = float(sum((lifted[n] * fam.rows[n][l] for n in range(l, len(coeffs))),
-                              Fraction(0)) / (2 if halve else 1))
-            else:
-                c = _kahan(sorted(
-                    (coeffs[n] * float(fam.rows[n][l]) for n in range(l, len(coeffs))),
-                    key=abs, reverse=True))
-                if halve:
-                    c = c / 2.0
-            terms.append((2 * l + k, c))
+            c = sum((lifted[n] * fam.rows[n][l] for n in range(l, len(coeffs))), Fraction(0))
+            if halve:
+                c = c / 2
+            terms.append((2 * l + k, c if exact_in else float(c)))
         return RadialProfile(terms)
 
 
@@ -430,7 +391,9 @@ def reconstruct(
 
     arithmetic: "auto" uses exact rationals when the set carries them,
     "rational" forces exact solves (float data is lifted to exact dyadic
-    rationals first), "float" forces the compensated float path.
+    rationals first), "float" drops the exact tables, lifts the doubles,
+    solves exactly and rounds each coefficient once; it costs the same as
+    "rational" and differs from it only in returning floats.
     reg_cap drops coefficients p_n, q_n with n > reg_cap.
     """
     if arithmetic not in ("auto", "rational", "float"):

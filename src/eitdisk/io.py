@@ -131,7 +131,7 @@ def dtn_from_dict(doc) -> DtnMatrixSet:
         raise FormatError("matrix document must be a JSON object")
     kind = doc.get("kind")
     n = doc.get("N")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise FormatError("matrix document needs an integer 'N'")
     blocks = {}
     for name in BLOCK_NAMES:

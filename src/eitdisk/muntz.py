@@ -168,21 +168,16 @@ def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
     """Exact coefficient rows of LM^k_0 .. LM^k_nmax.
 
     Row n: Lc^k_{l,n} = prod_{j<n}(l+j+k+1) / prod_{j<=n, j!=l}(l-j), an integer
-    numerator over l!(n-l)! up to sign.
+    numerator over l!(n-l)! up to sign.  This is row n of the solver for the
+    shifted sequence divided by 1 + 2 lambda_n = 4n + 2k + 2, so both come
+    from one cached table.
     """
     if k < 0:
         raise DomainError("angular order k must be >= 0")
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
-    rows = []
-    for n in range(nmax + 1):
-        row = []
-        for l in range(n + 1):
-            num = prod(range(l + k + 1, l + k + 1 + n))  # (l+k+1)...(l+k+n)
-            den = prod((l - j for j in range(n + 1) if j != l), start=1)
-            row.append(Fraction(num, den))
-        rows.append(tuple(row))
-    return WeightedFamily(k=k, rows=tuple(rows))
+    unscaled, _ = _solver_tables(ExponentSequence.shifted(k, nmax + 1).lambdas)
+    return WeightedFamily(k=k, rows=unscaled)
 
 
 def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
@@ -224,18 +219,43 @@ def inverse_matrix(seq: ExponentSequence, size: int) -> TriangularMatrix:
 
     R[a][b] = (1 + 2 lambda_a) * prod_{j<a}(1 + lambda_b + lambda_j)
                                / prod_{j<=a, j!=b}(lambda_b - lambda_j),  b <= a.
+
+    Tables are cached per exponent prefix and shared by every caller.
     """
-    lam = _checked_prefix(seq, size)
-    rows = []
-    for a in range(size):
-        lead = 1 + 2 * lam[a]
-        row = []
-        for b in range(a + 1):
-            num = prod((1 + lam[b] + lam[j] for j in range(a)), start=Fraction(1))
-            den = prod((lam[b] - lam[j] for j in range(a + 1) if j != b), start=Fraction(1))
-            row.append(lead * num / den)
-        rows.append(tuple(row))
-    return TriangularMatrix(rows=tuple(rows))
+    _, rows = _solver_tables(_checked_prefix(seq, size))
+    return TriangularMatrix(rows=rows)
+
+
+# exponent prefix -> (rows of S, rows of R); see _solver_tables.  Entries hold
+# immutable tuples and are never removed, so concurrent callers can at worst
+# build the same row twice.
+_TABLES = {}
+
+
+def _solver_tables(lam: tuple) -> tuple:
+    """Rows of S and of R = diag(1 + 2 lambda) S for the exponents ``lam``.
+
+    S[a][b] = prod_{j<a}(1 + lambda_b + lambda_j) / prod_{j<=a, j!=b}(lambda_b - lambda_j).
+    Row a depends only on lambda_0 .. lambda_a, so every prefix is cached and
+    a longer table extends the longest cached prefix row by row (Borwein,
+    Erdelyi and Zhang, Trans. AMS 342, 1994): off the diagonal
+    S[a][b] = S[a-1][b] (1 + lambda_b + lambda_{a-1}) / (lambda_b - lambda_a),
+    on it the product is taken directly.  Nothing divides by 1 + 2 lambda_a,
+    which vanishes at lambda = -1/2.
+    """
+    top = len(lam)
+    while top and lam[:top] not in _TABLES:
+        top -= 1
+    unscaled, scaled = _TABLES[lam[:top]] if top else ((), ())
+    for a in range(top, len(lam)):
+        x = lam[a]
+        row = [s * (1 + y + lam[a - 1]) / (y - x) for s, y in zip(unscaled[-1], lam)] if a else []
+        row.append(prod((1 + x + y for y in lam[:a]), start=Fraction(1))
+                   / prod((x - y for y in lam[:a]), start=Fraction(1)))
+        unscaled += (tuple(row),)
+        scaled += (tuple((1 + 2 * x) * s for s in row),)
+        _TABLES[lam[: a + 1]] = (unscaled, scaled)
+    return unscaled, scaled
 
 
 def lm_norm_squared(k: int, n: int) -> Fraction:

@@ -9,11 +9,13 @@ from eitdisk import (
     CONDUCTIVITY,
     ArcSpec,
     ConformalMap,
+    POTENTIAL,
     FourierRadialField,
     RadialProfile,
     conductivity_dtn,
     half_disk_data,
     psi_inverse,
+    schroedinger_dtn,
 )
 from eitdisk import arc_data as make_arc_data
 from eitdisk import io as eio
@@ -113,6 +115,30 @@ def test_inconsistent_data_exits_4(tmp_path, field_file, capsys):
     assert "FAIL" in err
     # validate reports the same structural failure through its own exit code
     assert main(["validate", "--input", str(dtn)]) == 4
+
+
+def test_validate_fails_on_nan(tmp_path, field_file, capsys):
+    dtn = tmp_path / "dtn.json"
+    main(["forward", "--input", str(field_file), "--output", str(dtn), "--nmax", "3"])
+    doc = json.loads(dtn.read_text(encoding="utf-8"))
+    doc["cc"][1][2] = doc["cc"][2][1] = math.nan
+    dtn.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--input", str(dtn)]) == 4
+    out = capsys.readouterr().out
+    assert "cc_symmetric: deviation nan [FAIL]" in out
+    assert "cc_matches_ss: deviation nan [FAIL]" in out
+    assert "ss_symmetric: deviation 0 [ok]" in out
+
+
+def test_validate_fails_on_nan_in_hankel_group(tmp_path, capsys):
+    field = FourierRadialField(POTENTIAL, {0: RadialProfile(((0, 1.0),))}, {})
+    doc = eio.dtn_to_dict(schroedinger_dtn(field, 3))
+    doc["sc"][1][2] = math.nan  # reaches the transpose, antisymmetry and Hankel checks
+    dtn = tmp_path / "dtn.json"
+    dtn.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--input", str(dtn)]) == 4
+    out = capsys.readouterr().out
+    assert "sc_plus_cs_hankel: deviation nan [FAIL]" in out
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, field_file):

@@ -118,6 +118,14 @@ def test_dtn_from_dict_validates_shape_and_origin():
         eio.dtn_from_dict({"kind": CONDUCTIVITY})
 
 
+def test_dtn_from_dict_rejects_bool_n():
+    field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
+    doc = eio.dtn_to_dict(conductivity_dtn(field, 1))
+    doc["N"] = True  # bool is an int subclass, but not an integer N
+    with pytest.raises(FormatError):
+        eio.dtn_from_dict(doc)
+
+
 def test_arc_data_dict_roundtrip():
     field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
     data = half_disk_data(field, 3)

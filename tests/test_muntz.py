@@ -5,6 +5,7 @@ and are frozen; the quadrature checks are independent of that algebra.
 """
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -169,3 +170,55 @@ def test_condition_row_sums_monotone_structure():
     assert sums[1] == 18
     assert sums[2] == 130
     assert all(b > a for a, b in zip(sums, sums[1:]))
+
+
+def reference_inverse(lams, size):
+    """R[a][b] from its defining products, independent of the cached recurrence."""
+    lam = [Fraction(x) for x in lams[:size]]
+    return tuple(
+        tuple(
+            (1 + 2 * lam[a])
+            * prod((1 + lam[b] + lam[j] for j in range(a)), start=Fraction(1))
+            / prod((lam[b] - lam[j] for j in range(a + 1) if j != b), start=Fraction(1))
+            for b in range(a + 1)
+        )
+        for a in range(size)
+    )
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_inverse_matrix_matches_product_formula_shifted(k):
+    for size in range(1, 17):
+        seq = ExponentSequence.shifted(k, size)
+        assert inverse_matrix(seq, size).rows == reference_inverse(seq.lambdas, size)
+
+
+@pytest.mark.parametrize("lams", [
+    [Fraction(-1, 2), Fraction(1, 3), Fraction(2), Fraction(9, 4), Fraction(5)],  # lead 0 first
+    [Fraction(7, 2), Fraction(-1, 2), Fraction(1, 5), Fraction(11, 3), Fraction(0), Fraction(3)],
+])
+def test_inverse_matrix_matches_product_formula_custom(lams):
+    seq = ExponentSequence(lams)
+    for size in range(1, len(lams) + 1):
+        assert inverse_matrix(seq, size).rows == reference_inverse(lams, size)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_weighted_family_is_scaled_solver(k):
+    nmax = 13
+    fam = build_weighted_family(k, nmax)
+    solver = inverse_matrix(ExponentSequence.shifted(k, nmax + 1), nmax + 1)
+    for n in range(nmax + 1):
+        for l in range(n + 1):
+            assert fam.rows[n][l] * (4 * n + 2 * k + 2) == solver.rows[n][l]
+
+
+@pytest.mark.parametrize("order", [(10, 6), (6, 10)])
+def test_inverse_matrix_prefixes_independent_of_call_order(order):
+    # a sequence no other test builds, so the first call starts the cache
+    offset = Fraction(1, 11) if order[0] > order[1] else Fraction(2, 11)
+    seq = ExponentSequence([Fraction(3 * i + 1, 7) + offset for i in range(10)])
+    first, second = (inverse_matrix(seq, size) for size in order)
+    big, small = (first, second) if order[0] > order[1] else (second, first)
+    assert small.rows == big.rows[:6]
+    assert big.rows == reference_inverse(seq.lambdas, 10)
