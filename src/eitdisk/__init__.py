@@ -48,6 +48,7 @@ from .forward import (
     conductivity_dtn,
     energy_oracle,
     index_origins,
+    oracle_dtn,
     schroedinger_dtn,
 )
 from .inverse import (

@@ -25,8 +25,8 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .fields import CONDUCTIVITY, eval_field_grid, sample_grid
-from .forward import BoundaryMode, conductivity_dtn, energy_oracle, index_origins, schroedinger_dtn
+from .fields import CONDUCTIVITY, sample_grid
+from .forward import BLOCK_NAMES, conductivity_dtn, oracle_dtn, schroedinger_dtn
 from .inverse import extra_hankel_moments, reconstruct, validate
 from .muntz import ExponentSequence, build_muntz, build_weighted_family, gram_matrix, inverse_matrix
 from .partial import arc_invert, half_disk_invert
@@ -133,18 +133,10 @@ def _sibling(path, suffix):
     return base + suffix
 
 
-_BLOCK_MODES = {"cc": ("cos", "cos"), "ss": ("sin", "sin"), "sc": ("sin", "cos"), "cs": ("cos", "sin")}
-
-
 def _cmd_forward(args) -> int:
     _check_paths(args)
     field = io.field_from_dict(io.load_json(args.input))
-    if args.nmax is None:
-        raise FormatError("--nmax is required for forward")
-    if field.kind == CONDUCTIVITY:
-        mset = conductivity_dtn(field, args.nmax)
-    else:
-        mset = schroedinger_dtn(field, args.nmax)
+    mset = _assemble(field, args.nmax, "forward")
     _write(args.output, io.dumps(io.dtn_to_dict(mset)))
     if args.oracle:
         quad = QuadratureSpec(args.quad_r, args.quad_phi)
@@ -154,27 +146,22 @@ def _cmd_forward(args) -> int:
     return 0
 
 
+def _assemble(field, nmax, command):
+    if nmax is None:
+        raise FormatError(f"--nmax is required for {command}")
+    return (conductivity_dtn if field.kind == CONDUCTIVITY else schroedinger_dtn)(field, nmax)
+
+
 def _oracle_report(field, mset, quad):
-    origins = index_origins(mset.kind)
+    oracle = oracle_dtn(field, mset.N, quad)
     report = {"quad": [quad.n_r, quad.n_phi], "blocks": {}}
-    worst = 0.0
-    for name, (row_par, col_par) in _BLOCK_MODES.items():
-        block = mset.block(name)
-        row0, col0 = origins[name]
-        block_worst = 0.0
-        for i in range(block.shape[0]):
-            for j in range(block.shape[1]):
-                f = BoundaryMode(row_par, row0 + i)
-                g = BoundaryMode(col_par, col0 + j)
-                oracle = energy_oracle(field, f, g, quad)
-                analytic = block[i, j]
-                # scale floor 1e-4 makes a 1e-8 scaled deviation equal an
-                # absolute deviation of 1e-12 for near-zero entries
-                scale = max(abs(analytic), abs(oracle), 1e-4)
-                block_worst = max(block_worst, abs(analytic - oracle) / scale)
-        report["blocks"][name] = block_worst
-        worst = max(worst, block_worst)
-    report["max_scaled_deviation"] = worst
+    for name in BLOCK_NAMES:
+        analytic, numeric = mset.block(name), oracle.block(name)
+        # scale floor 1e-4 makes a 1e-8 scaled deviation equal an
+        # absolute deviation of 1e-12 for near-zero entries
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
+        report["blocks"][name] = float(np.max(np.abs(analytic - numeric) / scale, initial=0.0))
+    report["max_scaled_deviation"] = max(report["blocks"].values())
     return report
 
 
@@ -210,12 +197,7 @@ def _field_coefficients(field):
 
 def _cmd_roundtrip(args) -> int:
     field = io.field_from_dict(io.load_json(args.input))
-    if args.nmax is None:
-        raise FormatError("--nmax is required for roundtrip")
-    if field.kind == CONDUCTIVITY:
-        mset = conductivity_dtn(field, args.nmax)
-    else:
-        mset = schroedinger_dtn(field, args.nmax)
+    mset = _assemble(field, args.nmax, "roundtrip")
     arithmetic = "rational" if args.rational else "auto"
     rec = reconstruct(mset, tol=args.tol, arithmetic=arithmetic)
     original = _field_coefficients(field)
@@ -246,14 +228,7 @@ def _cmd_half_invert(args) -> int:
     _check_paths(args)
     data, _ = io.arc_data_from_dict(io.load_json(args.input))
     rec = half_disk_invert(data, N=args.nmax, tol=args.tol, reg_cap=args.reg_cap)
-    field = rec.to_field()
-    r = np.arange(1, args.nr + 1) / args.nr
-    phi = math.pi * np.arange(args.nphi) / args.nphi
-    values = eval_field_grid(field, r, phi)
-    x = np.outer(r, np.cos(phi))
-    y = np.outer(r, np.sin(phi))
-    rows = np.column_stack([x.ravel(), y.ravel(), values.ravel()])
-    _write(args.output, io.grid_to_csv(rows))
+    _write(args.output, io.grid_to_csv(sample_grid(rec.to_field(), args.nr, args.nphi, math.pi)))
     return 0
 
 
@@ -274,8 +249,7 @@ def _cmd_arc_invert(args) -> int:
             rows.append((ri * math.cos(pj), ri * math.sin(pj), rec.evaluate(ri, pj)))
     _write(args.output, io.grid_to_csv(np.array(rows)))
     if args.map_debug:
-        _write(_sibling(args.output, ".mapdebug.csv") if args.output.endswith(".json")
-               else args.output + ".mapdebug.csv", _map_debug_csv(cmap))
+        _write(_sibling(args.output, ".mapdebug.csv"), _map_debug_csv(cmap))
     return 0
 
 
@@ -296,12 +270,12 @@ def _cmd_muntz(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad exponent list: {exc}") from exc
         size = len(seq)
+        gram = gram_matrix(seq, size)  # admissibility is checked before anything is printed
+        inv = inverse_matrix(seq, size)
         for n in range(size):
             poly = build_muntz(seq, n)
             terms = " ".join(f"{c}*x^{e}" for e, c in zip(poly.exponents, poly.coefficients))
             print(f"L_{n}: {terms}")
-        gram = gram_matrix(seq, size)
-        inv = inverse_matrix(seq, size)
         for label, mat in (("A", gram), ("R", inv)):
             for i, row in enumerate(mat.rows):
                 print(f"{label}[{i}]: " + " ".join(str(v) for v in row))

@@ -130,15 +130,27 @@ def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
     return total
 
 
-def eval_field_grid(field: FourierRadialField, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Values on the tensor grid r x phi, shape (len(r), len(phi))."""
+def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Values on the tensor grid r x phi, shape (len(r), len(phi)).
+
+    Two-dimensional r and phi of one shape are a matched grid instead.  A plain
+    callable field(r, phi) acting on arrays is called with full grids.
+    """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    out = np.zeros((r.size, phi.size))
+    if r.ndim < 2 and phi.ndim < 2:
+        r, phi = r.reshape(-1, 1), phi.reshape(1, -1)
+    shape = np.broadcast_shapes(r.shape, phi.shape)
+    if not isinstance(field, FourierRadialField):
+        if not callable(field):
+            raise DomainError(f"cannot evaluate field of type {type(field).__name__}")
+        rg, pg = (np.broadcast_to(a, shape).copy() for a in (r, phi))
+        return np.broadcast_to(np.asarray(field(rg, pg), dtype=float), shape).copy()
+    out = np.zeros(shape)
     for k, prof in field.cos.items():
-        out += np.outer(prof.values_at(r), np.cos(k * phi))
+        out += prof.values_at(r) * np.cos(k * phi)
     for k, prof in field.sin.items():
-        out += np.outer(prof.values_at(r), np.sin(k * phi))
+        out += prof.values_at(r) * np.sin(k * phi)
     return out
 
 
@@ -166,17 +178,18 @@ def l2_norm_squared(field: FourierRadialField) -> float:
     return math.pi * float(total)
 
 
-def sample_grid(field: FourierRadialField, nr: int, nphi: int) -> np.ndarray:
+def sample_grid(field: FourierRadialField, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.ndarray:
     """Cartesian samples on a polar tensor grid, one row (x, y, value) per node.
 
     Radii are the nr equispaced levels i/nr, i = 1..nr; angles are the nphi
-    equispaced values 2 pi j / nphi, j = 0..nphi-1.  Rows are emitted in
-    row-major order with the radius as the outer loop.
+    equispaced values span * j / nphi, j = 0..nphi-1 (span 2 pi: the disk, pi:
+    the upper half disk).  Rows are emitted in row-major order with the radius
+    as the outer loop.
     """
     if nr < 1 or nphi < 1:
         raise DomainError("grid sizes must be positive")
     r = np.arange(1, nr + 1) / nr
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
+    phi = span * np.arange(nphi) / nphi
     values = eval_field_grid(field, r, phi)
     x = np.outer(r, np.cos(phi))
     y = np.outer(r, np.sin(phi))

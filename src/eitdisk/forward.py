@@ -25,6 +25,7 @@ validators and the rational inversion path rely on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, KindMismatchError, ShapeError
 from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, eval_field_grid
-from .quadrature import QuadratureSpec, gauss_legendre_01, trapezoid_periodic
+from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
 
 __all__ = [
     "SCHROEDINGER",
@@ -45,10 +46,12 @@ __all__ = [
     "conductivity_dtn",
     "schroedinger_dtn",
     "energy_oracle",
+    "oracle_dtn",
 ]
 
 SCHROEDINGER = "schroedinger"
 BLOCK_NAMES = ("cc", "ss", "sc", "cs")
+_BLOCK_MODES = {"cc": ("cos", "cos"), "ss": ("sin", "sin"), "sc": ("sin", "cos"), "cs": ("cos", "sin")}
 
 
 @dataclass(frozen=True)
@@ -170,14 +173,24 @@ def _antisym_table(table, half):
 def _set_from_exact(kind, N, exact):
     blocks = {}
     for name in BLOCK_NAMES:
-        blocks[name] = np.array(
-            [[float(q) * math.pi for q in row] for row in exact[name]], dtype=float
-        ).reshape(block_shapes(kind, N)[name])
+        try:
+            arr = np.array([[float(q) * math.pi for q in row] for row in exact[name]], dtype=float)
+        except OverflowError:
+            arr = np.array([math.inf])
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"block {name} has an entry beyond the range of a double")
+        blocks[name] = arr.reshape(block_shapes(kind, N)[name])
     return DtnMatrixSet(kind, N, blocks["cc"], blocks["ss"], blocks["sc"], blocks["cs"], exact=exact)
 
 
 def _sign(d: int) -> int:
     return (d > 0) - (d < 0)
+
+
+def _moment_tables(field):
+    """Exact moments (order, power) of the cos and of the sin profiles, each computed once."""
+    return tuple(functools.cache(lambda k, power, profile=profile: profile(k).moment_exact(power))
+                 for profile in (field.cos_profile, field.sin_profile))
 
 
 def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
@@ -186,16 +199,17 @@ def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
         raise KindMismatchError(f"expected a conductivity field, got kind {field.kind!r}")
     if N < 1:
         raise DomainError("max frequency N must be >= 1")
+    ma, mb = _moment_tables(field)
 
     def k_cos(i, j):
         zeta = 2 if i == j else 1
-        return i * j * zeta * field.cos_profile(abs(i - j)).moment_exact(i + j - 1)
+        return i * j * zeta * ma(abs(i - j), i + j - 1)
 
     def k_sin(i, j):
         s = _sign(j - i)
         if s == 0:
             return Fraction(0)
-        return i * j * s * field.sin_profile(abs(i - j)).moment_exact(i + j - 1)
+        return i * j * s * mb(abs(i - j), i + j - 1)
 
     rng = range(1, N + 1)
     qcc = [[k_cos(i, j) for j in rng] for i in rng]
@@ -212,12 +226,7 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     if N < 0:
         raise DomainError("max frequency N must be >= 0")
     half = Fraction(1, 2)
-
-    def ma(k, power):
-        return field.cos_profile(k).moment_exact(power)
-
-    def mb(k, power):
-        return field.sin_profile(k).moment_exact(power)
+    ma, mb = _moment_tables(field)
 
     def j_cc(i, j):
         eta = 3 if i == j == 0 else (2 if i == j else 1)
@@ -252,34 +261,52 @@ def energy_oracle(
     Conductivity kind: integral over the disk of field * grad(u_f) . grad(u_g);
     potential kind: integral of field * u_f * u_g.  Here u is the harmonic
     extension r^n cos(n phi) or r^n sin(n phi) of the boundary mode.  Uses
-    tensor Gauss-Legendre x periodic-trapezoid quadrature in polar coordinates.
+    tensor Gauss-Legendre x periodic-trapezoid quadrature in polar coordinates,
+    through the same kernel as ``oracle_dtn``.
     """
+    mc, ms = _disk_moments(field, f.frequency + g.frequency, quad)
+    return float(_mode_product(field.kind, mc, ms, f.parity, f.frequency, g.parity, g.frequency))
+
+
+def oracle_dtn(field: FourierRadialField, N: int, quad: QuadratureSpec = QuadratureSpec()) -> DtnMatrixSet:
+    """All four blocks by the quadrature of ``energy_oracle``, as a float set.
+
+    The field is evaluated once on the polar grid and every entry is read off
+    one table of weighted polar moments, at O(R Phi N) + O(R N^2) cost.
+    """
+    kind = CONDUCTIVITY if field.kind == CONDUCTIVITY else SCHROEDINGER
+    mc, ms = _disk_moments(field, 2 * N, quad)
+    shapes, origins = block_shapes(kind, N), index_origins(kind)
+    blocks = {}
+    for name, (rp, cp) in _BLOCK_MODES.items():
+        (rows, cols), (r0, c0) = shapes[name], origins[name]
+        blocks[name] = [[_mode_product(field.kind, mc, ms, rp, r0 + i, cp, c0 + j)
+                         for j in range(cols)] for i in range(rows)]
+    return DtnMatrixSet(kind, N, **blocks)
+
+
+def _disk_moments(field, top, quad):
+    """``polar_moments`` of the field on the full-disk grid, angular orders up to ``top``."""
     r, wr = gauss_legendre_01(quad.n_r)
     phi, wphi = trapezoid_periodic(quad.n_phi)
-    values = eval_field_grid(field, r, phi)
-    if field.kind == CONDUCTIVITY:
-        af, bf = _mode_gradient(f, r, phi)
-        ag, bg = _mode_gradient(g, r, phi)
-        integrand = values * (af * ag + bf * bg)
-    else:
-        integrand = values * _mode_values(f, r, phi) * _mode_values(g, r, phi)
-    integrand = integrand * r[:, None]  # polar Jacobian
-    return float(wr @ integrand @ wphi)
+    return polar_moments(eval_field_grid(field, r, phi), r, wr, phi, wphi, top + 1, top)
 
 
-def _mode_values(mode: BoundaryMode, r, phi):
-    n = mode.frequency
-    trig = np.cos(n * phi) if mode.parity == "cos" else np.sin(n * phi)
-    return np.outer(r**n, trig)
+def _mode_product(kind, mc, ms, fp, n, gp, k):
+    """One entry read off the polar moments by product-to-sum identities.
 
-
-def _mode_gradient(mode: BoundaryMode, r, phi):
-    """Polar gradient components (d/dr, (1/r) d/dphi) of the harmonic extension."""
-    n = mode.frequency
-    if n == 0:
-        zero = np.zeros((r.size, phi.size))
-        return zero, zero.copy()
-    radial = n * r ** (n - 1)
-    if mode.parity == "cos":
-        return np.outer(radial, np.cos(n * phi)), np.outer(radial, -np.sin(n * phi))
-    return np.outer(radial, np.sin(n * phi)), np.outer(radial, np.cos(n * phi))
+    grad u_f . grad u_g = n k r^(n+k-2) cos((n-k) phi) for equal parities and
+    +-n k r^(n+k-2) sin((n-k) phi) (sin-cos +, cos-sin -); u_f u_g = r^(n+k)/2
+    times cos((n-k) phi) +- cos((n+k) phi) or sin((n+k) phi) +- sin((n-k) phi).
+    """
+    d, s = abs(n - k), _sign(n - k)
+    if kind == CONDUCTIVITY:
+        if n == 0 or k == 0:
+            return 0.0
+        if fp == gp:
+            return n * k * mc[n + k - 1, d]
+        return (1 if fp == "sin" else -1) * s * n * k * ms[n + k - 1, d]
+    p = n + k + 1
+    if fp == gp:
+        return 0.5 * (mc[p, d] + (1 if fp == "cos" else -1) * mc[p, n + k])
+    return 0.5 * (ms[p, n + k] + (1 if fp == "sin" else -1) * s * ms[p, d])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
 from .errors import DomainError, InconsistentDataError, RangeError, SingularPointError
-from .fields import CONDUCTIVITY, FourierRadialField
+from .fields import CONDUCTIVITY, eval_field_grid
 from .inverse import (
     MomentData,
     Reconstruction,
@@ -38,7 +38,7 @@ from .inverse import (
     condition_sums,
     solve_moment_problem,
 )
-from .quadrature import QuadratureSpec, gauss_legendre_01, trapezoid_closed
+from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_closed
 
 __all__ = [
     "HalfDiskData",
@@ -72,30 +72,24 @@ class HalfDiskData:
         return self.values.shape[0]
 
 
-def _field_values(field, r_grid, phi_grid):
-    """Evaluate a field (trig series or plain callable) on matched 2-d grids."""
-    if isinstance(field, FourierRadialField):
-        out = np.zeros_like(r_grid)
-        for k, prof in field.cos.items():
-            out += prof.values_at(r_grid) * np.cos(k * phi_grid)
-        for k, prof in field.sin.items():
-            out += prof.values_at(r_grid) * np.sin(k * phi_grid)
-        return out
-    if callable(field):
-        return np.asarray(field(r_grid, phi_grid), dtype=float)
-    raise DomainError(f"cannot evaluate field of type {type(field).__name__}")
+def _sine_data(field, N, quad, cmap=None):
+    """N x N sine-mode energy data on the upper half disk, of field . psi with ``cmap``.
 
-
-def _sine_mode_gradients(n, r, phi):
-    """Polar gradient components of r^n sin(n phi) on the tensor grid."""
-    radial = n * r ** (n - 1)
-    return np.outer(radial, np.sin(n * phi)), np.outer(radial, np.cos(n * phi))
-
-
-def _half_disk_grid(quad):
+    One field pass; as sin(n phi) sin(k phi) + cos(n phi) cos(k phi) = cos((n-k) phi),
+    entry (n, k) is n k times the polar moment of power n+k-1, cosine order |n-k|.
+    """
+    if N < 1:
+        raise DomainError("N must be >= 1")
     r, wr = gauss_legendre_01(quad.n_r)
     phi, wphi = trapezoid_closed(quad.n_phi, 0.0, math.pi)
-    return r, wr, phi, wphi
+    if cmap is None:
+        values = eval_field_grid(field, r, phi)
+    else:
+        w = _psi_array(cmap, np.outer(r, np.exp(1j * phi)))
+        values = eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
+    mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
+    n = np.arange(1, N + 1)
+    return np.outer(n, n) * mc[n[:, None] + n - 1, np.abs(n[:, None] - n)]
 
 
 def half_disk_forward_oracle(field, n: int, k: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> float:
@@ -107,26 +101,12 @@ def half_disk_forward_oracle(field, n: int, k: int, quad: QuadratureSpec = HALF_
     """
     if n < 1 or k < 1:
         raise DomainError("sine mode frequencies must be >= 1")
-    r, wr, phi, wphi = _half_disk_grid(quad)
-    rg, pg = np.meshgrid(r, phi, indexing="ij")
-    values = _field_values(field, rg, pg)
-    af, bf = _sine_mode_gradients(n, r, phi)
-    ag, bg = _sine_mode_gradients(k, r, phi)
-    integrand = values * (af * ag + bf * bg) * r[:, None]
-    return float(wr @ integrand @ wphi)
+    return float(_sine_data(field, max(n, k), quad)[n - 1, k - 1])
 
 
 def half_disk_data(field, N: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> HalfDiskData:
-    """Full N x N sine-mode data matrix from the half-disk oracle."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    out = np.empty((N, N))
-    for n in range(1, N + 1):
-        for k in range(n, N + 1):
-            val = half_disk_forward_oracle(field, n, k, quad)
-            out[n - 1, k - 1] = val
-            out[k - 1, n - 1] = val
-    return HalfDiskData(out)
+    """Full N x N sine-mode data matrix, the field evaluated once on the grid."""
+    return HalfDiskData(_sine_data(field, N, quad))
 
 
 def half_disk_invert(
@@ -191,29 +171,12 @@ def arc_forward_oracle(
     """
     if n < 1 or k < 1:
         raise DomainError("sine mode frequencies must be >= 1")
-    r, wr, phi, wphi = _half_disk_grid(quad)
-    rg, pg = np.meshgrid(r, phi, indexing="ij")
-    w = _psi_array(cmap, rg * np.exp(1j * pg))
-    rho = np.minimum(np.abs(w), 1.0)
-    theta = np.angle(w)
-    values = _field_values(field, rho, theta)
-    af, bf = _sine_mode_gradients(n, r, phi)
-    ag, bg = _sine_mode_gradients(k, r, phi)
-    integrand = values * (af * ag + bf * bg) * r[:, None]
-    return float(wr @ integrand @ wphi)
+    return float(_sine_data(field, max(n, k), quad, cmap)[n - 1, k - 1])
 
 
 def arc_data(field, cmap: ConformalMap, N: int, quad: QuadratureSpec = ARC_QUAD) -> HalfDiskData:
-    """Full N x N transplanted-mode data matrix from the arc oracle."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    out = np.empty((N, N))
-    for n in range(1, N + 1):
-        for k in range(n, N + 1):
-            val = arc_forward_oracle(field, n, k, cmap, quad)
-            out[n - 1, k - 1] = val
-            out[k - 1, n - 1] = val
-    return HalfDiskData(out)
+    """Full N x N transplanted-mode data matrix, one psi and field pass on the grid."""
+    return HalfDiskData(_sine_data(field, N, quad, cmap))
 
 
 class ArcReconstruction:

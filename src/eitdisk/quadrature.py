@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["QuadratureSpec", "gauss_legendre_01", "trapezoid_periodic", "trapezoid_closed"]
+__all__ = ["QuadratureSpec", "gauss_legendre_01", "trapezoid_periodic", "trapezoid_closed",
+           "polar_moments"]
 
 
 @dataclass(frozen=True)
@@ -51,3 +52,16 @@ def trapezoid_closed(n: int, a: float = 0.0, b: float = math.pi):
     weights = np.full(n + 1, h)
     weights[0] = weights[-1] = h / 2.0
     return nodes, weights
+
+
+def polar_moments(values, r, wr, phi, wphi, pmax: int, dmax: int):
+    """(cos, sin) moments sum_ij wr_i wphi_j r_i^p values_ij cos|sin(d phi_j), p <= pmax, d <= dmax.
+
+    One (R x Phi) @ (Phi x 2D) product forms every angular transform; the
+    radial sums are a second, small product.
+    """
+    angle = np.outer(phi, np.arange(dmax + 1))
+    trig = np.hstack([np.cos(angle), np.sin(angle)]) * wphi[:, None]
+    radial = wr[:, None] * r[:, None] ** np.arange(pmax + 1)
+    moments = radial.T @ (values @ trig)
+    return moments[:, : dmax + 1], moments[:, dmax + 1 :]

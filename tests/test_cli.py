@@ -1,6 +1,10 @@
 import cmath
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from eitdisk import (
     psi_inverse,
     schroedinger_dtn,
 )
+import eitdisk
 from eitdisk import arc_data as make_arc_data
 from eitdisk import io as eio
 from eitdisk.cli import main
@@ -230,3 +235,43 @@ def test_muntz_tables(capsys):
 def test_muntz_rejects_bad_sequence(capsys):
     assert main(["muntz", "--seq", "1/2,apple"]) == 2
     assert "bad exponent" in capsys.readouterr().err
+
+
+def test_muntz_inadmissible_sequence_prints_nothing(capsys):
+    assert main(["muntz", "--seq=-1/2,3,1/3,7/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outside L^2" in err
+
+
+def _raw_field_file(tmp_path, value):
+    path = tmp_path / "field.json"
+    path.write_text('{"kind":"conductivity","cos":{"0":[[0,%s]]},"sin":{}}' % value, encoding="utf-8")
+    return str(path)
+
+
+def test_forward_rejects_nan_field_value(tmp_path, capsys):
+    rc = main(["forward", "--input", _raw_field_file(tmp_path, "NaN"),
+               "--output", str(tmp_path / "dtn.json"), "--nmax", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_entry_beyond_double_range_exits_2(tmp_path, capsys, command):
+    argv = [command, "--input", _raw_field_file(tmp_path, "1.7e308"), "--nmax", "3"]
+    if command == "forward":
+        argv += ["--output", str(tmp_path / "dtn.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "range of a double" in err and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(eitdisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "eitdisk", "muntz", "--k", "0", "--nmax", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "LM^0_1: -1*x^0 2*x^2" in proc.stdout

@@ -20,6 +20,7 @@ from eitdisk import (
     conductivity_dtn,
     energy_oracle,
     index_origins,
+    oracle_dtn,
     schroedinger_dtn,
 )
 from eitdisk.forward import BLOCK_NAMES
@@ -184,3 +185,98 @@ def test_symmetrized_averages_float_noise():
     sym = noisy.symmetrized()
     assert sym.cc[0, 1] == pytest.approx(base.cc[0, 1] + 2e-10, abs=1e-16)
     assert sym.cc[0, 1] == sym.cc[1, 0]
+
+
+# ------------------------------------------- batched oracle vs per-entry quadrature
+
+
+def _reference_grid(quad):
+    """Gauss-Legendre on [0, 1] x periodic trapezoid, built here from numpy alone."""
+    x, w = np.polynomial.legendre.leggauss(quad.n_r)
+    r, wr = (x + 1.0) / 2.0, w / 2.0
+    phi = 2.0 * math.pi * np.arange(quad.n_phi) / quad.n_phi
+    rg, pg = np.meshgrid(r, phi, indexing="ij")
+    # quadrature weight times the polar Jacobian r
+    return rg, pg, np.outer(wr * r, np.full(quad.n_phi, 2.0 * math.pi / quad.n_phi))
+
+
+def _reference_values(field, rg, pg):
+    out = np.zeros_like(rg)
+    for parity, trig in (("cos", np.cos), ("sin", np.sin)):
+        for k, prof in getattr(field, parity).items():
+            for p, v in prof.terms:
+                out += float(v) * rg**p * trig(k * pg)
+    return out
+
+
+def _reference_mode(parity, n, rg, pg):
+    """u = r^n cos/sin(n phi) with its polar gradient (du/dr, (1/r) du/dphi)."""
+    c, s = np.cos(n * pg), np.sin(n * pg)
+    radial = n * rg ** (n - 1)
+    if parity == "cos":
+        return rg**n * c, radial * c, -radial * s
+    return rg**n * s, radial * s, radial * c
+
+
+def _reference_block(field, kind, N, name, quad):
+    """One block, entry by entry: explicit mode products under the tensor rule."""
+    rg, pg, weights = _reference_grid(quad)
+    weighted = _reference_values(field, rg, pg) * weights
+    rows, cols = block_shapes(kind, N)[name]
+    (r0, c0), (rp, cp) = index_origins(kind)[name], _MODES[name]
+    out = np.empty((rows, cols))
+    for i in range(rows):
+        u, ur, ut = _reference_mode(rp, r0 + i, rg, pg)
+        for j in range(cols):
+            v, vr, vt = _reference_mode(cp, c0 + j, rg, pg)
+            product = ur * vr + ut * vt if kind == CONDUCTIVITY else u * v
+            out[i, j] = np.sum(weighted * product)
+    return out
+
+
+def _random_field(kind, seed):
+    rng = np.random.default_rng(seed)
+    cos = {k: RadialProfile(((k, rng.uniform(-1, 1)), (k + 2, rng.uniform(-1, 1)))) for k in range(5)}
+    sin = {k: RadialProfile(((k + 1, rng.uniform(-1, 1)),)) for k in range(1, 5)}
+    return FourierRadialField(kind, cos, sin)
+
+
+@pytest.mark.parametrize("kind", [CONDUCTIVITY, "schroedinger"])
+def test_oracle_dtn_matches_per_entry_reference(kind):
+    # N = 8; the potential blocks sc (8 x 9) and cs (9 x 8) are not square,
+    # and its cc and cs blocks start with the mode-0 row cos(0 phi)
+    field = _random_field(CONDUCTIVITY if kind == CONDUCTIVITY else POTENTIAL, 5)
+    mset = oracle_dtn(field, 8, QUAD)
+    assert mset.kind == kind and mset.exact is None
+    for name in BLOCK_NAMES:
+        ref = _reference_block(field, kind, 8, name, QUAD)
+        assert mset.block(name).shape == ref.shape
+        assert np.max(np.abs(mset.block(name) - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+def test_oracle_dtn_agrees_with_assembly():
+    for kind, forward in ((CONDUCTIVITY, conductivity_dtn), (POTENTIAL, schroedinger_dtn)):
+        field = _random_field(kind, 6)
+        numeric, analytic = oracle_dtn(field, 6, QUAD), forward(field, 6)
+        for name in BLOCK_NAMES:
+            np.testing.assert_allclose(numeric.block(name), analytic.block(name), rtol=1e-9, atol=1e-12)
+
+
+def test_energy_oracle_is_one_entry_of_the_block():
+    field = _random_field(POTENTIAL, 7)
+    mset = oracle_dtn(field, 4, QUAD)
+    assert energy_oracle(field, BoundaryMode("cos", 0), BoundaryMode("sin", 3), QUAD) == pytest.approx(
+        mset.cs[0, 2], rel=1e-13)
+    assert energy_oracle(field, BoundaryMode("sin", 4), BoundaryMode("cos", 1), QUAD) == pytest.approx(
+        mset.sc[3, 1], rel=1e-13)
+    # the gradient of the mode-0 harmonic vanishes, so its conductivity row is zero
+    cond = _random_field(CONDUCTIVITY, 7)
+    assert energy_oracle(cond, BoundaryMode("cos", 0), BoundaryMode("cos", 2), QUAD) == 0.0
+
+
+def test_assembly_rejects_overflowing_entry():
+    huge = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.7e308),))}, {})
+    with pytest.raises(DomainError, match="range of a double"):
+        conductivity_dtn(huge, 3)
+    with pytest.raises(DomainError, match="range of a double"):
+        schroedinger_dtn(FourierRadialField(POTENTIAL, huge.cos, {}), 3)

@@ -82,6 +82,16 @@ def test_field_from_dict_validates():
         eio.field_from_dict([1, 2, 3])
 
 
+def test_field_from_dict_rejects_non_finite_and_bool_values():
+    for value in (math.nan, math.inf, -math.inf, True):
+        with pytest.raises(FormatError):
+            eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[0, value]]}, "sin": {}})
+    with pytest.raises(FormatError):
+        eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[True, 1.0]]}, "sin": {}})
+    with pytest.raises(FormatError):
+        eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[math.inf, 1.0]]}, "sin": {}})
+
+
 def test_dtn_dict_roundtrip_conductivity():
     field = FourierRadialField(CONDUCTIVITY, {1: RadialProfile(((1, 1.0),))}, {})
     mset = conductivity_dtn(field, 3)

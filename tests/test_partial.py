@@ -23,6 +23,7 @@ from eitdisk import (
     half_disk_data,
     half_disk_forward_oracle,
     half_disk_invert,
+    psi,
     psi_inverse,
 )
 from eitdisk.quadrature import QuadratureSpec
@@ -148,3 +149,76 @@ def test_arc_data_is_symmetric():
     cmap = ConformalMap(ArcSpec(math.pi / 6))
     data = arc_data(COSINE_FIELD, cmap, 4)
     np.testing.assert_allclose(data.values, data.values.T, atol=1e-12)
+
+
+# --------------------------------------- batched data vs per-entry quadrature
+
+
+def _reference_sine_data(field, N, quad, cmap=None):
+    """Sine-mode data entry by entry, with explicit mode gradients.
+
+    Gauss-Legendre on [0, 1] times the closed trapezoid on [0, pi], built from
+    numpy alone; with ``cmap`` the field is sampled at psi of each node.
+    """
+    x, w = np.polynomial.legendre.leggauss(quad.n_r)
+    r, wr = (x + 1.0) / 2.0, w / 2.0
+    phi = np.linspace(0.0, math.pi, quad.n_phi + 1)
+    wphi = np.full(quad.n_phi + 1, math.pi / quad.n_phi)
+    wphi[[0, -1]] /= 2.0
+    rg, pg = np.meshgrid(r, phi, indexing="ij")
+    rho, theta = rg, pg
+    if cmap is not None:
+        z = psi(cmap, rg * np.exp(1j * pg))
+        rho, theta = np.minimum(np.abs(z), 1.0), np.angle(z)
+    if isinstance(field, FourierRadialField):
+        values = sum(float(v) * rho**p * np.cos(k * theta)
+                     for k, prof in field.cos.items() for p, v in prof.terms)
+    else:
+        values = field(rho, theta)
+    weighted = values * np.outer(wr * r, wphi)
+    grads = {n: (n * rg ** (n - 1) * np.sin(n * pg), n * rg ** (n - 1) * np.cos(n * pg))
+             for n in range(1, N + 1)}
+    out = np.empty((N, N))
+    for n, (an, bn) in grads.items():
+        for k, (ak, bk) in grads.items():
+            out[n - 1, k - 1] = np.sum(weighted * (an * ak + bn * bk))
+    return out
+
+
+def _random_half_disk_field(seed, N=8):
+    rng = np.random.default_rng(seed)
+    cos = {k: RadialProfile(tuple((2 * l + k, rng.uniform(-1, 1)) for l in range(N - k))) for k in range(N)}
+    return FourierRadialField(CONDUCTIVITY, cos, {})
+
+
+def _assert_close_to_reference(values, ref):
+    assert values.shape == ref.shape
+    assert np.max(np.abs(values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_half_disk_data_matches_per_entry_reference():
+    field = _random_half_disk_field(21)
+    quad = QuadratureSpec(64, 512)
+    _assert_close_to_reference(half_disk_data(field, 8).values, _reference_sine_data(field, 8, quad))
+
+
+def test_arc_data_matches_per_entry_reference():
+    field = _random_half_disk_field(22)
+    cmap = ConformalMap(ArcSpec(math.pi / 5))
+    quad = QuadratureSpec(64, 1024)
+
+    def gamma(rho, theta):
+        z = psi_inverse(cmap, np.asarray(rho) * np.exp(1j * np.asarray(theta)))
+        return (1.0 + z.real) * z.imag**2
+
+    _assert_close_to_reference(arc_data(field, cmap, 8).values, _reference_sine_data(field, 8, quad, cmap))
+    _assert_close_to_reference(arc_data(gamma, cmap, 8).values, _reference_sine_data(gamma, 8, quad, cmap))
+
+
+def test_single_entry_oracles_read_the_data_matrix():
+    cmap = ConformalMap(ArcSpec(math.pi / 4))
+    half = half_disk_data(COSINE_FIELD, 4).values
+    arc = arc_data(COSINE_FIELD, cmap, 4).values
+    for n, k in ((1, 1), (2, 4), (4, 3)):
+        assert half_disk_forward_oracle(COSINE_FIELD, n, k) == pytest.approx(half[n - 1, k - 1], rel=1e-13)
+        assert arc_forward_oracle(COSINE_FIELD, n, k, cmap) == pytest.approx(arc[n - 1, k - 1], rel=1e-13)
