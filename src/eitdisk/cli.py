@@ -34,6 +34,10 @@ from .quadrature import QuadratureSpec
 
 __all__ = ["main"]
 
+# Largest --nmax of forward/roundtrip and --nmax/--k of muntz: the exact
+# assembly and solve cost grows about as N^4.
+MAX_MODES = 64
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -146,9 +150,15 @@ def _cmd_forward(args) -> int:
     return 0
 
 
+def _check_cap(value, flag):
+    if value > MAX_MODES:
+        raise DomainError(f"{flag} {value} is above the cap of {MAX_MODES}")
+
+
 def _assemble(field, nmax, command):
     if nmax is None:
         raise FormatError(f"--nmax is required for {command}")
+    _check_cap(nmax, "--nmax")
     return (conductivity_dtn if field.kind == CONDUCTIVITY else schroedinger_dtn)(field, nmax)
 
 
@@ -228,7 +238,7 @@ def _cmd_half_invert(args) -> int:
     _check_paths(args)
     data, _ = io.arc_data_from_dict(io.load_json(args.input))
     rec = half_disk_invert(data, N=args.nmax, tol=args.tol, reg_cap=args.reg_cap)
-    _write(args.output, io.grid_to_csv(sample_grid(rec.to_field(), args.nr, args.nphi, math.pi)))
+    _write(args.output, io.grid_to_csv(sample_grid(rec, args.nr, args.nphi, math.pi)))
     return 0
 
 
@@ -241,13 +251,7 @@ def _cmd_arc_invert(args) -> int:
         raise FormatError("arc data without 'alpha'; pass --alpha")
     cmap = ConformalMap(ArcSpec(alpha))
     rec = arc_invert(data, cmap, N=args.nmax, tol=args.tol, reg_cap=args.reg_cap)
-    r = np.arange(1, args.nr + 1) / args.nr
-    phi = 2.0 * math.pi * np.arange(args.nphi) / args.nphi
-    rows = []
-    for ri in r:
-        for pj in phi:
-            rows.append((ri * math.cos(pj), ri * math.sin(pj), rec.evaluate(ri, pj)))
-    _write(args.output, io.grid_to_csv(np.array(rows)))
+    _write(args.output, io.grid_to_csv(sample_grid(rec, args.nr, args.nphi)))
     if args.map_debug:
         _write(_sibling(args.output, ".mapdebug.csv"), _map_debug_csv(cmap))
     return 0
@@ -264,6 +268,8 @@ def _map_debug_csv(cmap, count=64):
 
 
 def _cmd_muntz(args) -> int:
+    _check_cap(args.nmax, "--nmax")
+    _check_cap(args.k, "--k")
     if args.seq:
         try:
             seq = ExponentSequence(Fraction(part.strip()) for part in args.seq.split(","))

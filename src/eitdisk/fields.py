@@ -178,19 +178,24 @@ def l2_norm_squared(field: FourierRadialField) -> float:
     return math.pi * float(total)
 
 
-def sample_grid(field: FourierRadialField, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.ndarray:
+def sample_grid(field, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.ndarray:
     """Cartesian samples on a polar tensor grid, one row (x, y, value) per node.
 
-    Radii are the nr equispaced levels i/nr, i = 1..nr; angles are the nphi
-    equispaced values span * j / nphi, j = 0..nphi-1 (span 2 pi: the disk, pi:
-    the upper half disk).  Rows are emitted in row-major order with the radius
-    as the outer loop.
+    ``field`` is a FourierRadialField or a callable (r, phi) acting on arrays,
+    such as a reconstruction.  Radii are the nr equispaced levels i/nr,
+    i = 1..nr; angles are the nphi equispaced values span * j / nphi,
+    j = 0..nphi-1 (span 2 pi: the disk, pi: the upper half disk).  Rows are
+    emitted in row-major order with the radius as the outer loop.  A value
+    beyond the range of a double is a DomainError.
     """
     if nr < 1 or nphi < 1:
         raise DomainError("grid sizes must be positive")
     r = np.arange(1, nr + 1) / nr
     phi = span * np.arange(nphi) / nphi
-    values = eval_field_grid(field, r, phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = eval_field_grid(field, r, phi)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("field values beyond the range of a double on the grid")
     x = np.outer(r, np.cos(phi))
     y = np.outer(r, np.sin(phi))
     return np.column_stack([x.ravel(), y.ravel(), values.ravel()])

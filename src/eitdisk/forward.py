@@ -110,7 +110,7 @@ class DtnMatrixSet:
         shapes = block_shapes(kind, self.N)
         for name, block in (("cc", cc), ("ss", ss), ("sc", sc), ("cs", cs)):
             arr = np.asarray(block, dtype=float)
-            if arr.size == 0:
+            if arr.size == 0 and 0 in shapes[name]:
                 arr = arr.reshape(shapes[name])
             if arr.shape != shapes[name]:
                 raise ShapeError(
@@ -151,11 +151,12 @@ class DtnMatrixSet:
                 ecs = _antisym_table(ecs, half)
             esc = [[ecs[j][i] for j in range(rows)] for i in range(cols)]
             return _set_from_exact(self.kind, self.N, {"cc": ecc, "ss": ess, "sc": esc, "cs": ecs})
-        cc = (self.cc + self.cc.T) / 2.0
-        ss = (self.ss + self.ss.T) / 2.0
-        cs = (self.cs + self.sc.T) / 2.0
+        # a/2 + b/2 rounds as (a + b)/2 does, but cannot overflow
+        cc = self.cc / 2.0 + self.cc.T / 2.0
+        ss = self.ss / 2.0 + self.ss.T / 2.0
+        cs = self.cs / 2.0 + self.sc.T / 2.0
         if self.kind == CONDUCTIVITY:
-            cs = (cs - cs.T) / 2.0
+            cs = cs / 2.0 - cs.T / 2.0
         sc = cs.T.copy()
         return DtnMatrixSet(self.kind, self.N, cc, ss, sc, cs, exact=None)
 
@@ -275,13 +276,16 @@ def oracle_dtn(field: FourierRadialField, N: int, quad: QuadratureSpec = Quadrat
     one table of weighted polar moments, at O(R Phi N) + O(R N^2) cost.
     """
     kind = CONDUCTIVITY if field.kind == CONDUCTIVITY else SCHROEDINGER
-    mc, ms = _disk_moments(field, 2 * N, quad)
     shapes, origins = block_shapes(kind, N), index_origins(kind)
     blocks = {}
-    for name, (rp, cp) in _BLOCK_MODES.items():
-        (rows, cols), (r0, c0) = shapes[name], origins[name]
-        blocks[name] = [[_mode_product(field.kind, mc, ms, rp, r0 + i, cp, c0 + j)
-                         for j in range(cols)] for i in range(rows)]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mc, ms = _disk_moments(field, 2 * N, quad)
+        for name, (rp, cp) in _BLOCK_MODES.items():
+            (rows, cols), (r0, c0) = shapes[name], origins[name]
+            blocks[name] = [[_mode_product(field.kind, mc, ms, rp, r0 + i, cp, c0 + j)
+                             for j in range(cols)] for i in range(rows)]
+    if not all(np.all(np.isfinite(b)) for b in blocks.values()):
+        raise DomainError("quadrature oracle has an entry beyond the range of a double")
     return DtnMatrixSet(kind, N, **blocks)
 
 

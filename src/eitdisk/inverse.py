@@ -45,8 +45,9 @@ from .forward import SCHROEDINGER, DtnMatrixSet
 from .muntz import (
     ExponentSequence,
     WeightedFamily,
+    _jacobi_constants,
+    _jacobi_sum,
     build_weighted_family,
-    eval_weighted,
     inverse_matrix,
 )
 
@@ -254,7 +255,9 @@ def extract_schroedinger_moments(mset: DtnMatrixSet, k: int, parity: str = "cos"
         cc, ss, sc, cs = (exact[n] for n in ("cc", "ss", "sc", "cs"))
         pi_div = 1
     else:
-        cc, ss, sc, cs = mset.cc, mset.ss, mset.sc, mset.cs
+        # Python floats: a sum beyond the double range becomes inf quietly,
+        # and MomentData rejects it
+        cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
         pi_div = math.pi
     if parity == "cos":
         if k == 0:
@@ -285,11 +288,16 @@ def solve_moment_problem(data: MomentData) -> list:
     solver = inverse_matrix(ExponentSequence.shifted(data.k, m), m)
     exact_in = all(isinstance(v, (Fraction, int)) for v in data.values)
     values = data.values if exact_in else [Fraction(v) for v in data.values]
-    out = []
-    for row in solver.rows:
-        c = sum(map(mul, row, values), Fraction(0))
-        out.append(c if exact_in else float(c))
-    return out
+    out = [sum(map(mul, row, values), Fraction(0)) for row in solver.rows]
+    return out if exact_in else _rounded(out)
+
+
+def _rounded(values) -> list:
+    """Round exact values to doubles; one beyond the double range is a DomainError."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise DomainError("a reconstructed coefficient is beyond the range of a double") from None
 
 
 def condition_sums(k: int, count: int) -> list:
@@ -307,9 +315,14 @@ class Reconstruction:
 
     p[k][n] multiplies LM^k_n; the k = 0 series carries a conventional 1/2.
     ``condition[k]`` holds the solver row sums used for diagnostics.
+
+    Calling the reconstruction on arrays r, phi evaluates it there through the
+    Jacobi recurrence (see ``muntz._jacobi_sum``), from a float table built on
+    the first call; the exact LM families are built only for ``family`` and
+    ``to_field``.
     """
 
-    __slots__ = ("kind", "N", "p", "q", "condition", "_families")
+    __slots__ = ("kind", "N", "p", "q", "condition", "_families", "_table")
 
     def __init__(self, kind, N, p, q, condition):
         self.kind = kind
@@ -317,32 +330,56 @@ class Reconstruction:
         self.p = p
         self.q = q
         self.condition = condition
-        fams = {}
-        for k, coeffs in [*p.items(), *q.items()]:
-            if coeffs and (k not in fams or fams[k].nmax < len(coeffs) - 1):
-                fams[k] = build_weighted_family(k, len(coeffs) - 1)
-        self._families = fams
+        self._families = {}
+        self._table = None
 
     def family(self, k: int) -> WeightedFamily:
-        return self._families[k]
+        fam = self._families.get(k)
+        if fam is None:
+            depth = max(len(self.p.get(k, ())), len(self.q.get(k, ())))
+            if not depth:
+                raise KeyError(k)
+            fam = self._families[k] = build_weighted_family(k, depth - 1)
+        return fam
+
+    def __call__(self, r, phi) -> np.ndarray:
+        """Values at polar points (r, phi), arrays of broadcastable shapes."""
+        r, phi = _polar_points(r, phi)
+        return self._values(r.reshape(-1, 1), phi.reshape(-1, 1)).reshape(r.shape)
 
     def evaluate(self, r: float, phi: float) -> float:
         """Pointwise value of the reconstructed field at polar (r, phi)."""
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"radius {r} outside [0, 1]")
-        total = 0.0
-        for k, coeffs in self.p.items():
-            fam = self._families.get(k)
-            radial = sum(float(c) * eval_weighted(fam, n, r) for n, c in enumerate(coeffs))
-            if k == 0:
-                total += 0.5 * radial
-            else:
-                total += radial * math.cos(k * phi)
-        for k, coeffs in self.q.items():
-            fam = self._families.get(k)
-            radial = sum(float(c) * eval_weighted(fam, n, r) for n, c in enumerate(coeffs))
-            total += radial * math.sin(k * phi)
-        return total
+        return float(self._values(np.array([[r]], dtype=float), np.array([[phi]], dtype=float))[0])
+
+    def _values(self, r, phi):
+        """Values at the points of the columns r, phi (shape (points, 1))."""
+        if self._table is None:
+            self._table = self._series_table()
+        coeffs, constants, ks, ncos = self._table
+        angle = phi * ks
+        weight = r**ks
+        weight[:, :ncos] *= np.cos(angle[:, :ncos])
+        weight[:, ncos:] *= np.sin(angle[:, ncos:])
+        radial = _jacobi_sum(coeffs, constants, 2.0 * r * r - 1.0)
+        return (radial * weight).sum(axis=1)
+
+    def _series_table(self):
+        """Float coefficients (k = 0 half folded in), one column per nonempty series.
+
+        Cosine series come first; returns (coefficients of shape (depth,
+        series), recurrence constants, orders, number of cosine series).
+        """
+        series = [(k, 0.5 if k == 0 else 1.0, c) for k, c in self.p.items() if c]
+        ncos = len(series)
+        series += [(k, 1.0, c) for k, c in self.q.items() if c]
+        depth = max((len(c) for _, _, c in series), default=1)
+        coeffs = np.zeros((depth, len(series)))
+        for s, (_, scale, c) in enumerate(series):
+            coeffs[: len(c), s] = [scale * float(v) for v in c]
+        ks = np.array([k for k, _, _ in series], dtype=float)
+        return coeffs, _jacobi_constants(ks, depth), ks, ncos
 
     def to_field(self) -> FourierRadialField:
         """Expand the LM series into monomial radial profiles.
@@ -366,18 +403,27 @@ class Reconstruction:
     def _monomial_profile(self, k, coeffs, halve):
         if not coeffs:
             return None
-        fam = self._families[k]
+        fam = self.family(k)
         exact_in = all(isinstance(c, (Fraction, int)) for c in coeffs)
         # family coefficients reach 1e4 by n = 7; lift the floats and round
         # once instead of rounding every product
         lifted = coeffs if exact_in else [Fraction(c) for c in coeffs]
-        terms = []
+        values = []
         for l in range(len(coeffs)):
             c = sum((lifted[n] * fam.rows[n][l] for n in range(l, len(coeffs))), Fraction(0))
-            if halve:
-                c = c / 2
-            terms.append((2 * l + k, c if exact_in else float(c)))
-        return RadialProfile(terms)
+            values.append(c / 2 if halve else c)
+        if not exact_in:
+            values = _rounded(values)
+        return RadialProfile((2 * l + k, c) for l, c in enumerate(values))
+
+
+def _polar_points(r, phi) -> tuple:
+    """r and phi as float arrays of their broadcast shape; r outside [0, 1] is a DomainError."""
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+    outside = ~((r >= 0.0) & (r <= 1.0))
+    if outside.any():
+        raise DomainError(f"radius {float(r[outside].flat[0])} outside [0, 1]")
+    return r, phi
 
 
 def reconstruct(
@@ -478,7 +524,7 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
         cc, ss, sc, cs = (mset.exact[n] for n in ("cc", "ss", "sc", "cs"))
         pi_div = 1
     else:
-        cc, ss, sc, cs = mset.cc, mset.ss, mset.sc, mset.cs
+        cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
         pi_div = math.pi
     for l in range(N + 1, 2 * N + 1):
         lo, hi = max(1, l - N), min(N, l - 1)

@@ -141,16 +141,31 @@ def dtn_from_dict(doc) -> DtnMatrixSet:
     for name in BLOCK_NAMES:
         if name not in doc:
             raise FormatError(f"matrix document missing block {name!r}")
-        try:
-            blocks[name] = np.asarray(doc[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ShapeError(f"block {name!r} is not a rectangular numeric matrix") from exc
+        blocks[name] = _float_matrix(doc[name], f"block {name!r}")
     declared = doc.get("index_origin")
     if declared is not None:
         expected = {k: list(v) for k, v in index_origins(kind).items()}
-        if {k: list(v) for k, v in declared.items()} != expected:
+        if declared != expected:
             raise ShapeError(f"index_origin {declared!r} does not match kind {kind!r}")
     return DtnMatrixSet(kind, n, blocks["cc"], blocks["ss"], blocks["sc"], blocks["cs"])
+
+
+def _float_matrix(rows, what) -> np.ndarray:
+    """A JSON list of numeric rows as a float array.
+
+    Entries other than numbers (booleans included) are a FormatError, rows of
+    unequal length a ShapeError.
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ShapeError(f"{what} is not a list of rows")
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for row in rows for x in row):
+        raise FormatError(f"{what} has an entry that is not a number")
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        raise FormatError(f"{what} has an entry beyond the range of a double") from exc
+    except ValueError as exc:
+        raise ShapeError(f"{what} is not a rectangular numeric matrix") from exc
 
 
 def reconstruction_to_dict(rec: Reconstruction) -> dict:
@@ -178,15 +193,18 @@ def arc_data_from_dict(doc) -> tuple:
         raise FormatError("data document must be a JSON object")
     if "data" not in doc:
         raise FormatError("data document missing 'data' matrix")
+    values = _float_matrix(doc["data"], "'data'")
     try:
-        data = HalfDiskData(np.asarray(doc["data"], dtype=float))
-    except (TypeError, ValueError) as exc:
+        data = HalfDiskData(values)
+    except ValueError as exc:
         raise ShapeError(f"'data' is not a square numeric matrix: {exc}") from exc
     declared_n = doc.get("N")
-    if declared_n is not None and declared_n != data.N:
+    if declared_n is not None and (isinstance(declared_n, bool) or declared_n != data.N):
         raise ShapeError(f"declared N={declared_n} does not match data size {data.N}")
     alpha = doc.get("alpha")
     if alpha is not None:
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise FormatError(f"'alpha' must be a number, got {alpha!r}")
         alpha = float(alpha)
     return data, alpha
 

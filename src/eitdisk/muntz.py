@@ -9,7 +9,8 @@ the n-th Muntz-Legendre polynomial is
 orthogonal on L^2([0,1]) with L_n(1) = 1.  The moment matrix
 ``A[l][n] = <L_n, x^{lambda_l}>`` is lower triangular with a hypergeometric
 closed form, and so is its inverse ``R``; both are computed here as exact
-``fractions.Fraction`` tables.  Floating point enters only at evaluation.
+``fractions.Fraction`` tables.  Floating point enters only at evaluation,
+which runs the Jacobi three-term recurrence, never the monomial rows.
 
 The weighted family ``LM^k_n(x) = sum_l Lc^k_{l,n} x^{2l+k}`` is the image of
 the shifted sequence ``lambda_i = 2i + k + 1/2`` under the substitution that
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+
+import numpy as np
 
 from .errors import DegenerateSequenceError, DomainError, RangeError
 
@@ -181,17 +184,58 @@ def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
 
 
 def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
-    """Evaluate LM^k_n at x in [0, 1] as x^k * P(x^2) with Horner's rule."""
+    """Evaluate LM^k_n at x in [0, 1] as x^k P_n^{(0,k)}(2x^2 - 1) by the recurrence."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument {x} outside [0, 1]")
     if not 0 <= n <= family.nmax:
         raise RangeError(f"index {n} outside family range 0..{family.nmax}")
-    row = family.rows[n]
-    acc = float(row[n])
-    t = x * x
-    for l in range(n - 1, -1, -1):
-        acc = acc * t + float(row[l])
-    return acc * x**family.k
+    coeffs = np.zeros((n + 1, 1))
+    coeffs[n] = 1.0
+    t = np.array([[2.0 * x * x - 1.0]])
+    return float(_jacobi_sum(coeffs, _jacobi_constants([family.k], n + 1), t)[0, 0]) * x**family.k
+
+
+def _jacobi_constants(ks, depth: int) -> tuple:
+    """Recurrence constants of P_n^{(0,k)}, n < depth, one column per order in ``ks``.
+
+    LM^k_n(x) = x^k P_n^{(0,k)}(2x^2 - 1) (Szego, Orthogonal Polynomials, ch. IV),
+    and P_n = (a_n t + b_n) P_{n-1} - c_n P_{n-2} with P_{-1} = 0, P_0 = 1,
+    P_1 = 1 + (k+2)(t-1)/2 and, for n >= 2,
+
+        2n(n+k)(2n+k-2) P_n = (2n+k-1)[(2n+k)(2n+k-2) t - k^2] P_{n-1}
+                              - 2(n-1)(n+k-1)(2n+k) P_{n-2}.
+
+    Returns arrays a, b, c of shape (depth, len(ks)); row 0 is unused.
+    """
+    k = np.asarray(ks, dtype=float)
+    a = np.zeros((depth, k.size))
+    b = np.zeros_like(a)
+    c = np.zeros_like(a)
+    if depth > 1:
+        a[1], b[1] = (k + 2.0) / 2.0, -k / 2.0
+    if depth > 2:
+        n = np.arange(2, depth, dtype=float)[:, None]
+        den = 2.0 * n * (n + k) * (2.0 * n + k - 2.0)
+        a[2:] = (2.0 * n + k - 1.0) * (2.0 * n + k) * (2.0 * n + k - 2.0) / den
+        b[2:] = -(2.0 * n + k - 1.0) * k * k / den
+        c[2:] = 2.0 * (n - 1.0) * (n + k - 1.0) * (2.0 * n + k) / den
+    return a, b, c
+
+
+def _jacobi_sum(coeffs, constants, t):
+    """sum_n coeffs[n] * P_n^{(0,k)}(t) by the three-term recurrence.
+
+    ``coeffs`` has shape (depth, orders) and ``constants`` comes from
+    ``_jacobi_constants`` for the same orders and depth; ``t`` has shape
+    (points, 1).  Returns shape (points, orders): one sum per point and order.
+    """
+    a, b, c = constants
+    total = coeffs[0] * np.ones_like(t)
+    prev, cur = 0.0, 1.0
+    for n in range(1, len(coeffs)):
+        prev, cur = cur, (a[n] * t + b[n]) * cur - c[n] * prev
+        total += coeffs[n] * cur
+    return total
 
 
 def gram_matrix(seq: ExponentSequence, size: int) -> TriangularMatrix:

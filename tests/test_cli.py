@@ -3,8 +3,10 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -275,3 +277,150 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "LM^0_1: -1*x^0 2*x^2" in proc.stdout
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_FUZZ_COMMANDS = (
+    ("forward", "field", ["--output", "{out}", "--nmax", "3"]),
+    ("forward", "field", ["--output", "{out}", "--nmax", "2", "--oracle", "--quad-r", "16", "--quad-phi", "64"]),
+    ("roundtrip", "field", ["--nmax", "3"]),
+    ("eval", "field", ["--output", "{out}", "--nr", "2", "--nphi", "3"]),
+    ("invert", "dtn", ["--output", "{out}"]),
+    ("validate", "dtn", []),
+    ("half-invert", "arc", ["--output", "{out}", "--nr", "2", "--nphi", "3"]),
+    ("arc-invert", "arc", ["--output", "{out}", "--nr", "2", "--nphi", "3"]),
+)
+_ODD_NUMBERS = (math.nan, math.inf, -math.inf, True, False, 1e308, -1e308, -1.7e308)
+_ODD_VALUES = ("x", 2, 1.5, -1, [], {}, None, True, [[1.0]], {"0": 1})
+_ODD_SIZES = (-1, 0, 1, 2, 5, 10**9, 3.0, "3", True, None)
+
+
+def _fuzz_documents():
+    cond = FourierRadialField(
+        CONDUCTIVITY,
+        {0: RadialProfile(((0, 1.0),)), 1: RadialProfile(((1, 0.25), (3, -0.5)))},
+        {2: RadialProfile(((2, -0.5),))},
+    )
+    pot = FourierRadialField(POTENTIAL, {0: RadialProfile(((0, 1.0), (2, 0.5)))},
+                             {1: RadialProfile(((1, 0.25),))})
+    cos_only = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),)),
+                                                 1: RadialProfile(((1, 0.5),))}, {})
+    return {
+        "field": [eio.field_to_dict(cond), eio.field_to_dict(pot)],
+        "dtn": [eio.dtn_to_dict(conductivity_dtn(cond, 3)), eio.dtn_to_dict(schroedinger_dtn(pot, 2))],
+        "arc": [eio.arc_data_to_dict(half_disk_data(cos_only, 3), alpha=math.pi / 4)],
+    }
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _mutate(doc, rng):
+    """One random damage: drop a key, swap a type, an odd number, a ragged row or a wrong size."""
+    nodes = list(_nodes(doc))
+    how = rng.choice(("drop", "swap", "number", "ragged", "size"))
+    if how == "drop":
+        dicts = [(p, v) for p, v in nodes if isinstance(v, dict) and v]
+        if dicts:
+            _, target = rng.choice(dicts)
+            del target[rng.choice(sorted(target))]
+            return doc
+    if how == "number":
+        leaves = [p for p, v in nodes if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if leaves:
+            return _set(doc, rng.choice(leaves), rng.choice(_ODD_NUMBERS))
+    if how == "ragged":
+        rows = [v for p, v in nodes if len(p) > 1 and isinstance(v, list) and v
+                and not isinstance(v[0], (list, dict))]
+        if rows:
+            row = rng.choice(rows)
+            if rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(rng.choice((0.5, [0.5])))
+            return doc
+    if how == "size":
+        if isinstance(doc, dict) and "N" in doc and rng.random() < 0.7:
+            doc["N"] = rng.choice(_ODD_SIZES)
+            return doc
+        tables = [v for p, v in nodes if len(p) == 1 and isinstance(v, dict) and v]
+        if tables:
+            table = rng.choice(tables)
+            table[str(rng.choice(_ODD_SIZES))] = table.pop(rng.choice(sorted(table)))
+            return doc
+    path, _ = rng.choice(nodes)
+    return _set(doc, path, rng.choice(_ODD_VALUES))
+
+
+def test_fuzzed_documents_exit_with_a_documented_code(tmp_path, capsys):
+    rng = random.Random(20261018)
+    bases = _fuzz_documents()
+    src, out = tmp_path / "in.json", tmp_path / "out.dat"
+    failures = []
+    for case in range(210):
+        command, doc_type, extra = rng.choice(_FUZZ_COMMANDS)
+        doc = json.loads(json.dumps(rng.choice(bases[doc_type])))
+        for _ in range(rng.choice((1, 1, 2))):
+            doc = _mutate(doc, rng)
+        text = json.dumps(doc)
+        src.write_text(text, encoding="utf-8")
+        argv = [command, "--input", str(src), *(a.format(out=out) for a in extra)]
+        # a warning would print further stderr lines in a real run
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:  # an escaping exception is a traceback
+                code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        allowed = len(lines) if code == 4 else 1
+        if code not in (0, 1, 2, 3, 4) or len(lines) > allowed or "Traceback" in err or caught:
+            failures.append(f"case {case}: {command} {text[:160]} -> {code!r}, stderr {lines[:2]}, "
+                            f"warnings {[str(w.message) for w in caught][:2]}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("flag", ["--nr", "--nphi"])
+def test_arc_invert_empty_grid_exits_2(tmp_path, capsys, flag):
+    field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
+    src = tmp_path / "arc.json"
+    src.write_text(eio.dumps(eio.arc_data_to_dict(half_disk_data(field, 3), alpha=math.pi / 4)),
+                   encoding="utf-8")
+    rc = main(["arc-invert", "--input", str(src), "--output", str(tmp_path / "o.csv"), flag, "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "grid sizes must be positive" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--output", "{tmp}/dtn.json", "--nmax", "65"],
+    ["roundtrip", "--nmax", "65"],
+    ["muntz", "--nmax", "65"],
+    ["muntz", "--k", "65"],
+])
+def test_mode_count_above_cap_exits_2(tmp_path, field_file, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] != "muntz":
+        argv += ["--input", str(field_file)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "above the cap of 64" in err and err.count("\n") == 1
+    assert not (tmp_path / "dtn.json").exists()

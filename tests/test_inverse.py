@@ -350,3 +350,75 @@ def test_extra_hankel_moments_reported():
     assert extra["sin"][4] == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(KindMismatchError):
         extra_hankel_moments(conductivity_dtn(CONST_COND, 3))
+
+
+# ------------------------------------------------------------ evaluation
+
+
+def _span_field(kind, N, seed):
+    """Random small rationals on every LM span power of truncation N."""
+    rng = np.random.default_rng(seed)
+    top = N if kind == CONDUCTIVITY else N + 1
+
+    def profile(k):
+        return RadialProfile(tuple(
+            (2 * l + k, Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9))))
+            for l in range(top - k)))
+
+    return FourierRadialField(kind, {k: profile(k) for k in range(top)},
+                              {k: profile(k) for k in range(1, top)})
+
+
+def _exact_radial_grid(field, radii, phi):
+    """Each radial profile summed exactly at the rational radii, times float trig."""
+    out = np.zeros((len(radii), len(phi)))
+    for trig, table in ((np.cos, field.cos), (np.sin, field.sin)):
+        for k, prof in table.items():
+            radial = [float(sum((Fraction(v) * r**p for p, v in prof.terms), Fraction(0))) for r in radii]
+            out += np.outer(radial, trig(k * phi))
+    return out
+
+
+@pytest.mark.parametrize("kind,forward", [
+    (CONDUCTIVITY, conductivity_dtn),
+    (POTENTIAL, schroedinger_dtn),
+])
+def test_grid_evaluation_matches_exact_reference_at_N24(kind, forward):
+    # the recurrence stays within about 1e-15 of the largest value; a Horner
+    # pass over the monomial rows is off by up to 3e-12 of it on this grid
+    field = _span_field(kind, 24, seed=24)
+    rec = reconstruct(forward(field, 24))
+    radii = [Fraction(i, 24) for i in range(25)]
+    phi = 2.0 * math.pi * np.arange(16) / 16
+    ref = _exact_radial_grid(field, radii, phi)
+    r = np.array([float(x) for x in radii])
+    got = rec(r[:, None], phi[None, :])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_call_equals_evaluate_at_every_node():
+    rec = reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6))
+    r = np.arange(0, 9) / 8
+    phi = 2.0 * math.pi * np.arange(10) / 10
+    grid = rec(r[:, None], phi)
+    pointwise = np.array([[rec.evaluate(float(ri), float(pj)) for pj in phi] for ri in r])
+    np.testing.assert_array_equal(grid, pointwise)
+    assert rec(0.5, 0.8).shape == ()
+
+
+def test_call_rejects_radius_outside_unit_interval():
+    rec = reconstruct(conductivity_dtn(CONST_COND, 3))
+    with pytest.raises(DomainError, match="1.5"):
+        rec(np.array([0.5, 1.5]), 0.0)
+    with pytest.raises(DomainError):
+        rec(np.nan, 0.0)
+    with pytest.raises(DomainError):
+        rec.evaluate(-0.1, 0.0)
+
+
+def test_family_is_built_on_demand():
+    rec = reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 5))
+    assert rec.family(2).rows == build_weighted_family(2, 2).rows
+    with pytest.raises(KeyError):
+        rec.family(9)

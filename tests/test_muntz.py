@@ -222,3 +222,21 @@ def test_inverse_matrix_prefixes_independent_of_call_order(order):
     big, small = (first, second) if order[0] > order[1] else (second, first)
     assert small.rows == big.rows[:6]
     assert big.rows == reference_inverse(seq.lambdas, 10)
+
+
+@pytest.mark.parametrize("k", [0, 3, 10])
+def test_eval_weighted_matches_exact_rows_to_depth_20(k):
+    # the exact sum of the monomial row at the (dyadic) float argument; a
+    # Horner pass over the same rows loses every digit by n = 20
+    fam = build_weighted_family(k, 20)
+    for n in range(21):
+        for x in (0.1, 0.37, 0.5, 0.77, 0.93, 1.0):
+            xq = Fraction(x)
+            exact = float(sum((c * xq ** (2 * l + k) for l, c in enumerate(fam.rows[n])), Fraction(0)))
+            assert abs(eval_weighted(fam, n, x) - exact) <= 1e-13, (k, n, x)
+
+
+def test_eval_weighted_is_one_at_one():
+    for k in (0, 1, 7):
+        fam = build_weighted_family(k, 12)
+        assert [eval_weighted(fam, n, 1.0) for n in range(13)] == pytest.approx([1.0] * 13, abs=1e-13)

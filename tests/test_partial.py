@@ -222,3 +222,61 @@ def test_single_entry_oracles_read_the_data_matrix():
     for n, k in ((1, 1), (2, 4), (4, 3)):
         assert half_disk_forward_oracle(COSINE_FIELD, n, k) == pytest.approx(half[n - 1, k - 1], rel=1e-13)
         assert arc_forward_oracle(COSINE_FIELD, n, k, cmap) == pytest.approx(arc[n - 1, k - 1], rel=1e-13)
+
+
+# ------------------------------------------------------- arc array path
+
+
+def _bump_reconstruction(alpha=math.pi / 4, N=5):
+    cmap = ConformalMap(ArcSpec(alpha))
+
+    def bump(rho, theta):
+        z = psi_inverse(cmap, np.asarray(rho) * np.exp(1j * np.asarray(theta)))
+        return z.imag**4
+
+    return arc_invert(arc_data(bump, cmap, N), cmap), cmap
+
+
+def _pointwise_reference(rec, r, phi):
+    """Scalar psi^{-1}, then the LM series summed over the exact monomial rows."""
+    w = psi_inverse(rec.cmap, r * complex(math.cos(phi), math.sin(phi)))
+    rho = min(abs(w), 1.0)
+    theta = min(max(math.atan2(w.imag, w.real), 0.0), math.pi)
+    total = 0.0
+    for k, coeffs in rec.base.p.items():
+        rows = rec.base.family(k).rows
+        radial = sum(float(c) * sum(float(v) * rho ** (2 * l + k) for l, v in enumerate(rows[n]))
+                     for n, c in enumerate(coeffs))
+        total += (0.5 if k == 0 else math.cos(k * theta)) * radial
+    return total
+
+
+def test_arc_array_path_matches_pointwise_values_at_interior_samples():
+    rec, _ = _bump_reconstruction()
+    rng = np.random.default_rng(9)  # criterion 9's samples
+    r = 0.05 + 0.9 * rng.random(50)
+    phi = 2.0 * math.pi * rng.random(50)
+    got = rec(r, phi)
+    ref = np.array([_pointwise_reference(rec, ri, pj) for ri, pj in zip(r, phi)])
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert [rec.evaluate(ri, pj) for ri, pj in zip(r, phi)] == list(got)
+
+
+def test_arc_array_path_guards_both_endpoint_images():
+    rec, cmap = _bump_reconstruction()
+    lo, hi = cmap.arc.interval
+    r = np.array([1.0, 1.0, 1.0 - 5e-10, 1.0 - 5e-10, 0.5])
+    phi = np.array([lo, hi, lo, hi, math.pi / 2])
+    got = rec(r, phi)
+    assert list(got[:4]) == [0.0, 0.0, 0.0, 0.0]
+    assert got[4] != 0.0
+    # just outside the guard ring the map is evaluated again
+    assert rec(1.0 - 1e-6, lo) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_arc_array_path_rejects_radius_above_one():
+    rec, _ = _bump_reconstruction(N=3)
+    with pytest.raises(DomainError):
+        rec(np.array([0.5, 1.2]), np.array([0.0, 0.0]))
+    with pytest.raises(DomainError):
+        rec.evaluate(1.2, 0.0)
