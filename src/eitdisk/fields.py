@@ -134,7 +134,8 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Values on the tensor grid r x phi, shape (len(r), len(phi)).
 
     Two-dimensional r and phi of one shape are a matched grid instead.  A plain
-    callable field(r, phi) acting on arrays is called with full grids.
+    callable field(r, phi) acting on arrays is called with r and phi as they
+    broadcast (a column of radii and a row of angles for a tensor grid).
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -144,8 +145,7 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     if not isinstance(field, FourierRadialField):
         if not callable(field):
             raise DomainError(f"cannot evaluate field of type {type(field).__name__}")
-        rg, pg = (np.broadcast_to(a, shape).copy() for a in (r, phi))
-        return np.broadcast_to(np.asarray(field(rg, pg), dtype=float), shape).copy()
+        return np.broadcast_to(np.asarray(field(r, phi), dtype=float), shape).copy()
     out = np.zeros(shape)
     for k, prof in field.cos.items():
         out += prof.values_at(r) * np.cos(k * phi)

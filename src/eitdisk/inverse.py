@@ -134,7 +134,9 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
 
     Sets assembled analytically carry exact rational blocks and report
     deviation exactly 0; float-loaded data is checked in floating point.
+    A NaN or negative ``tol`` is a DomainError.
     """
+    _check_tol(tol)
     if mset.exact is not None:
         cc, ss, sc, cs = (mset.exact[n] for n in ("cc", "ss", "sc", "cs"))
     else:
@@ -166,6 +168,11 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
         add("sc_plus_cs_hankel", _group_spread(
             _antidiagonal_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})))
     return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
+
+
+def _check_tol(tol):
+    if not tol >= 0:
+        raise DomainError(f"tolerance must be >= 0, got {tol}")
 
 
 def _max_nan(values):
@@ -322,7 +329,7 @@ class Reconstruction:
     ``to_field``.
     """
 
-    __slots__ = ("kind", "N", "p", "q", "condition", "_families", "_table")
+    __slots__ = ("kind", "N", "p", "q", "condition", "_families", "_table", "_last_radius")
 
     def __init__(self, kind, N, p, q, condition):
         self.kind = kind
@@ -332,6 +339,7 @@ class Reconstruction:
         self.condition = condition
         self._families = {}
         self._table = None
+        self._last_radius = None
 
     def family(self, k: int) -> WeightedFamily:
         fam = self._families.get(k)
@@ -343,34 +351,49 @@ class Reconstruction:
         return fam
 
     def __call__(self, r, phi) -> np.ndarray:
-        """Values at polar points (r, phi), arrays of broadcastable shapes."""
+        """Values at polar points (r, phi), arrays of broadcastable shapes.
+
+        Radial rows are computed per element of r and trigonometric rows per
+        element of phi before the two broadcast, so a column of radii against
+        a row of angles runs the recurrence once per radius.
+        """
         r, phi = _polar_points(r, phi)
-        return self._values(r.reshape(-1, 1), phi.reshape(-1, 1)).reshape(r.shape)
+        radial, weight = self._radial(r[..., None])
+        return np.asarray((radial * (weight * self._angular(phi[..., None]))).sum(axis=-1))
 
     def evaluate(self, r: float, phi: float) -> float:
-        """Pointwise value of the reconstructed field at polar (r, phi)."""
+        """Pointwise value at polar (r, phi); points on the last radius reuse its radial rows."""
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"radius {r} outside [0, 1]")
-        return float(self._values(np.array([[r]], dtype=float), np.array([[phi]], dtype=float))[0])
+        if not math.isfinite(phi):
+            raise DomainError(f"angle {phi} is not finite")
+        last = self._last_radius  # one tuple, so concurrent callers see a matching pair
+        if last is None or last[0] != r or not r:  # 0.0 == -0.0, but odd powers differ in sign
+            last = self._last_radius = (r, *self._radial(np.full(1, r, dtype=float)))
+        return float((last[1] * (last[2] * self._angular(phi))).sum())
 
-    def _values(self, r, phi):
-        """Values at the points of the columns r, phi (shape (points, 1))."""
-        if self._table is None:
-            self._table = self._series_table()
-        coeffs, constants, ks, ncos = self._table
-        angle = phi * ks
-        weight = r**ks
-        weight[:, :ncos] *= np.cos(angle[:, :ncos])
-        weight[:, ncos:] *= np.sin(angle[:, ncos:])
-        radial = _jacobi_sum(coeffs, constants, 2.0 * r * r - 1.0)
-        return (radial * weight).sum(axis=1)
+    def _radial(self, r):
+        """Radial sums and powers r**k, one per series, at radii r (with a trailing axis)."""
+        coeffs, constants, ks, _ = self._series_table()
+        return _jacobi_sum(coeffs, constants, 2.0 * r * r - 1.0), r**ks
+
+    def _angular(self, phi):
+        """cos(k phi), then sin(k phi), one per series, at phi (scalar or with a trailing axis)."""
+        _, _, ks, ncos = self._series_table()
+        trig = phi * ks
+        np.cos(trig[..., :ncos], out=trig[..., :ncos])
+        np.sin(trig[..., ncos:], out=trig[..., ncos:])
+        return trig
 
     def _series_table(self):
         """Float coefficients (k = 0 half folded in), one column per nonempty series.
 
-        Cosine series come first; returns (coefficients of shape (depth,
-        series), recurrence constants, orders, number of cosine series).
+        Built on the first call.  Cosine series come first; returns
+        (coefficients of shape (depth, series), recurrence constants, orders,
+        number of cosine series).
         """
+        if self._table is not None:
+            return self._table
         series = [(k, 0.5 if k == 0 else 1.0, c) for k, c in self.p.items() if c]
         ncos = len(series)
         series += [(k, 1.0, c) for k, c in self.q.items() if c]
@@ -379,7 +402,8 @@ class Reconstruction:
         for s, (_, scale, c) in enumerate(series):
             coeffs[: len(c), s] = [scale * float(v) for v in c]
         ks = np.array([k for k, _, _ in series], dtype=float)
-        return coeffs, _jacobi_constants(ks, depth), ks, ncos
+        self._table = coeffs, _jacobi_constants(ks, depth), ks, ncos
+        return self._table
 
     def to_field(self) -> FourierRadialField:
         """Expand the LM series into monomial radial profiles.
@@ -418,11 +442,16 @@ class Reconstruction:
 
 
 def _polar_points(r, phi) -> tuple:
-    """r and phi as float arrays of their broadcast shape; r outside [0, 1] is a DomainError."""
-    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
-    outside = ~((r >= 0.0) & (r <= 1.0))
-    if outside.any():
-        raise DomainError(f"radius {float(r[outside].flat[0])} outside [0, 1]")
+    """r and phi as float arrays, each of its own shape (callers broadcast them).
+
+    A radius outside [0, 1] or a NaN or infinite angle is a DomainError.
+    """
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    inside = (r >= 0.0) & (r <= 1.0)
+    if not inside.all():
+        raise DomainError(f"radius {float(r[~inside].flat[0])} outside [0, 1]")
+    if not np.isfinite(phi).all():
+        raise DomainError(f"angle {float(phi[~np.isfinite(phi)].flat[0])} is not finite")
     return r, phi
 
 

@@ -36,6 +36,7 @@ from .inverse import (
     ValidationCheck,
     ValidationReport,
     condition_sums,
+    _check_tol,
     _polar_points,
     solve_moment_problem,
 )
@@ -120,8 +121,9 @@ def half_disk_invert(
 
     Doubles the data (undoing the even reflection), reads off the weighted
     moments and solves per angular order.  Asymmetry beyond ``tol`` raises
-    ``InconsistentDataError``.
+    ``InconsistentDataError``; a NaN or negative ``tol`` is a DomainError.
     """
+    _check_tol(tol)
     if not isinstance(data, HalfDiskData):
         data = HalfDiskData(data)
     if N is None:
@@ -202,7 +204,7 @@ class ArcReconstruction:
         e_lo, e_hi = self.cmap.endpoints
         keep = (np.abs(z - e_lo) > _ENDPOINT_GUARD) & (np.abs(z - e_hi) > _ENDPOINT_GUARD)
         w = psi_inverse(self.cmap, z[keep])  # the guard keeps it off its singular points
-        out = np.zeros(r.shape)
+        out = np.zeros(z.shape)
         out[keep] = self.base(np.minimum(np.abs(w), 1.0),
                               np.clip(np.arctan2(w.imag, w.real), 0.0, math.pi))
         return out

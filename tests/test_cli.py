@@ -424,3 +424,28 @@ def test_mode_count_above_cap_exits_2(tmp_path, field_file, capsys, argv):
     assert out == ""
     assert "above the cap of 64" in err and err.count("\n") == 1
     assert not (tmp_path / "dtn.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["validate", "invert", "roundtrip", "half-invert", "arc-invert"])
+def test_nan_or_negative_tol_exits_2(tmp_path, field_file, capsys, command, tol):
+    if command in ("validate", "invert"):
+        src = tmp_path / "dtn.json"
+        assert main(["forward", "--input", str(field_file), "--output", str(src), "--nmax", "3"]) == 0
+    elif command == "roundtrip":
+        src = field_file
+    else:
+        src = tmp_path / "half.json"
+        data = half_disk_data(FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {}), 3)
+        src.write_text(eio.dumps(eio.arc_data_to_dict(data, alpha=math.pi / 4)), encoding="utf-8")
+    capsys.readouterr()
+    argv = [command, "--input", str(src), f"--tol={tol}"]
+    if command not in ("validate", "roundtrip"):
+        argv += ["--output", str(tmp_path / "out")]
+    if command == "roundtrip":
+        argv += ["--nmax", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tolerance must be >= 0") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -79,6 +79,25 @@ def test_eval_field_grid_matches_scalar():
             assert grid[i, j] == pytest.approx(eval_field(f, ri, pj), rel=1e-14)
 
 
+def test_eval_field_grid_calls_a_callable_with_broadcastable_axes():
+    seen = []
+
+    def radial_only(r, phi):
+        seen.append((r.shape, phi.shape))
+        return 2.0 * r
+
+    r = np.array([0.2, 0.5, 0.9])
+    phi = np.array([0.0, 2.0, 4.0, 6.0])
+    grid = eval_field_grid(radial_only, r, phi)
+    assert seen == [((3, 1), (1, 4))]
+    assert grid.shape == (3, 4)
+    assert grid.tolist() == [[2.0 * ri] * 4 for ri in r]
+    # a matched grid is passed as it is
+    rg, pg = np.meshgrid(r, phi, indexing="ij")
+    assert eval_field_grid(radial_only, rg, pg).tolist() == grid.tolist()
+    assert seen[1] == ((3, 4), (3, 4))
+
+
 def test_moment_accessor():
     f = FourierRadialField(CONDUCTIVITY, {1: RadialProfile(((1, 1.0),))}, {})
     assert moment(f, "cos", 1, 2) == pytest.approx(0.25)

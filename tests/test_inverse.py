@@ -1,6 +1,8 @@
 """Moment extraction, structural validation and the reconstruction round trip."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from eitdisk import (
     MomentData,
     RadialProfile,
     RangeError,
+    Reconstruction,
     admissibility,
     build_weighted_family,
     condition_sums,
@@ -28,12 +31,13 @@ from eitdisk import (
     gram_matrix,
     l2_norm_squared,
     reconstruct,
+    sample_grid,
     schroedinger_dtn,
     solve_moment_problem,
     validate,
 )
 from eitdisk.forward import BLOCK_NAMES
-from eitdisk.muntz import ExponentSequence
+from eitdisk.muntz import ExponentSequence, _jacobi_constants, _jacobi_sum
 
 CONST_COND = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
 CONST_POT = FourierRadialField(POTENTIAL, {0: RadialProfile(((0, 1.0),))}, {})
@@ -422,3 +426,154 @@ def test_family_is_built_on_demand():
     assert rec.family(2).rows == build_weighted_family(2, 2).rows
     with pytest.raises(KeyError):
         rec.family(9)
+
+
+# ------------------------------------------------- evaluation per radius
+
+
+def _single_pass_values(rec, r, phi):
+    """Each point runs the whole recurrence: r**k * trig, times the radial sum, summed."""
+    series = [(k, 0.5 if k == 0 else 1.0, c) for k, c in rec.p.items() if c]
+    ncos = len(series)
+    series += [(k, 1.0, c) for k, c in rec.q.items() if c]
+    depth = max(len(c) for _, _, c in series)
+    coeffs = np.zeros((depth, len(series)))
+    for s, (_, scale, c) in enumerate(series):
+        coeffs[: len(c), s] = [scale * float(v) for v in c]
+    ks = np.array([k for k, _, _ in series], dtype=float)
+    r = np.asarray(r, dtype=float).reshape(-1, 1)
+    phi = np.asarray(phi, dtype=float).reshape(-1, 1)
+    angle = phi * ks
+    weight = r**ks
+    weight[:, :ncos] *= np.cos(angle[:, :ncos])
+    weight[:, ncos:] *= np.sin(angle[:, ncos:])
+    radial = _jacobi_sum(coeffs, _jacobi_constants(ks, depth), 2.0 * r * r - 1.0)
+    return (radial * weight).sum(axis=1)
+
+
+def _point_orders(nr, nphi, seed):
+    nodes = [(i / nr, 2.0 * math.pi * j / nphi) for i in range(1, nr + 1) for j in range(nphi)]
+    angle_outer = [(r, phi) for j in range(nphi) for r, phi in nodes[j::nphi]]
+    rng = np.random.default_rng(seed)
+    shuffled = [nodes[i] for i in rng.permutation(len(nodes))]
+    return {"radius-outer": nodes, "angle-outer": angle_outer, "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("N", [12, 24])
+@pytest.mark.parametrize("kind,forward", [
+    (CONDUCTIVITY, conductivity_dtn),
+    (POTENTIAL, schroedinger_dtn),
+])
+def test_evaluate_is_bit_equal_to_single_pass_in_every_order(kind, forward, N):
+    rec = reconstruct(forward(_span_field(kind, N, seed=N + 1), N))
+    for order, points in _point_orders(12, 16, seed=N).items():
+        r, phi = np.array(points).T
+        got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
+        assert got.tobytes() == _single_pass_values(rec, r, phi).tobytes(), order
+        assert got.tobytes() == rec(r, phi).tobytes(), order
+
+
+def test_interleaved_radii_never_read_a_stale_row():
+    rec = reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6))
+    # 0.0 and -0.0 compare equal, but their odd powers differ in sign
+    for pair in ((0.25, 0.75), (0.0, -0.0), (0.5, 0.5 + 2.0**-53)):
+        points = [(pair[i % 2], 0.3 * i) for i in range(12)]
+        r, phi = np.array(points).T
+        got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
+        assert got.tobytes() == _single_pass_values(rec, r, phi).tobytes(), pair
+
+
+def test_signed_zero_radius_and_angle_match_the_single_pass():
+    # with one sine series only, every term at r = 0 or phi = 0 is a zero
+    # whose sign follows the sign of r or phi
+    rec = Reconstruction(kind=CONDUCTIVITY, N=2, p={}, q={1: [1.0]}, condition={})
+    points = [(0.0, 0.3), (-0.0, 0.3), (0.5, 0.0), (0.5, -0.0)]
+    r, phi = np.array(points).T
+    expected = _single_pass_values(rec, r, phi)
+    got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
+    assert got.tobytes() == expected.tobytes()
+    assert rec(np.repeat(r, 2), np.repeat(phi, 2)).tobytes() == np.repeat(expected, 2).tobytes()
+
+
+def test_threads_sharing_a_reconstruction_read_matching_rows():
+    rec = reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6))
+    points = [((1 + i % 5) / 5, 0.1 * i) for i in range(200)]
+    r, phi = np.array(points).T
+    expected = _single_pass_values(rec, r, phi).tolist()
+    results = {}
+
+    def work(index):
+        order = points[index:] + points[:index]  # each thread walks the radii out of step
+        got = [rec.evaluate(ri, pj) for ri, pj in order]
+        results[index] = got[-index:] + got[:-index] if index else got
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(6))
+    for index, got in results.items():
+        assert got == expected, index
+
+
+def test_two_reconstructions_keep_their_own_rows():
+    a = reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6))
+    b = reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 5))
+    points = [(0.6, 0.4 * j) for j in range(8)]
+    got_a, got_b = [], []
+    for r, phi in points:
+        got_a.append(a.evaluate(r, phi))
+        got_b.append(b.evaluate(r, phi))
+    r, phi = np.array(points).T
+    assert np.array(got_a).tobytes() == _single_pass_values(a, r, phi).tobytes()
+    assert np.array(got_b).tobytes() == _single_pass_values(b, r, phi).tobytes()
+
+
+def test_array_path_on_repeated_radii_is_bit_equal_to_points():
+    rec = reconstruct(schroedinger_dtn(_span_field(POTENTIAL, 12, seed=5), 12))
+    r = np.repeat(np.arange(1, 25) / 24, 64)
+    phi = np.tile(2.0 * math.pi * np.arange(64) / 64, 24)
+    pointwise = np.array([rec.evaluate(ri, pj) for ri, pj in zip(r, phi)])
+    assert rec(r, phi).tobytes() == pointwise.tobytes()
+    assert rec(r.reshape(24, 64), phi.reshape(24, 64)).ravel().tobytes() == pointwise.tobytes()
+    # repeats in any order, with a few angles repeated and the rest scattered
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(r.size)
+    assert rec(r[perm], phi[perm]).tobytes() == pointwise[perm].tobytes()
+    scattered = 2.0 * math.pi * rng.random(r.size)
+    assert rec(r, scattered).tobytes() == _single_pass_values(rec, r, scattered).tobytes()
+    # a column of radii against a row of angles, as eval_field_grid passes them
+    column, row = r[::64, None], phi[None, :64]
+    assert rec(column, row).shape == (24, 64)
+    assert rec(column, row).ravel().tobytes() == pointwise.tobytes()
+    assert rec(column, phi[:64]).ravel().tobytes() == pointwise.tobytes()
+    assert rec(r[64], phi[:64]).tobytes() == pointwise[64:128].tobytes()
+    assert sample_grid(rec, 24, 64)[:, 2].tobytes() == pointwise.tobytes()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_a_domain_error(phi):
+    rec = reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 4))
+    with pytest.raises(DomainError, match="angle"):
+        rec.evaluate(0.5, phi)
+    with pytest.raises(DomainError, match="angle"):
+        rec(0.5, phi)
+    with pytest.raises(DomainError, match="angle"):
+        rec(np.array([0.2, 0.5]), np.array([0.0, phi]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_nan_or_negative_tolerance_is_a_domain_error(tol):
+    mset = conductivity_dtn(CONST_COND, 3)
+    with pytest.raises(DomainError, match="tolerance"):
+        validate(mset, tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        reconstruct(mset, tol=tol)
+    assert validate(mset, 0.0).passed

@@ -25,7 +25,9 @@ from eitdisk import (
     half_disk_invert,
     psi,
     psi_inverse,
+    sample_grid,
 )
+from eitdisk.muntz import _jacobi_constants, _jacobi_sum
 from eitdisk.quadrature import QuadratureSpec
 
 CONST = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
@@ -280,3 +282,58 @@ def test_arc_array_path_rejects_radius_above_one():
         rec(np.array([0.5, 1.2]), np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
         rec.evaluate(1.2, 0.0)
+
+
+def _single_pass_base_values(base, rho, theta):
+    """The half-disk series at (rho, theta), every point running the whole recurrence."""
+    ks = np.array([k for k, c in base.p.items() if c], dtype=float)
+    coeffs = [[(0.5 if k == 0 else 1.0) * float(v) for v in c] for k, c in base.p.items() if c]
+    depth = max(len(c) for c in coeffs)
+    table = np.zeros((depth, len(coeffs)))
+    for s, c in enumerate(coeffs):
+        table[: len(c), s] = c
+    rho, theta = rho.reshape(-1, 1), theta.reshape(-1, 1)
+    weight = rho**ks
+    weight *= np.cos(theta * ks)
+    radial = _jacobi_sum(table, _jacobi_constants(ks, depth), 2.0 * rho * rho - 1.0)
+    return (radial * weight).sum(axis=1)
+
+
+def test_arc_values_are_bit_equal_to_a_single_pass_at_criterion_9_samples():
+    rec, cmap = _bump_reconstruction()
+    rng = np.random.default_rng(9)  # criterion 9's samples
+    r = 0.05 + 0.9 * rng.random(50)
+    phi = 2.0 * math.pi * rng.random(50)
+    w = psi_inverse(cmap, r * (np.cos(phi) + 1j * np.sin(phi)))
+    rho = np.minimum(np.abs(w), 1.0)
+    theta = np.clip(np.arctan2(w.imag, w.real), 0.0, math.pi)
+    expected = _single_pass_base_values(rec.base, rho, theta)
+    assert rec(r, phi).tobytes() == expected.tobytes()
+    assert np.array([rec.evaluate(ri, pj) for ri, pj in zip(r, phi)]).tobytes() == expected.tobytes()
+
+
+def test_arc_on_a_column_and_a_row_is_bit_equal_to_the_full_grid():
+    rec, _ = _bump_reconstruction()
+    radii = np.arange(1, 13) / 12
+    angles = 2.0 * math.pi * np.arange(32) / 32
+    full = rec(*np.meshgrid(radii, angles, indexing="ij"))
+    assert rec(radii[:, None], angles[None, :]).tobytes() == full.tobytes()
+    assert sample_grid(rec, 12, 32)[:, 2].tobytes() == full.ravel().tobytes()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_arc_rejects_non_finite_angle(phi):
+    rec, _ = _bump_reconstruction(N=3)
+    with pytest.raises(DomainError, match="angle"):
+        rec(np.array([0.5, 0.5]), np.array([0.0, phi]))
+    with pytest.raises(DomainError, match="angle"):
+        rec.evaluate(0.5, phi)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_half_disk_and_arc_invert_reject_nan_or_negative_tolerance(tol):
+    data = half_disk_data(CONST, 3)
+    with pytest.raises(DomainError, match="tolerance"):
+        half_disk_invert(data, tol=tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        arc_invert(data, ConformalMap(ArcSpec(math.pi / 4)), tol=tol)
