@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import CONDUCTIVITY, sample_grid
 from .forward import BLOCK_NAMES, conductivity_dtn, oracle_dtn, schroedinger_dtn
-from .inverse import extra_hankel_moments, reconstruct, validate
+from .inverse import _check_tol, extra_hankel_moments, reconstruct, validate
 from .muntz import ExponentSequence, build_muntz, build_weighted_family, gram_matrix, inverse_matrix
 from .partial import arc_invert, half_disk_invert
 from .quadrature import QuadratureSpec
@@ -207,6 +207,7 @@ def _field_coefficients(field):
 
 def _cmd_roundtrip(args) -> int:
     field = io.field_from_dict(io.load_json(args.input))
+    _check_tol(args.tol)  # before the O(N^4) assembly
     mset = _assemble(field, args.nmax, "roundtrip")
     arithmetic = "rational" if args.rational else "auto"
     rec = reconstruct(mset, tol=args.tol, arithmetic=arithmetic)

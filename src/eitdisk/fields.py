@@ -7,6 +7,7 @@ factor (profiles are stored exactly as they appear in the series).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -66,8 +67,16 @@ class RadialProfile:
         return out
 
     def moment_exact(self, m: int) -> Fraction:
-        """integral_0^1 r**m * profile(r) dr as an exact rational."""
-        return sum((Fraction(v) / (m + p + 1) for p, v in self.terms), Fraction(0))
+        """integral_0^1 r**m * profile(r) dr, exact: one integer sum over the lcm of the m + p + 1."""
+        nums, den = self._scaled
+        divisors = [m + p + 1 for p, _ in self.terms]
+        common = math.lcm(*divisors)
+        return Fraction(sum(n * (common // d) for n, d in zip(nums, divisors)), den * common)
+
+    @functools.cached_property
+    def _scaled(self):
+        """The values over one common denominator, computed once per profile."""
+        return _common_denominator([v for _, v in self.terms])
 
     def pair_moment_exact(self, other: "RadialProfile") -> Fraction:
         """integral_0^1 profile * other * r dr, exact."""
@@ -78,6 +87,13 @@ class RadialProfile:
 
 
 _ZERO_PROFILE = RadialProfile(())
+
+
+def _common_denominator(values) -> tuple:
+    """Integers n_i and the lcm D of the denominators, with values[i] == n_i / D exactly."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    den = math.lcm(*(q.denominator for q in fracs))
+    return [q.numerator * (den // q.denominator) for q in fracs], den
 
 
 @dataclass(frozen=True)

@@ -139,16 +139,12 @@ class DtnMatrixSet:
         """
         if self.exact is not None:
             e = self.exact
-            half = Fraction(1, 2)
             rows, cols = block_shapes(self.kind, self.N)["cs"]
-            ecc = _sym_table(e["cc"], half)
-            ess = _sym_table(e["ss"], half)
-            ecs = [
-                [(e["cs"][i][j] + e["sc"][j][i]) * half for j in range(cols)]
-                for i in range(rows)
-            ]
+            ecc, ess = ([[_mean(t[i][j], t[j][i]) for j in range(len(t))] for i in range(len(t))]
+                        for t in (e["cc"], e["ss"]))
+            ecs = [[_mean(e["cs"][i][j], e["sc"][j][i]) for j in range(cols)] for i in range(rows)]
             if self.kind == CONDUCTIVITY:
-                ecs = _antisym_table(ecs, half)
+                ecs = [[_mean(ecs[i][j], -ecs[j][i]) for j in range(rows)] for i in range(rows)]
             esc = [[ecs[j][i] for j in range(rows)] for i in range(cols)]
             return _set_from_exact(self.kind, self.N, {"cc": ecc, "ss": ess, "sc": esc, "cs": ecs})
         # a/2 + b/2 rounds as (a + b)/2 does, but cannot overflow
@@ -161,14 +157,9 @@ class DtnMatrixSet:
         return DtnMatrixSet(self.kind, self.N, cc, ss, sc, cs, exact=None)
 
 
-def _sym_table(table, half):
-    n = len(table)
-    return [[(table[i][j] + table[j][i]) * half for j in range(n)] for i in range(n)]
-
-
-def _antisym_table(table, half):
-    n = len(table)
-    return [[(table[i][j] - table[j][i]) * half for j in range(n)] for i in range(n)]
+def _mean(a, b):
+    """(a + b) / 2 exactly; an equal pair averages to itself with no arithmetic."""
+    return a if a is b or a == b else (a + b) / 2
 
 
 def _set_from_exact(kind, N, exact):
@@ -194,6 +185,20 @@ def _moment_tables(field):
                  for profile in (field.cos_profile, field.sin_profile))
 
 
+def _half_sum(s, m1, t, m2):
+    """(s m1 + t m2) / 2 for integers s, t and exact moments m1, m2, as one Fraction."""
+    n1, d1, n2, d2 = m1.numerator, m1.denominator, m2.numerator, m2.denominator
+    return Fraction(s * n1 * d2 + t * n2 * d1, 2 * d1 * d2)
+
+
+def _symmetric(entry, indices):
+    """Symmetric table of entry(i, j); the lower triangle shares the upper one's objects."""
+    table = []
+    for a, i in enumerate(indices):
+        table.append([table[b][a] if b < a else entry(i, j) for b, j in enumerate(indices)])
+    return table
+
+
 def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     """Assemble the four K blocks for frequencies 1..N, exactly."""
     if field.kind != CONDUCTIVITY:
@@ -203,17 +208,17 @@ def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     ma, mb = _moment_tables(field)
 
     def k_cos(i, j):
-        zeta = 2 if i == j else 1
-        return i * j * zeta * ma(abs(i - j), i + j - 1)
+        m = ma(abs(i - j), i + j - 1)
+        return Fraction((2 if i == j else 1) * i * j * m.numerator, m.denominator)
 
     def k_sin(i, j):
-        s = _sign(j - i)
-        if s == 0:
+        if i == j:
             return Fraction(0)
-        return i * j * s * mb(abs(i - j), i + j - 1)
+        m = mb(abs(i - j), i + j - 1)
+        return Fraction(_sign(j - i) * i * j * m.numerator, m.denominator)
 
     rng = range(1, N + 1)
-    qcc = [[k_cos(i, j) for j in rng] for i in rng]
+    qcc = _symmetric(k_cos, rng)
     qcs = [[k_sin(i, j) for j in rng] for i in rng]
     qsc = [[qcs[j - 1][i - 1] for j in rng] for i in rng]  # formula gives sc = cs^T
     exact = {"cc": qcc, "ss": [row[:] for row in qcc], "sc": qsc, "cs": qcs}
@@ -226,27 +231,23 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
         raise KindMismatchError(f"expected a potential field, got kind {field.kind!r}")
     if N < 0:
         raise DomainError("max frequency N must be >= 0")
-    half = Fraction(1, 2)
     ma, mb = _moment_tables(field)
 
     def j_cc(i, j):
         eta = 3 if i == j == 0 else (2 if i == j else 1)
-        return half * ma(i + j, i + j + 1) + eta * half * ma(abs(i - j), i + j + 1)
+        return _half_sum(1, ma(i + j, i + j + 1), eta, ma(abs(i - j), i + j + 1))
 
     def j_ss(i, j):
         xi = 2 if i == j else 1
-        return -half * ma(i + j, i + j + 1) + xi * half * ma(abs(i - j), i + j + 1)
-
-    def j_sc(i, j):
-        return half * mb(i + j, i + j + 1) + _sign(i - j) * half * mb(abs(i - j), i + j + 1)
+        return _half_sum(-1, ma(i + j, i + j + 1), xi, ma(abs(i - j), i + j + 1))
 
     def j_cs(i, j):
-        return half * mb(i + j, i + j + 1) - _sign(i - j) * half * mb(abs(i - j), i + j + 1)
+        return _half_sum(1, mb(i + j, i + j + 1), -_sign(i - j), mb(abs(i - j), i + j + 1))
 
-    qcc = [[j_cc(i, j) for j in range(N + 1)] for i in range(N + 1)]
-    qss = [[j_ss(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)]
-    qsc = [[j_sc(i, j) for j in range(N + 1)] for i in range(1, N + 1)]
+    qcc = _symmetric(j_cc, range(N + 1))
+    qss = _symmetric(j_ss, range(1, N + 1))
     qcs = [[j_cs(i, j) for j in range(1, N + 1)] for i in range(N + 1)]
+    qsc = [[qcs[j][i - 1] for j in range(N + 1)] for i in range(1, N + 1)]  # formula gives sc = cs^T
     exact = {"cc": qcc, "ss": qss, "sc": qsc, "cs": qcs}
     return _set_from_exact(SCHROEDINGER, N, exact)
 

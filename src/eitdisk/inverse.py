@@ -40,11 +40,11 @@ from .errors import (
     KindMismatchError,
     RangeError,
 )
-from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile
+from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator
 from .forward import SCHROEDINGER, DtnMatrixSet
-from .muntz import (
-    ExponentSequence,
+from .muntz import (  # inverse_matrix stays importable from this module
     WeightedFamily,
+    _integer_rows,
     _jacobi_constants,
     _jacobi_sum,
     build_weighted_family,
@@ -183,22 +183,27 @@ def _max_nan(values):
     return max(values, default=0)
 
 
+def _gap(a, b):
+    """|a - b|, skipped for equal exact entries; floats always subtract (inf - inf is NaN)."""
+    return 0 if (a is b or a == b) and not isinstance(a, float) else abs(a - b)
+
+
 def _asym_dev(rows):
     n = len(rows)
-    return _max_nan(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
+    return _max_nan(_gap(rows[i][j], rows[j][i]) for i in range(n) for j in range(n))
 
 
 def _antisym_dev(rows):
     n = len(rows)
-    return _max_nan(abs(rows[i][j] + rows[j][i]) for i in range(n) for j in range(n))
+    return _max_nan(_gap(rows[i][j], -rows[j][i]) for i in range(n) for j in range(n))
 
 
 def _transpose_dev(cs, sc):
-    return _max_nan(abs(cs[i][j] - sc[j][i]) for i in range(len(cs)) for j in range(len(cs[i])))
+    return _max_nan(_gap(cs[i][j], sc[j][i]) for i in range(len(cs)) for j in range(len(cs[i])))
 
 
 def _equal_dev(a, b):
-    return _max_nan(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return _max_nan(_gap(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _combine(a, b, op):
@@ -292,17 +297,21 @@ def solve_moment_problem(data: MomentData) -> list:
     m = len(data.values)
     if m == 0:
         return []
-    solver = inverse_matrix(ExponentSequence.shifted(data.k, m), m)
-    exact_in = all(isinstance(v, (Fraction, int)) for v in data.values)
-    values = data.values if exact_in else [Fraction(v) for v in data.values]
-    out = [sum(map(mul, row, values), Fraction(0)) for row in solver.rows]
-    return out if exact_in else _rounded(out)
+    nums, den = _common_denominator(data.values)
+    ratios = [(row.scale * sum(map(mul, row.coeffs, nums)), row.factorial * den)
+              for row in _integer_rows(data.k, m)]
+    return _exact_or_rounded(ratios, all(isinstance(v, (Fraction, int)) for v in data.values))
 
 
-def _rounded(values) -> list:
-    """Round exact values to doubles; one beyond the double range is a DomainError."""
+def _exact_or_rounded(ratios, exact) -> list:
+    """Fractions from (numerator, denominator) pairs, or doubles each rounded once.
+
+    A value beyond the range of a double is a DomainError.
+    """
+    if exact:
+        return [Fraction(n, d) for n, d in ratios]
     try:
-        return [float(v) for v in values]
+        return [n / d for n, d in ratios]
     except OverflowError:
         raise DomainError("a reconstructed coefficient is beyond the range of a double") from None
 
@@ -313,8 +322,7 @@ def condition_sums(k: int, count: int) -> list:
     Growth with n measures how strongly the moment inversion amplifies data
     errors at depth n.
     """
-    solver = inverse_matrix(ExponentSequence.shifted(k, count), count)
-    return [float(s) for s in solver.row_abs_sums()]
+    return [row.condition for row in _integer_rows(k, count)]
 
 
 class Reconstruction:
@@ -325,8 +333,7 @@ class Reconstruction:
 
     Calling the reconstruction on arrays r, phi evaluates it there through the
     Jacobi recurrence (see ``muntz._jacobi_sum``), from a float table built on
-    the first call; the exact LM families are built only for ``family`` and
-    ``to_field``.
+    the first call; the exact LM families are built only for ``family``.
     """
 
     __slots__ = ("kind", "N", "p", "q", "condition", "_families", "_table", "_last_radius")
@@ -427,17 +434,17 @@ class Reconstruction:
     def _monomial_profile(self, k, coeffs, halve):
         if not coeffs:
             return None
-        fam = self.family(k)
-        exact_in = all(isinstance(c, (Fraction, int)) for c in coeffs)
         # family coefficients reach 1e4 by n = 7; lift the floats and round
-        # once instead of rounding every product
-        lifted = coeffs if exact_in else [Fraction(c) for c in coeffs]
-        values = []
-        for l in range(len(coeffs)):
-            c = sum((lifted[n] * fam.rows[n][l] for n in range(l, len(coeffs))), Fraction(0))
-            values.append(c / 2 if halve else c)
-        if not exact_in:
-            values = _rounded(values)
+        # once instead of rounding every product.  Family row n is U_n / n!,
+        # so every row is brought over the last row's factorial.
+        nums, den = _common_denominator(coeffs)
+        rows = _integer_rows(k, len(coeffs))
+        top = rows[-1].factorial
+        nums = [c * (top // row.factorial) for c, row in zip(nums, rows)]
+        den *= top * (2 if halve else 1)
+        ratios = [(sum(nums[n] * rows[n].coeffs[l] for n in range(l, len(nums))), den)
+                  for l in range(len(nums))]
+        values = _exact_or_rounded(ratios, all(isinstance(c, (Fraction, int)) for c in coeffs))
         return RadialProfile((2 * l + k, c) for l, c in enumerate(values))
 
 

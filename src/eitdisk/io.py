@@ -213,7 +213,7 @@ def grid_to_csv(rows) -> str:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise FormatError("grid must be an array of (x, y, value) rows")
-    lines = ["x,y,value"]
-    for x, y, v in rows:
-        lines.append(f"{format_float(x)},{format_float(y)},{format_float(v)}")
-    return "\n".join(lines) + "\n"
+    bad = rows[~np.isfinite(rows)]
+    if bad.size:
+        format_float(bad[0])  # raises the FormatError for the first non-finite value
+    return "x,y,value\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist())

@@ -9,8 +9,10 @@ the n-th Muntz-Legendre polynomial is
 orthogonal on L^2([0,1]) with L_n(1) = 1.  The moment matrix
 ``A[l][n] = <L_n, x^{lambda_l}>`` is lower triangular with a hypergeometric
 closed form, and so is its inverse ``R``; both are computed here as exact
-``fractions.Fraction`` tables.  Floating point enters only at evaluation,
-which runs the Jacobi three-term recurrence, never the monomial rows.
+``fractions.Fraction`` tables, and for the shifted sequences below ``R`` is
+also kept as integer rows over n!.  Floating point enters only at
+evaluation, which runs the Jacobi three-term recurrence, never the monomial
+rows.
 
 The weighted family ``LM^k_n(x) = sum_l Lc^k_{l,n} x^{2l+k}`` is the image of
 the shifted sequence ``lambda_i = 2i + k + 1/2`` under the substitution that
@@ -20,9 +22,10 @@ L^2([0,1], x dx) with squared norm 1/(4n + 2k + 2).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, factorial, perm, prod
 
 import numpy as np
 
@@ -173,14 +176,14 @@ def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
     Row n: Lc^k_{l,n} = prod_{j<n}(l+j+k+1) / prod_{j<=n, j!=l}(l-j), an integer
     numerator over l!(n-l)! up to sign.  This is row n of the solver for the
     shifted sequence divided by 1 + 2 lambda_n = 4n + 2k + 2, so both come
-    from one cached table.
+    from one cached integer table (see ``_integer_rows``).
     """
     if k < 0:
         raise DomainError("angular order k must be >= 0")
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
-    unscaled, _ = _solver_tables(ExponentSequence.shifted(k, nmax + 1).lambdas)
-    return WeightedFamily(k=k, rows=unscaled)
+    rows = _integer_rows(k, nmax + 1)
+    return WeightedFamily(k=k, rows=tuple(tuple(Fraction(u, r.factorial) for u in r.coeffs) for r in rows))
 
 
 def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
@@ -300,6 +303,32 @@ def _solver_tables(lam: tuple) -> tuple:
         scaled += (tuple((1 + 2 * x) * s for s in row),)
         _TABLES[lam[: a + 1]] = (unscaled, scaled)
     return unscaled, scaled
+
+
+# angular order k -> rows of _integer_rows; entries hold immutable tuples, so
+# concurrent callers can at worst build the same rows twice.
+_INT_ROWS = {}
+_IntegerRow = namedtuple("_IntegerRow", "coeffs factorial scale condition")
+
+
+def _integer_rows(k: int, count: int) -> tuple:
+    """Solver rows n = 0..count-1 of the shifted sequence 2i + k + 1/2, in integers.
+
+    Row n holds U_n, n!, 4n + 2k + 2 and the condition sum, with
+    U_n[l] = n! S[n][l] = (-1)^(n-l) C(n, l) (l+k+1)_n (Borwein, Erdelyi and
+    Zhang, Trans. AMS 342, 1994), so R[n][l] = (4n + 2k + 2) U_n[l] / n!, the
+    family row LM^k_n is U_n / n!, and the condition sum is sum_l |R[n][l]|
+    rounded once.  Rows are cached per k and extended by prefix.
+    """
+    if k < 0 or count < 1:
+        raise DomainError("need k >= 0 and count >= 1")
+    rows = _INT_ROWS.get(k, ())
+    for n in range(len(rows), count):
+        row = tuple((-1) ** (n - l) * comb(n, l) * perm(n + l + k, n) for l in range(n + 1))
+        scale, fact = 4 * n + 2 * k + 2, factorial(n)
+        rows += (_IntegerRow(row, fact, scale, scale * sum(map(abs, row)) / fact),)
+        _INT_ROWS[k] = rows
+    return rows[:count]
 
 
 def lm_norm_squared(k: int, n: int) -> Fraction:

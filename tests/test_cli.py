@@ -449,3 +449,15 @@ def test_nan_or_negative_tol_exits_2(tmp_path, field_file, capsys, command, tol)
     assert out == ""
     assert err.startswith("error: tolerance must be >= 0") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_roundtrip_checks_tol_before_the_assembly(field_file, capsys, monkeypatch):
+    def assemble(*args):
+        raise AssertionError("roundtrip assembled before checking --tol")
+
+    monkeypatch.setattr(eitdisk.cli, "_assemble", assemble)
+    capsys.readouterr()
+    assert main(["roundtrip", "--input", str(field_file), "--tol", "nan", "--nmax", "32"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tolerance must be >= 0") and err.count("\n") == 1

@@ -1,0 +1,399 @@
+"""The integer-scaled exact kernel against plain Fraction references.
+
+Moments, forward entries, solver rows, the solve, the condition sums and the
+monomial expansion are computed over common integer denominators; each test
+below recomputes the same quantity entry by entry with Fraction arithmetic
+and asks for equality, Fraction for Fraction or bit for bit.
+"""
+
+import math
+import random
+import sys
+import threading
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from eitdisk import (
+    CONDUCTIVITY,
+    POTENTIAL,
+    DtnMatrixSet,
+    FourierRadialField,
+    MomentData,
+    RadialProfile,
+    Reconstruction,
+    build_weighted_family,
+    condition_sums,
+    conductivity_dtn,
+    inverse_matrix,
+    schroedinger_dtn,
+    solve_moment_problem,
+    validate,
+)
+from eitdisk.forward import BLOCK_NAMES
+from eitdisk.muntz import _INT_ROWS, ExponentSequence, _integer_rows, _solver_tables
+
+HALF = Fraction(1, 2)
+
+
+def _naive_moment(profile, m):
+    return sum((Fraction(v) / (m + p + 1) for p, v in profile.terms), Fraction(0))
+
+
+def _random_field(kind, N, seed, values="fraction"):
+    rng = random.Random(seed)
+
+    def value():
+        if values == "float":
+            return rng.uniform(-1.0, 1.0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    def profile(k):
+        powers = rng.sample(range(k, k + 2 * N + 3), rng.randint(1, 5))
+        return RadialProfile(tuple((p, value()) for p in powers))
+
+    top = N if kind == CONDUCTIVITY else N + 1
+    cos = {k: profile(k) for k in range(top)}
+    sin = {k: profile(k) for k in range(1, top)}
+    return FourierRadialField(kind, cos, sin)
+
+
+# solver rows, family and condition sums ----------------------------------------
+
+@pytest.mark.parametrize("k", range(9))
+def test_integer_rows_equal_the_fraction_solver_tables(k):
+    unscaled, scaled = _solver_tables(ExponentSequence.shifted(k, 40).lambdas)
+    rows = _integer_rows(k, 40)
+    assert len(rows) == 40
+    for n, (row, fact, scale, cond) in enumerate(rows):
+        assert fact == math.factorial(n) and scale == 4 * n + 2 * k + 2
+        assert tuple(Fraction(u, fact) for u in row) == unscaled[n]
+        assert tuple(Fraction(scale * u, fact) for u in row) == scaled[n]
+        assert cond == float(sum(abs(e) for e in scaled[n]))
+
+
+@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("n", [1, 2, 7, 25, 40])
+def test_family_and_condition_sums_equal_the_fraction_references(k, n):
+    seq = ExponentSequence.shifted(k, n)
+    unscaled, _ = _solver_tables(seq.lambdas)
+    rows = build_weighted_family(k, n - 1).rows
+    assert rows == unscaled
+    assert all(type(c) is Fraction for row in rows for c in row)
+    expected = [float(s) for s in inverse_matrix(seq, n).row_abs_sums()]
+    assert condition_sums(k, n) == expected
+
+
+def test_integer_rows_extend_by_prefix():
+    k = 11
+    short = _integer_rows(k, 3)
+    long = _integer_rows(k, 12)
+    assert long[:3] == short
+    assert _integer_rows(k, 5) == long[:5]
+
+
+def test_threads_extending_one_order_get_correct_prefixes():
+    k = 17
+    counts = [3, 30, 9, 21, 1, 14, 27, 6] * 3
+    expected = {n: [float(s) for s in inverse_matrix(ExponentSequence.shifted(k, n), n).row_abs_sums()]
+                for n in set(counts)}
+    _INT_ROWS.pop(k, None)
+    results, errors = [None] * len(counts), []
+
+    def work(slot, n):
+        try:
+            results[slot] = (condition_sums(k, n), build_weighted_family(k, n - 1).rows)
+        except BaseException as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i, n)) for i, n in enumerate(counts)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for (sums, rows), n in zip(results, counts):
+        assert sums == expected[n]
+        assert rows == _solver_tables(ExponentSequence.shifted(k, n).lambdas)[0]
+
+
+def test_condition_sums_return_a_fresh_list():
+    first = condition_sums(3, 6)
+    kept = list(first)
+    first[0] = -1.0
+    first.append(7.0)
+    assert condition_sums(3, 6) == kept
+    assert condition_sums(3, 4) == kept[:4]
+
+
+# moments ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("terms", [
+    ((0, Fraction(1, 3)), (2, Fraction(-5, 7)), (9, Fraction(11, 4))),
+    ((0, 1), (1, -3), (5, 7)),
+    ((0, 0.1), (3, -2.5e-17), (8, 1e300), (40, -7.25)),
+    ((1, Fraction(2, 3)), (2, 5), (6, 0.375), (7, -1e-300)),
+    (),
+])
+@pytest.mark.parametrize("m", [0, 1, 2, 13, 57, 400])
+def test_moment_exact_equals_the_fraction_sum(terms, m):
+    profile = RadialProfile(terms)
+    got = profile.moment_exact(m)
+    assert type(got) is Fraction
+    assert got == _naive_moment(profile, m)
+
+
+def test_moment_exact_rejects_non_finite_values_as_before():
+    with pytest.raises(ValueError):
+        RadialProfile(((0, math.nan),)).moment_exact(1)
+    with pytest.raises(OverflowError):
+        RadialProfile(((0, math.inf),)).moment_exact(1)
+
+
+# forward assembly ---------------------------------------------------------------
+
+def _reference_k(field, N):
+    a, b = field.cos_profile, field.sin_profile
+    rng = range(1, N + 1)
+    cc = [[i * j * (2 if i == j else 1) * _naive_moment(a(abs(i - j)), i + j - 1) for j in rng]
+          for i in rng]
+    cs = [[i * j * ((j > i) - (j < i)) * _naive_moment(b(abs(i - j)), i + j - 1) for j in rng]
+          for i in rng]
+    return {"cc": cc, "ss": cc, "sc": [list(col) for col in zip(*cs)], "cs": cs}
+
+
+def _reference_j(field, N):
+    a, b = field.cos_profile, field.sin_profile
+
+    def ma(k, p):
+        return _naive_moment(a(k), p)
+
+    def mb(k, p):
+        return _naive_moment(b(k), p)
+
+    def sign(d):
+        return (d > 0) - (d < 0)
+
+    def cc(i, j):
+        eta = 3 if i == j == 0 else (2 if i == j else 1)
+        return HALF * ma(i + j, i + j + 1) + eta * HALF * ma(abs(i - j), i + j + 1)
+
+    def ss(i, j):
+        return -HALF * ma(i + j, i + j + 1) + (2 if i == j else 1) * HALF * ma(abs(i - j), i + j + 1)
+
+    def sc(i, j):
+        return HALF * mb(i + j, i + j + 1) + sign(i - j) * HALF * mb(abs(i - j), i + j + 1)
+
+    def cs(i, j):
+        return HALF * mb(i + j, i + j + 1) - sign(i - j) * HALF * mb(abs(i - j), i + j + 1)
+
+    full, tail = range(N + 1), range(1, N + 1)
+    return {"cc": [[cc(i, j) for j in full] for i in full],
+            "ss": [[ss(i, j) for j in tail] for i in tail],
+            "sc": [[sc(i, j) for j in full] for i in tail],
+            "cs": [[cs(i, j) for j in tail] for i in full]}
+
+
+@pytest.mark.parametrize("values", ["fraction", "float"])
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_assembled_entries_equal_the_fraction_formulas(N, values):
+    for kind, forward, reference in ((CONDUCTIVITY, conductivity_dtn, _reference_k),
+                                     (POTENTIAL, schroedinger_dtn, _reference_j)):
+        field = _random_field(kind, N, seed=N, values=values)
+        mset = forward(field, N)
+        expected = reference(field, N)
+        for name in BLOCK_NAMES:
+            assert mset.exact[name] == expected[name]
+            assert all(type(q) is Fraction for row in mset.exact[name] for q in row)
+            want = np.array([[float(q) * math.pi for q in row] for row in expected[name]])
+            np.testing.assert_array_equal(mset.block(name).reshape(want.shape), want)
+
+
+# solve and monomial expansion -----------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("m", [1, 3, 12])
+def test_solve_equals_the_fraction_dot_product(k, m):
+    rng = random.Random(100 * k + m)
+    rows = inverse_matrix(ExponentSequence.shifted(k, m), m).rows
+    exact = tuple(rng.choice([Fraction(rng.randint(-50, 50), rng.randint(1, 30)), rng.randint(-4, 4)])
+                  for _ in range(m))
+    floats = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 3) for _ in range(m))
+    got = solve_moment_problem(MomentData(k=k, parity="cos", values=exact, origin_shift=0))
+    want = [sum((r * Fraction(v) for r, v in zip(row, exact)), Fraction(0)) for row in rows]
+    assert got == want and all(type(c) is Fraction for c in got)
+    got = solve_moment_problem(MomentData(k=k, parity="cos", values=floats, origin_shift=0))
+    want = [float(sum((r * Fraction(v) for r, v in zip(row, floats)), Fraction(0))) for row in rows]
+    assert got == want and all(type(c) is float for c in got)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_to_field_equals_the_family_expansion(exact):
+    rng = random.Random(exact)
+
+    def coeffs(depth):
+        if exact:
+            return [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(depth)]
+        return [rng.uniform(-1.0, 1.0) for _ in range(depth)]
+
+    p = {k: coeffs(9 - k) for k in range(9)}
+    q = {k: coeffs(9 - k) for k in range(1, 9)}
+    rec = Reconstruction(CONDUCTIVITY, 9, p, q, {})
+    field = rec.to_field()
+    for table, series in ((field.cos, p), (field.sin, q)):
+        for k, c in series.items():
+            rows = build_weighted_family(k, len(c) - 1).rows
+            want = []
+            for l in range(len(c)):
+                v = sum((Fraction(c[n]) * rows[n][l] for n in range(l, len(c))), Fraction(0))
+                v = v / 2 if table is field.cos and k == 0 else v
+                want.append(v if exact else float(v))
+            assert table[k].terms == tuple((2 * l + k, v) for l, v in enumerate(want))
+            assert all(type(v) is (Fraction if exact else float) for _, v in table[k].terms)
+
+
+# validate and symmetrized off the equal path ----------------------------------------
+
+def _reference_max(values):
+    values = list(values)
+    if any(isinstance(v, float) and v != v for v in values):
+        return math.nan
+    return max(values, default=0)
+
+
+def _reference_groups(rows, extras):
+    n = len(rows)
+    groups = []
+    for l in range(2, 2 * n + 1):
+        entries = [rows[i - 1][l - i - 1] for i in range(max(1, l - n), min(n, l - 1) + 1)]
+        if l in extras:
+            entries.append(extras[l])
+        groups.append(entries)
+    return float(_reference_max(_reference_max(g) - min(g) for g in groups if len(g) > 1))
+
+
+def _reference_deviations(mset):
+    """The deviations of ``validate`` by full subtraction of every pair."""
+    if mset.exact is not None:
+        cc, ss, sc, cs = (mset.exact[n] for n in ("cc", "ss", "sc", "cs"))
+    else:
+        cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
+
+    def asym(rows):
+        n = len(rows)
+        return _reference_max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
+
+    def antisym(rows):
+        n = len(rows)
+        return _reference_max(abs(rows[i][j] + rows[j][i]) for i in range(n) for j in range(n))
+
+    def combine(a, b, op):
+        return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    out = {"cc_symmetric": asym(cc), "ss_symmetric": asym(ss),
+           "cs_matches_sc_transpose": _reference_max(
+               abs(cs[i][j] - sc[j][i]) for i in range(len(cs)) for j in range(len(cs[i])))}
+    if mset.kind == CONDUCTIVITY:
+        out["cc_matches_ss"] = _reference_max(
+            abs(x - y) for ra, rb in zip(cc, ss) for x, y in zip(ra, rb))
+        out["cs_antisymmetric"] = antisym(cs)
+    else:
+        N = mset.N
+        sc_ov, cs_ov = [row[1:] for row in sc], cs[1:]
+        out["sc_minus_cs_antisymmetric"] = antisym(combine(sc_ov, cs_ov, lambda a, b: a - b))
+        ssmcc = combine(ss, [row[1:] for row in cc[1:]], lambda a, b: a - b)
+        out["ss_minus_cc_hankel"] = _reference_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})
+        scpcs = combine(sc_ov, cs_ov, lambda a, b: a + b)
+        out["sc_plus_cs_hankel"] = _reference_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})
+    return {name: float(dev) for name, dev in out.items()}
+
+
+def _reference_symmetrized(mset):
+    e = mset.exact
+    rows, cols = len(e["cs"]), len(e["cs"][0])
+
+    def sym(t, s):
+        return [[(t[i][j] + s * t[j][i]) * HALF for j in range(len(t))] for i in range(len(t))]
+
+    ecs = [[(e["cs"][i][j] + e["sc"][j][i]) * HALF for j in range(cols)] for i in range(rows)]
+    if mset.kind == CONDUCTIVITY:
+        ecs = sym(ecs, -1)
+    return {"cc": sym(e["cc"], 1), "ss": sym(e["ss"], 1), "cs": ecs,
+            "sc": [[ecs[j][i] for j in range(rows)] for i in range(cols)]}
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _assert_matches_reference(mset):
+    report = validate(mset, tol=0.0)
+    expected = _reference_deviations(mset)
+    assert [c.name for c in report.checks] == list(expected)
+    for check in report.checks:
+        assert _same(check.deviation, expected[check.name]), check.name
+        assert check.passed == (check.deviation <= 0.0)
+
+
+def _bumped_positions(mset):
+    for name in BLOCK_NAMES:
+        rows, cols = len(mset.exact[name]), len(mset.exact[name][0])
+        for i, j in {(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1), (rows // 2, cols // 3)}:
+            yield name, i, j
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_validate_and_symmetrized_on_exact_sets_with_a_bumped_entry(kind, forward):
+    mset = forward(_random_field(kind, 5, seed=3), 5)
+    _assert_matches_reference(mset)
+    for name, i, j in _bumped_positions(mset):
+        exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
+        exact[name][i][j] += Fraction(1, 7)
+        bumped = DtnMatrixSet(mset.kind, mset.N, mset.cc, mset.ss, mset.sc, mset.cs, exact=exact)
+        _assert_matches_reference(bumped)
+        sym = bumped.symmetrized()
+        for block, table in _reference_symmetrized(bumped).items():
+            assert sym.exact[block] == table
+            assert all(type(q) is Fraction for row in sym.exact[block] for q in row)
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_and_symmetrized_on_float_sets_with_a_non_finite_entry(kind, forward, bad):
+    mset = forward(_random_field(kind, 4, seed=8, values="float"), 4)
+    for name in BLOCK_NAMES:
+        for i, j in {(0, 0), (1, 2), (2, 1), (3, 3)}:
+            blocks = {n: mset.block(n).copy() for n in BLOCK_NAMES}
+            blocks[name][i, j] = bad
+            if bad == math.inf and name in ("cc", "ss"):
+                blocks[name][j, i] = bad  # an equal pair of infinities still deviates by NaN
+            noisy = DtnMatrixSet(mset.kind, mset.N, **blocks)
+            _assert_matches_reference(noisy)
+            with np.errstate(invalid="ignore"):  # inf - inf in the float averages
+                sym = noisy.symmetrized()
+            cc, ss = blocks["cc"], blocks["ss"]
+            with np.errstate(invalid="ignore"):
+                cs = blocks["cs"] / 2.0 + blocks["sc"].T / 2.0
+                if kind == CONDUCTIVITY:
+                    cs = cs / 2.0 - cs.T / 2.0
+                np.testing.assert_array_equal(sym.cc, cc / 2.0 + cc.T / 2.0)
+                np.testing.assert_array_equal(sym.ss, ss / 2.0 + ss.T / 2.0)
+            np.testing.assert_array_equal(sym.cs, cs)
+            np.testing.assert_array_equal(sym.sc, cs.T)
+
+
+def test_equal_infinities_keep_a_nan_deviation():
+    mset = conductivity_dtn(_random_field(CONDUCTIVITY, 3, seed=1, values="float"), 3)
+    blocks = {n: mset.block(n).copy() for n in BLOCK_NAMES}
+    blocks["cc"][0, 1] = blocks["cc"][1, 0] = math.inf
+    report = validate(DtnMatrixSet(CONDUCTIVITY, 3, **blocks))
+    check = {c.name: c for c in report.checks}["cc_symmetric"]
+    assert math.isnan(check.deviation) and not check.passed

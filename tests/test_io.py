@@ -172,3 +172,26 @@ def test_load_json_wraps_errors(tmp_path):
         eio.load_json(str(bad))
     with pytest.raises(FormatError):
         eio.load_json(str(tmp_path / "missing.json"))
+
+
+def test_grid_to_csv_matches_per_value_formatting():
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)][:2400], rng.standard_normal(600),
+        [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.7976931348623157e308, 0.1, 1e16, 1e17],
+    ])
+    rows = values[: len(values) // 3 * 3].reshape(-1, 3)
+    expected = "x,y,value\n" + "".join(
+        f"{eio.format_float(x)},{eio.format_float(y)},{eio.format_float(v)}\n" for x, y, v in rows)
+    assert eio.grid_to_csv(rows) == expected
+    assert eio.grid_to_csv(np.zeros((0, 3))) == "x,y,value\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_to_csv_rejects_non_finite_values(bad):
+    rows = np.ones((5, 3))
+    rows[3, 2] = bad
+    rows[4, 0] = math.nan
+    with pytest.raises(FormatError, match=f"non-finite value {bad}$"):
+        eio.grid_to_csv(rows)
