@@ -9,6 +9,7 @@ and fixed iteration orders.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -57,6 +58,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(prog="eitdisk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -166,7 +166,8 @@ def _set_from_exact(kind, N, exact):
     blocks = {}
     for name in BLOCK_NAMES:
         try:
-            arr = np.array([[float(q) * math.pi for q in row] for row in exact[name]], dtype=float)
+            # numerator / denominator is float(q) without the numbers.Rational call
+            arr = np.array([[q.numerator / q.denominator * math.pi for q in row] for row in exact[name]])
         except OverflowError:
             arr = np.array([math.inf])
         if not np.all(np.isfinite(arr)):

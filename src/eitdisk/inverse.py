@@ -28,9 +28,9 @@ reported in the package's plain-series convention.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -134,6 +134,9 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
 
     Sets assembled analytically carry exact rational blocks and report
     deviation exactly 0; float-loaded data is checked in floating point.
+    The potential kind's sums, differences and anti-diagonal spreads of exact
+    blocks are taken on integer numerators over one common denominator, and
+    each deviation is divided by it once: the double nearest the exact value.
     A NaN or negative ``tol`` is a DomainError.
     """
     _check_tol(tol)
@@ -143,8 +146,8 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
         cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
     checks = []
 
-    def add(name, dev):
-        dev = float(dev)
+    def add(name, dev, den=1):
+        dev = float(dev) if den == 1 else dev / den  # int / int rounds once, as float(Fraction) does
         checks.append(ValidationCheck(name=name, deviation=dev, passed=dev <= tol))
 
     add("cc_symmetric", _asym_dev(cc))
@@ -154,19 +157,22 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
         add("cc_matches_ss", _equal_dev(cc, ss))
         add("cs_antisymmetric", _antisym_dev(cs))
     else:
+        den = 1
+        if mset.exact is not None:
+            (cc, ss, sc, cs), den = _integer_numerators(cc, ss, sc, cs)
         # overlapping range i, j >= 1: drop column 0 of sc, row 0 of cs and cc
         N = mset.N
         sc_ov = [row[1:] for row in sc]
         cs_ov = cs[1:]
-        diff = _combine(sc_ov, cs_ov, lambda a, b: a - b)
-        add("sc_minus_cs_antisymmetric", _antisym_dev(diff))
+        diff = _combine(sc_ov, cs_ov, operator.sub)
+        add("sc_minus_cs_antisymmetric", _antisym_dev(diff), den)
         cc_ov = [row[1:] for row in cc[1:]]
-        ssmcc = _combine(ss, cc_ov, lambda a, b: a - b)
+        ssmcc = _combine(ss, cc_ov, operator.sub)
         add("ss_minus_cc_hankel", _group_spread(
-            _antidiagonal_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})))
-        scpcs = _combine(sc_ov, cs_ov, lambda a, b: a + b)
+            _antidiagonal_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})), den)
+        scpcs = _combine(sc_ov, cs_ov, operator.add)
         add("sc_plus_cs_hankel", _group_spread(
-            _antidiagonal_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})))
+            _antidiagonal_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})), den)
     return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
 
 
@@ -206,8 +212,16 @@ def _equal_dev(a, b):
     return _max_nan(_gap(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _integer_numerators(*blocks):
+    """Exact blocks as integer numerators over their common denominator, and that denominator."""
+    dens = {q.denominator for block in blocks for row in block for q in row}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [[[q.numerator * scale[q.denominator] for q in row] for row in b] for b in blocks], den
+
+
 def _combine(a, b, op):
-    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [list(map(op, ra, rb)) for ra, rb in zip(a, b)]
 
 
 def _antidiagonal_groups(rows, extras):
@@ -228,7 +242,7 @@ def _antidiagonal_groups(rows, extras):
 
 def _group_spread(groups):
     """Largest max - min over the groups; singletons impose no constraint."""
-    return float(_max_nan(_max_nan(g) - min(g) for g in groups if len(g) > 1))
+    return _max_nan(_max_nan(g) - min(g) for g in groups if len(g) > 1)
 
 
 def extract_conductivity_moments(mset: DtnMatrixSet, k: int, parity: str = "cos") -> MomentData:
@@ -298,7 +312,7 @@ def solve_moment_problem(data: MomentData) -> list:
     if m == 0:
         return []
     nums, den = _common_denominator(data.values)
-    ratios = [(row.scale * sum(map(mul, row.coeffs, nums)), row.factorial * den)
+    ratios = [(row.scale * sum(map(operator.mul, row.coeffs, nums)), row.factorial * den)
               for row in _integer_rows(data.k, m)]
     return _exact_or_rounded(ratios, all(isinstance(v, (Fraction, int)) for v in data.values))
 
@@ -453,6 +467,8 @@ def _polar_points(r, phi) -> tuple:
 
     A radius outside [0, 1] or a NaN or infinite angle is a DomainError.
     """
+    if isinstance(r, float) and isinstance(phi, float) and 0.0 <= r <= 1.0 and math.isfinite(phi):
+        return np.asarray(r), np.asarray(phi)  # one valid point: no array passes
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     inside = (r >= 0.0) & (r <= 1.0)
     if not inside.all():
@@ -490,7 +506,10 @@ def reconstruct(
     report = validate(mset, tol)
     if not report.passed:
         raise InconsistentDataError(report)
-    sym = mset.symmetrized()
+    # exact data that deviates nowhere is its own projection (see forward._mean);
+    # "float" reads the float blocks, which symmetrized rebuilds from the exact tables
+    fixed = arithmetic != "float" and mset.exact is not None and report.max_deviation == 0
+    sym = mset if fixed else mset.symmetrized()
     if arithmetic == "float" and sym.exact is not None:
         sym = DtnMatrixSet(sym.kind, sym.N, sym.cc, sym.ss, sym.sc, sym.cs, exact=None)
     lift = arithmetic == "rational" and sym.exact is None

@@ -1,7 +1,8 @@
 """Deterministic JSON / CSV serialization.
 
 All floats are written with 17 significant digits via a fixed recursive
-encoder, so identical objects always serialize to identical bytes.
+encoder, so identical objects always serialize to identical bytes; a list of
+floats, or of [int, float] pairs, is formatted in one pass.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _encode(obj):
         items = ",".join(f"{json.dumps(str(k))}:{_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in obj) + "]"
+        return _encode_list(obj)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -59,6 +60,20 @@ def _encode(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _encode_list(obj):
+    """A list of floats, or of [int, float] pairs, in one formatting pass; others item by item."""
+    if all(type(v) is float for v in obj):
+        text = "%.17g," * len(obj) % tuple(obj)
+    elif all(type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is float for v in obj):
+        text = "[%d,%.17g]," * len(obj) % tuple(x for pair in obj for x in pair)
+    else:
+        return "[" + ",".join(_encode(v) for v in obj) + "]"
+    if "n" in text:  # "nan" or "inf": format_float raises for the first such value
+        for v in obj:
+            _encode(v)
+    return "[" + text[:-1] + "]"
 
 
 def load_json(path: str):

@@ -461,3 +461,63 @@ def test_roundtrip_checks_tol_before_the_assembly(field_file, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: tolerance must be >= 0") and err.count("\n") == 1
+
+
+# ------------------------------------------------------------ one parser per process
+
+def _write_cli_inputs(folder):
+    field = FourierRadialField(
+        CONDUCTIVITY,
+        {0: RadialProfile(((0, 1.0), (2, -0.25))), 1: RadialProfile(((1, 0.5),))},
+        {2: RadialProfile(((2, 0.75),))},
+    )
+    alpha = math.pi / 3
+    cmap = ConformalMap(ArcSpec(alpha))
+    (folder / "field.json").write_text(eio.dumps(eio.field_to_dict(field)), encoding="utf-8")
+    (folder / "half.json").write_text(eio.dumps(eio.arc_data_to_dict(half_disk_data(field, 4))),
+                                      encoding="utf-8")
+    arc = make_arc_data(lambda rho, theta: 1.0 + np.asarray(rho) ** 2 * np.cos(theta), cmap, 4)
+    (folder / "arc.json").write_text(eio.dumps(eio.arc_data_to_dict(arc, alpha=alpha)),
+                                     encoding="utf-8")
+
+
+_ONE_PROCESS_RUNS = (
+    ["forward", "--input", "field.json", "--nmax", "3"],  # usage error: no --output
+    ["forward", "--input", "field.json", "--output", "dtn.json", "--nmax", "4",
+     "--oracle", "--quad-r", "16", "--quad-phi", "64"],
+    ["half-invert", "--input", "half.json", "--output", "half.csv", "--nr", "3", "--nphi", "5"],
+    ["arc-invert", "--input", "arc.json", "--output", "arc.csv", "--nr", "2", "--nphi", "4",
+     "--map-debug"],
+)
+
+
+def test_one_process_runs_match_separate_processes(tmp_path, monkeypatch, capsys):
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    for folder in (together, apart):
+        folder.mkdir()
+        _write_cli_inputs(folder)
+    monkeypatch.chdir(together)
+    got = []
+    for argv in _ONE_PROCESS_RUNS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+
+    src = str(pathlib.Path(eitdisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    want = []
+    for argv in _ONE_PROCESS_RUNS:
+        proc = subprocess.run([sys.executable, "-m", "eitdisk", *argv], cwd=apart, env=env,
+                              capture_output=True, text=True, timeout=120)
+        want.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in got] == [2, 0, 0, 0]
+    assert got == want
+    names = sorted(p.name for p in apart.iterdir())
+    assert names == sorted(p.name for p in together.iterdir())
+    assert "arc.csv.mapdebug.csv" in names and "dtn.oracle.json" in names
+    for name in names:
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+    assert eitdisk.cli._build_parser() is eitdisk.cli._build_parser()

@@ -27,10 +27,12 @@ from eitdisk import (
     condition_sums,
     conductivity_dtn,
     inverse_matrix,
+    reconstruct,
     schroedinger_dtn,
     solve_moment_problem,
     validate,
 )
+from eitdisk.errors import DomainError
 from eitdisk.forward import BLOCK_NAMES
 from eitdisk.muntz import _INT_ROWS, ExponentSequence, _integer_rows, _solver_tables
 
@@ -397,3 +399,86 @@ def test_equal_infinities_keep_a_nan_deviation():
     report = validate(DtnMatrixSet(CONDUCTIVITY, 3, **blocks))
     check = {c.name: c for c in report.checks}["cc_symmetric"]
     assert math.isnan(check.deviation) and not check.passed
+
+
+# potential-kind validate on integer numerators, and the skipped projection ----------
+
+def _with_exact(mset, exact):
+    return DtnMatrixSet(mset.kind, mset.N, mset.cc, mset.ss, mset.sc, mset.cs, exact=exact)
+
+
+def _bumped(mset, name, i, j, by):
+    exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
+    exact[name][i][j] += by
+    return _with_exact(mset, exact)
+
+
+def _hankel_positions(N):
+    """One entry on every anti-diagonal of ss - cc and of sc + cs, then both extras."""
+    for l in range(2, 2 * N + 1):
+        i = max(1, l - N)
+        yield ("ss", i - 1, l - i - 1) if l % 2 else ("cc", i, l - i)
+        yield ("sc", i - 1, l - i) if l % 2 else ("cs", i, l - i - 1)
+    for l in range(2, N + 1):
+        yield "cc", 0, l
+        yield "sc", l - 1, 0
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_potential_validate_equals_the_reference_on_every_hankel_group(N):
+    mset = schroedinger_dtn(_random_field(POTENTIAL, N, seed=N + 40), N)
+    _assert_matches_reference(mset)
+    for name, i, j in _hankel_positions(N):
+        _assert_matches_reference(_bumped(mset, name, i, j, Fraction(1, 7)))
+    # a denominator coprime to every other one in the set
+    _assert_matches_reference(_bumped(mset, "ss", N // 2, N // 3, Fraction(-3, 1000003)))
+
+
+def test_potential_validate_on_exact_tables_of_plain_ints():
+    mset = schroedinger_dtn(_random_field(POTENTIAL, 6, seed=12), 6)
+    den = math.lcm(*(q.denominator for n in BLOCK_NAMES for row in mset.exact[n] for q in row))
+    ints = {n: [[int(q * den) for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES}
+    scaled = _with_exact(mset, ints)
+    _assert_matches_reference(scaled)
+    assert validate(scaled).max_deviation == 0
+    for name, i, j in [("cc", 0, 4), ("sc", 2, 0), ("ss", 1, 3), ("cs", 3, 2)]:
+        _assert_matches_reference(_bumped(scaled, name, i, j, 1))
+        _assert_matches_reference(_bumped(scaled, name, i, j, Fraction(2, 3)))  # ints and a Fraction
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_reconstruct_equals_the_symmetrized_reconstruction(kind, forward):
+    mset = forward(_random_field(kind, 6, seed=21), 6)
+    cases = [mset] + [_bumped(mset, name, i, j, Fraction(1, 10**6))
+                      for name, i, j in _bumped_positions(mset)]
+    for data in cases:
+        for arithmetic in ("auto", "rational", "float"):
+            got = reconstruct(data, tol=1e-3, arithmetic=arithmetic)
+            want = reconstruct(data.symmetrized(), tol=1e-3, arithmetic=arithmetic)
+            assert (got.p, got.q, got.condition) == (want.p, want.q, want.condition)
+            kinds = {type(c) for series in (got.p, got.q) for cs in series.values() for c in cs}
+            assert kinds == {float if arithmetic == "float" else Fraction}
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_float_arithmetic_reads_the_exact_tables_not_the_float_blocks(kind, forward):
+    mset = forward(_random_field(kind, 5, seed=33), 5)
+    noisy = DtnMatrixSet(mset.kind, 5, *(mset.block(n) + 1e-3 * (1 + np.arange(mset.block(n).size))
+                                    .reshape(mset.block(n).shape) for n in BLOCK_NAMES),
+                         exact=mset.exact)
+    want = reconstruct(mset, arithmetic="float")
+    got = reconstruct(noisy, arithmetic="float")
+    assert (got.p, got.q) == (want.p, want.q)
+    floats_only = DtnMatrixSet(mset.kind, 5, noisy.cc, noisy.ss, noisy.sc, noisy.cs)
+    assert reconstruct(floats_only, tol=1.0, arithmetic="float").p != want.p
+
+
+@pytest.mark.parametrize("huge", [Fraction(10**400, 3), 10**400, Fraction(-(10**309))])
+def test_float_view_of_an_entry_beyond_the_double_range_is_a_domain_error(huge):
+    mset = conductivity_dtn(_random_field(CONDUCTIVITY, 3, seed=2), 3)
+    exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
+    exact["cc"][1][1] = huge
+    with pytest.raises(DomainError, match="block cc has an entry beyond the range of a double"):
+        _with_exact(mset, exact).symmetrized()

@@ -1,7 +1,9 @@
 """Deterministic serialization: fixed digits, fixed key order, exact round trips."""
 
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from eitdisk import (
     ShapeError,
     conductivity_dtn,
     half_disk_data,
+    reconstruct,
     schroedinger_dtn,
 )
 from eitdisk import io as eio
@@ -195,3 +198,126 @@ def test_grid_to_csv_rejects_non_finite_values(bad):
     rows[4, 0] = math.nan
     with pytest.raises(FormatError, match=f"non-finite value {bad}$"):
         eio.grid_to_csv(rows)
+
+
+# one-pass list formatting against the recursive encoder ---------------------------
+
+def _reference_encode(obj):
+    """The item-by-item encoder: every value formatted by its own call."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_reference_encode(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_encode(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return eio.format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _random_doubles(rng, count):
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    values = [float(v) for v in bits.view(np.float64) if math.isfinite(v)]
+    return values + [-0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 2.2250738585072014e-308]
+
+
+def test_dumps_equals_the_recursive_encoder():
+    rng = np.random.default_rng(17)
+    doubles = _random_doubles(rng, 4000)
+    doc = {
+        "floats": doubles,
+        "pairs": [[int(p), v] for p, v in zip(rng.integers(-3, 10**6, len(doubles)), doubles)],
+        "rows": [doubles[i:i + 9] for i in range(0, 90, 9)],
+        "empty": [], "empty_rows": [[], []], "tuple": tuple(doubles[:5]),
+        "bools": [True, False, True], "mixed": [1.5, 2, True, None, "s", np.float64(0.1)],
+        "numpy": [np.float64(v) for v in doubles[:50]], "numpy_pairs": [[np.int64(2), 0.5]],
+        "bool_pairs": [[True, 0.5], [False, -1.5]], "int_bool_pairs": [[1, 0.5], [2, False]], "ints": [1, 2, 3], "long_pair": [[1, 2.0, 3.0]],
+        "nested": {"a": {"b": [[0, -0.0], [1, 5e-324]], "c": [[1.0, 2.0], [3.0]]}, "d": {}},
+    }
+    assert eio.dumps(doc) == _reference_encode(doc) + "\n"
+    for value in doc.values():
+        assert eio.dumps(value) == _reference_encode(value) + "\n"
+    assert json.loads(eio.dumps(doc))["floats"] == doubles
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", ["floats", "pairs", "numpy", "nested"])
+def test_dumps_rejects_non_finite_values_with_the_recursive_message(bad, shape):
+    values = [0.5, -1.25, bad, math.nan, 3.0]
+    doc = {"floats": values, "pairs": [[i, v] for i, v in enumerate(values)],
+           "numpy": [np.float64(v) for v in values],
+           "nested": {"p": {"0": [[0, 1.0]], "1": [[1, bad]]}}}[shape]
+    with pytest.raises(FormatError) as want:
+        _reference_encode(doc)
+    with pytest.raises(FormatError) as got:
+        eio.dumps(doc)
+    assert str(got.value) == str(want.value)
+
+
+# golden outputs: sha256 of the serialized documents --------------------------------
+
+_F = Fraction
+_GOLDEN_FIELDS = {
+    (CONDUCTIVITY, 0): FourierRadialField(
+        CONDUCTIVITY,
+        {0: RadialProfile(((0, 1), (2, _F(-1, 3)))), 1: RadialProfile(((1, _F(1, 4)),)),
+         3: RadialProfile(((3, _F(2, 7)), (5, -1)))},
+        {2: RadialProfile(((2, _F(-1, 2)), (4, _F(5, 11))))}),
+    (CONDUCTIVITY, 1): FourierRadialField(
+        CONDUCTIVITY,
+        {0: RadialProfile(((0, 0.75), (4, -0.125))), 2: RadialProfile(((2, 0.1),))},
+        {1: RadialProfile(((1, 1.5), (3, -2.25))), 3: RadialProfile(((3, 0.3),))}),
+    (POTENTIAL, 0): FourierRadialField(
+        POTENTIAL,
+        {0: RadialProfile(((0, 2), (2, _F(1, 3)))), 2: RadialProfile(((2, _F(-3, 5)),)),
+         4: RadialProfile(((4, _F(1, 9)),))},
+        {1: RadialProfile(((1, _F(7, 8)), (3, _F(-1, 6))))}),
+    (POTENTIAL, 1): FourierRadialField(
+        POTENTIAL,
+        {0: RadialProfile(((0, -0.5),)), 1: RadialProfile(((1, 0.2), (3, 0.7)))},
+        {2: RadialProfile(((2, -1.25),)), 4: RadialProfile(((4, 0.05), (6, 3.0)))}),
+}
+
+_GOLDEN_SHA256 = {
+    ("conductivity", 0, 4, "dtn"): "858fb913cfe59558be90d1433066cc22193d161825dccf3649b90d82e325dfe3",
+    ("conductivity", 0, 4, "reconstruction"): "ea982d0e1e745f6592bf41310c6fe1e8d8d19f629a61f462e04d5591c83189c0",
+    ("conductivity", 0, 4, "field"): "32ddbca3f1700bdb4d8a51c9a1009f5ca9367fe91071826aa2a7fbf5c8767931",
+    ("conductivity", 0, 6, "dtn"): "104554b7c6bdfaead22b72189fa6b8adc1b1bf3e5c1eee5da47af1e12cea0ad9",
+    ("conductivity", 0, 6, "reconstruction"): "657667e20c42ae4df5701c7c3166e457eb7e78edc3ca819e92bb481bc2305562",
+    ("conductivity", 0, 6, "field"): "7755111881860e732fad3891a5818811991a204ba97fd9d704c4e2e34f681ef8",
+    ("conductivity", 1, 4, "dtn"): "8b41354453408bb3d0b83ee7c8b9b920afdb5575402171967dfe75f89eb0c566",
+    ("conductivity", 1, 4, "reconstruction"): "f0edab7f35ad91ae423aabcd9508c13715a64cfe17d0acd3df752a98b7de6175",
+    ("conductivity", 1, 4, "field"): "4c1e531b150a7c9053a50386de43cd2f55edde601600562ea5908c822d005de0",
+    ("conductivity", 1, 6, "dtn"): "6e9903c13f79f52f2a8136cdca0ec0ea3e48000098f96fddaab61ef58a6df99f",
+    ("conductivity", 1, 6, "reconstruction"): "4beedb6e80f4f51d9dfe8e0fe15cd4b98541bb7ccce7f4c52738f80812150b47",
+    ("conductivity", 1, 6, "field"): "7a8295fb445a52241ab784eb916392fcc6e6de79b22340686877c6e8a3a0d343",
+    ("potential", 0, 4, "dtn"): "645cc21b3c88fb00cda46ec27f39865392648d8e018bdd883c6fb99f806b3508",
+    ("potential", 0, 4, "reconstruction"): "4d460d295958598093e8728d590b1946877c8834925cfdba07a07475b4b70e2b",
+    ("potential", 0, 4, "field"): "289fa654f596d35060ceb7c0547e61e6c7b70ab15974703f89ec0dae01d14c31",
+    ("potential", 0, 6, "dtn"): "d26eb7d5e1f2886d416cb03dcf7cbb6116cdb2c489f13bfca40ad8a38e43c15c",
+    ("potential", 0, 6, "reconstruction"): "893c5222f005a09111ee165ce3378012c26489c46f394fdb1b9da8ee79b1f7fa",
+    ("potential", 0, 6, "field"): "e56e0d0658b9be81e0c9c3d17cf432e416e98b82dbb1c9ef4a400b3128ca95d2",
+    ("potential", 1, 4, "dtn"): "24327467421d0a119a650164392fe7b77e2d1172e2ebac4d7c78f2a4e0599925",
+    ("potential", 1, 4, "reconstruction"): "3e17ccb8f610ce088e222a67f5f438043057592760bf050bbc41c5cf510e5051",
+    ("potential", 1, 4, "field"): "50676825d87eb8f1d15dba2a5e806d2c2a25ecc8b93bb537737e5bde75389bcf",
+    ("potential", 1, 6, "dtn"): "12669079d06827215e70ff5c5471c250bfaa2ccd03d6f34585cc85aa7e97ec0d",
+    ("potential", 1, 6, "reconstruction"): "18db250db010d55000cd1753d18e78b3c5ad2ef50386127a952b6ef4fc69dbba",
+    ("potential", 1, 6, "field"): "ba09fe385a23e0a85c61f4f781bcc9067dfa1484fba6818e7c9a872df2b0fa4e",
+}
+
+
+@pytest.mark.parametrize("kind,index", sorted(_GOLDEN_FIELDS))
+@pytest.mark.parametrize("N", [4, 6])
+def test_serialized_outputs_match_their_golden_digests(kind, index, N):
+    field = _GOLDEN_FIELDS[kind, index]
+    mset = (conductivity_dtn if kind == CONDUCTIVITY else schroedinger_dtn)(field, N)
+    rec = reconstruct(mset)
+    docs = {"dtn": eio.dtn_to_dict(mset), "reconstruction": eio.reconstruction_to_dict(rec),
+            "field": eio.field_to_dict(rec.to_field())}
+    for label, doc in docs.items():
+        digest = hashlib.sha256(eio.dumps(doc).encode("utf-8")).hexdigest()
+        assert digest == _GOLDEN_SHA256[kind, index, N, label], label
