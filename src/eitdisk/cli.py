@@ -38,12 +38,19 @@ __all__ = ["main"]
 # Largest --nmax of forward/roundtrip and --nmax/--k of muntz: the exact
 # assembly and solve cost grows about as N^4.
 MAX_MODES = 64
+# Largest --quad-r/--quad-phi of forward and --nr/--nphi of eval, half-invert
+# and arc-invert: leggauss(n) diagonalizes an n x n matrix, and a grid holds
+# one node per pair.
+MAX_GRID = 1024
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("quad_r", "quad_phi", "nr", "nphi"):  # before any input is read
+            if hasattr(args, flag):
+                _check_cap(getattr(args, flag), "--" + flag.replace("_", "-"), MAX_GRID)
         return args.func(args)
     except InconsistentDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -152,9 +159,9 @@ def _cmd_forward(args) -> int:
     return 0
 
 
-def _check_cap(value, flag):
-    if value > MAX_MODES:
-        raise DomainError(f"{flag} {value} is above the cap of {MAX_MODES}")
+def _check_cap(value, flag, cap=MAX_MODES):
+    if value > cap:
+        raise DomainError(f"{flag} {value} is above the cap of {cap}")
 
 
 def _assemble(field, nmax, command):

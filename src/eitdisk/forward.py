@@ -19,14 +19,15 @@ where M_a(k) = integral r^{i+j+1} a_k dr (same for b), eta = 3 at (0,0),
 1 elsewhere.
 
 Every entry is pi times a rational number in the profile coefficients, so the
-assembly keeps exact pi-factored rationals alongside the float view; the
-validators and the rational inversion path rely on them.
+assembly keeps the exact entries, in units of pi, as integers over one common
+denominator alongside the float view; the validators and the rational
+inversion path rely on them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,10 +95,14 @@ class DtnMatrixSet:
     ``index_origins(kind)``.  When the set was assembled analytically,
     ``exact`` holds the same blocks as lists of Fractions in units of pi
     (entry = fraction * pi); sets loaded from serialized floats have
-    ``exact = None``.
+    ``exact = None``.  Exact sets also carry one integer view, the four
+    blocks as integer numerators over one common denominator, which the
+    validation, projection and inversion read; an assembled set builds its
+    ``exact`` Fractions from it on first read, a set given ``exact`` tables
+    derives it from them on first use.
     """
 
-    __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "exact")
+    __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints")
 
     def __init__(self, kind, N, cc, ss, sc, cs, exact=None):
         if kind not in (CONDUCTIVITY, SCHROEDINGER):
@@ -123,7 +128,27 @@ class DtnMatrixSet:
                 table = exact[name]
                 if len(table) != rows or any(len(row) != cols for row in table):
                     raise ShapeError(f"exact block {name} shape mismatch")
-        self.exact = exact
+        self._exact = exact
+        self._ints = None
+
+    @property
+    def exact(self):
+        """The blocks as lists of Fractions in units of pi, or None for a float set."""
+        if self._exact is None and self._ints is not None:
+            blocks, den = self._ints
+            self._exact = {name: [[Fraction(n, den) for n in row] for row in blocks[name]]
+                           for name in BLOCK_NAMES}
+        return self._exact
+
+    def _integers(self):
+        """(blocks, D): the exact blocks as integer numerators over one denominator D, or None."""
+        if self._ints is None and self._exact is not None:
+            dens = {q.denominator for name in BLOCK_NAMES for row in self._exact[name] for q in row}
+            den = math.lcm(*dens)
+            scale = {d: den // d for d in dens}
+            self._ints = {name: [[q.numerator * scale[q.denominator] for q in row]
+                                 for row in self._exact[name]] for name in BLOCK_NAMES}, den
+        return self._ints
 
     def block(self, name: str) -> np.ndarray:
         if name not in BLOCK_NAMES:
@@ -137,16 +162,21 @@ class DtnMatrixSet:
         conductivity kind, with its own antisymmetry), then sc = cs^T.
         Structurally exact data is returned unchanged up to rounding.
         """
-        if self.exact is not None:
-            e = self.exact
+        ints = self._integers()
+        if ints is not None:
+            # an average sums two numerators and doubles the denominator; the
+            # conductivity cs is averaged twice, so cc and ss are doubled again
+            e, den = ints
+            twice = 2 if self.kind == CONDUCTIVITY else 1
             rows, cols = block_shapes(self.kind, self.N)["cs"]
-            ecc, ess = ([[_mean(t[i][j], t[j][i]) for j in range(len(t))] for i in range(len(t))]
+            ecc, ess = ([[twice * (t[i][j] + t[j][i]) for j in range(len(t))] for i in range(len(t))]
                         for t in (e["cc"], e["ss"]))
-            ecs = [[_mean(e["cs"][i][j], e["sc"][j][i]) for j in range(cols)] for i in range(rows)]
-            if self.kind == CONDUCTIVITY:
-                ecs = [[_mean(ecs[i][j], -ecs[j][i]) for j in range(rows)] for i in range(rows)]
+            ecs = [[e["cs"][i][j] + e["sc"][j][i] for j in range(cols)] for i in range(rows)]
+            if twice == 2:
+                ecs = [[ecs[i][j] - ecs[j][i] for j in range(rows)] for i in range(rows)]
             esc = [[ecs[j][i] for j in range(rows)] for i in range(cols)]
-            return _set_from_exact(self.kind, self.N, {"cc": ecc, "ss": ess, "sc": esc, "cs": ecs})
+            blocks = {"cc": ecc, "ss": ess, "sc": esc, "cs": ecs}
+            return _set_from_integers(self.kind, self.N, blocks, 2 * twice * den)
         # a/2 + b/2 rounds as (a + b)/2 does, but cannot overflow
         cc = self.cc / 2.0 + self.cc.T / 2.0
         ss = self.ss / 2.0 + self.ss.T / 2.0
@@ -157,39 +187,62 @@ class DtnMatrixSet:
         return DtnMatrixSet(self.kind, self.N, cc, ss, sc, cs, exact=None)
 
 
-def _mean(a, b):
-    """(a + b) / 2 exactly; an equal pair averages to itself with no arithmetic."""
-    return a if a is b or a == b else (a + b) / 2
-
-
-def _set_from_exact(kind, N, exact):
-    blocks = {}
+def _set_from_integers(kind, N, blocks, den):
+    """An exact set from integer numerators over ``den`` in units of pi."""
+    floats = {}
     for name in BLOCK_NAMES:
         try:
-            # numerator / denominator is float(q) without the numbers.Rational call
-            arr = np.array([[q.numerator / q.denominator * math.pi for q in row] for row in exact[name]])
+            # int / int is the double nearest n / den, as float(Fraction(n, den)) is
+            arr = np.array([[n / den * math.pi for n in row] for row in blocks[name]])
         except OverflowError:
             arr = np.array([math.inf])
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"block {name} has an entry beyond the range of a double")
-        blocks[name] = arr.reshape(block_shapes(kind, N)[name])
-    return DtnMatrixSet(kind, N, blocks["cc"], blocks["ss"], blocks["sc"], blocks["cs"], exact=exact)
+        floats[name] = arr.reshape(block_shapes(kind, N)[name])
+    mset = DtnMatrixSet(kind, N, **floats)
+    mset._ints = blocks, den
+    return mset
 
 
 def _sign(d: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def _moment_tables(field):
-    """Exact moments (order, power) of the cos and of the sin profiles, each computed once."""
-    return tuple(functools.cache(lambda k, power, profile=profile: profile(k).moment_exact(power))
-                 for profile in (field.cos_profile, field.sin_profile))
+def _moment_tables(field, powers):
+    """Integer numerators of the moments read, one {(k, m): n} table per parity, and their denominator.
+
+    ``powers(k)`` is the range of the m of the moments integral r^m a_k dr
+    that the blocks read.  The values of those profiles go over one common
+    denominator D and the moments over the lcm L of the divisors m + p + 1
+    that occur, so moment (k, m) is sum_p n_p (L // (m + p + 1)) / (D L),
+    each quotient taken once and each term added along its whole range.
+    """
+    used = [{k: prof for k, prof in table.items() if powers(k)} for table in (field.cos, field.sin)]
+    den = math.lcm(*(prof._scaled[1] for table in used for prof in table.values()))
+    divisors = set()
+    for table in used:
+        for k, prof in table.items():
+            divisors.update(*(_shifted(powers(k), p + 1) for p, _ in prof.terms))
+    lcm = math.lcm(*divisors)
+    quotient = {d: lcm // d for d in divisors}
+    tables = []
+    for table in used:
+        moments = {}
+        for k, prof in table.items():
+            ms = powers(k)
+            sums = [0] * len(ms)
+            nums, d = prof._scaled
+            for (p, _), n in zip(prof.terms, nums):
+                column = map(quotient.__getitem__, _shifted(ms, p + 1))
+                sums = list(map(operator.add, sums, map((n * (den // d)).__mul__, column)))
+            moments.update(zip(((k, m) for m in ms), sums))
+        tables.append(moments)
+    return tables, den * lcm
 
 
-def _half_sum(s, m1, t, m2):
-    """(s m1 + t m2) / 2 for integers s, t and exact moments m1, m2, as one Fraction."""
-    n1, d1, n2, d2 = m1.numerator, m1.denominator, m2.numerator, m2.denominator
-    return Fraction(s * n1 * d2 + t * n2 * d1, 2 * d1 * d2)
+def _shifted(ms, s):
+    """The range ms shifted by s: the divisors m + p + 1 of one term, for s = p + 1."""
+    return range(ms.start + s, ms.stop + s, ms.step)
 
 
 def _symmetric(entry, indices):
@@ -206,24 +259,17 @@ def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
         raise KindMismatchError(f"expected a conductivity field, got kind {field.kind!r}")
     if N < 1:
         raise DomainError("max frequency N must be >= 1")
-    ma, mb = _moment_tables(field)
+    # entry (i, j) reads the moment (|i - j|, i + j - 1)
+    (ma, mb), den = _moment_tables(field, lambda k: range(k + 1, 2 * N - k, 2))
 
     def k_cos(i, j):
-        m = ma(abs(i - j), i + j - 1)
-        return Fraction((2 if i == j else 1) * i * j * m.numerator, m.denominator)
-
-    def k_sin(i, j):
-        if i == j:
-            return Fraction(0)
-        m = mb(abs(i - j), i + j - 1)
-        return Fraction(_sign(j - i) * i * j * m.numerator, m.denominator)
+        return (2 if i == j else 1) * i * j * ma.get((abs(i - j), i + j - 1), 0)
 
     rng = range(1, N + 1)
     qcc = _symmetric(k_cos, rng)
-    qcs = [[k_sin(i, j) for j in rng] for i in rng]
+    qcs = [[_sign(j - i) * i * j * mb.get((abs(i - j), i + j - 1), 0) for j in rng] for i in rng]
     qsc = [[qcs[j - 1][i - 1] for j in rng] for i in rng]  # formula gives sc = cs^T
-    exact = {"cc": qcc, "ss": [row[:] for row in qcc], "sc": qsc, "cs": qcs}
-    return _set_from_exact(CONDUCTIVITY, N, exact)
+    return _set_from_integers(CONDUCTIVITY, N, {"cc": qcc, "ss": qcc, "sc": qsc, "cs": qcs}, den)
 
 
 def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
@@ -232,25 +278,29 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
         raise KindMismatchError(f"expected a potential field, got kind {field.kind!r}")
     if N < 0:
         raise DomainError("max frequency N must be >= 0")
-    ma, mb = _moment_tables(field)
+
+    def powers(k):  # entry (i, j) reads the moments (i + j, i + j + 1) and (|i - j|, i + j + 1)
+        return range(k + 1, 2 * N - k + 2, 2) if k <= N else range(k + 1, k + 2 if k <= 2 * N else 0)
+
+    (ma, mb), den = _moment_tables(field, powers)
 
     def j_cc(i, j):
         eta = 3 if i == j == 0 else (2 if i == j else 1)
-        return _half_sum(1, ma(i + j, i + j + 1), eta, ma(abs(i - j), i + j + 1))
+        return ma.get((i + j, i + j + 1), 0) + eta * ma.get((abs(i - j), i + j + 1), 0)
 
     def j_ss(i, j):
         xi = 2 if i == j else 1
-        return _half_sum(-1, ma(i + j, i + j + 1), xi, ma(abs(i - j), i + j + 1))
+        return -ma.get((i + j, i + j + 1), 0) + xi * ma.get((abs(i - j), i + j + 1), 0)
 
     def j_cs(i, j):
-        return _half_sum(1, mb(i + j, i + j + 1), -_sign(i - j), mb(abs(i - j), i + j + 1))
+        return mb.get((i + j, i + j + 1), 0) - _sign(i - j) * mb.get((abs(i - j), i + j + 1), 0)
 
     qcc = _symmetric(j_cc, range(N + 1))
     qss = _symmetric(j_ss, range(1, N + 1))
     qcs = [[j_cs(i, j) for j in range(1, N + 1)] for i in range(N + 1)]
     qsc = [[qcs[j][i - 1] for j in range(N + 1)] for i in range(1, N + 1)]  # formula gives sc = cs^T
-    exact = {"cc": qcc, "ss": qss, "sc": qsc, "cs": qcs}
-    return _set_from_exact(SCHROEDINGER, N, exact)
+    # every entry is half a sum of two moments
+    return _set_from_integers(SCHROEDINGER, N, {"cc": qcc, "ss": qss, "sc": qsc, "cs": qcs}, 2 * den)
 
 
 def energy_oracle(

@@ -134,46 +134,48 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
 
     Sets assembled analytically carry exact rational blocks and report
     deviation exactly 0; float-loaded data is checked in floating point.
-    The potential kind's sums, differences and anti-diagonal spreads of exact
-    blocks are taken on integer numerators over one common denominator, and
-    each deviation is divided by it once: the double nearest the exact value.
-    A NaN or negative ``tol`` is a DomainError.
+    Exact blocks are checked on the set's integer numerators over one common
+    denominator, and each deviation is divided by it once: the double nearest
+    the exact value.  A NaN or negative ``tol`` is a DomainError.
     """
     _check_tol(tol)
-    if mset.exact is not None:
-        cc, ss, sc, cs = (mset.exact[n] for n in ("cc", "ss", "sc", "cs"))
-    else:
-        cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
+    cc, ss, sc, cs, den = _blocks(mset)
     checks = []
 
-    def add(name, dev, den=1):
-        dev = float(dev) if den == 1 else dev / den  # int / int rounds once, as float(Fraction) does
+    def add(name, dev):
+        dev = dev / den  # int / int rounds once, as float(Fraction) does
         checks.append(ValidationCheck(name=name, deviation=dev, passed=dev <= tol))
 
-    add("cc_symmetric", _asym_dev(cc))
-    add("ss_symmetric", _asym_dev(ss))
-    add("cs_matches_sc_transpose", _transpose_dev(cs, sc))
+    add("cc_symmetric", _dev(cc, zip(*cc)))
+    add("ss_symmetric", _dev(ss, zip(*ss)))
+    add("cs_matches_sc_transpose", _dev(cs, zip(*sc)))
     if mset.kind == CONDUCTIVITY:
-        add("cc_matches_ss", _equal_dev(cc, ss))
-        add("cs_antisymmetric", _antisym_dev(cs))
+        add("cc_matches_ss", _dev(cc, ss))
+        add("cs_antisymmetric", _dev(cs, zip(*cs), operator.add))
     else:
-        den = 1
-        if mset.exact is not None:
-            (cc, ss, sc, cs), den = _integer_numerators(cc, ss, sc, cs)
         # overlapping range i, j >= 1: drop column 0 of sc, row 0 of cs and cc
         N = mset.N
         sc_ov = [row[1:] for row in sc]
         cs_ov = cs[1:]
         diff = _combine(sc_ov, cs_ov, operator.sub)
-        add("sc_minus_cs_antisymmetric", _antisym_dev(diff), den)
+        add("sc_minus_cs_antisymmetric", _dev(diff, zip(*diff), operator.add))
         cc_ov = [row[1:] for row in cc[1:]]
         ssmcc = _combine(ss, cc_ov, operator.sub)
         add("ss_minus_cc_hankel", _group_spread(
-            _antidiagonal_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})), den)
+            _antidiagonal_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})))
         scpcs = _combine(sc_ov, cs_ov, operator.add)
         add("sc_plus_cs_hankel", _group_spread(
-            _antidiagonal_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})), den)
+            _antidiagonal_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})))
     return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
+
+
+def _blocks(mset):
+    """cc, ss, sc, cs and D: integer numerators over D of an exact set, or lists of floats and 1."""
+    ints = mset._integers()
+    if ints is None:
+        return (*(b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs)), 1)
+    blocks, den = ints
+    return (*(blocks[n] for n in ("cc", "ss", "sc", "cs")), den)
 
 
 def _check_tol(tol):
@@ -182,42 +184,23 @@ def _check_tol(tol):
 
 
 def _max_nan(values):
-    """max() that returns NaN if an item is NaN; plain max() may drop it."""
+    """max() that returns NaN if an item is NaN; plain max() may drop it.
+
+    The items are all exact or all floats, so only a float maximum needs the scan.
+    """
     values = list(values)
-    if any(isinstance(v, float) and v != v for v in values):
+    top = max(values, default=0)
+    if isinstance(top, float) and any(v != v for v in values):
         return math.nan
-    return max(values, default=0)
+    return top
 
 
-def _gap(a, b):
-    """|a - b|, skipped for equal exact entries; floats always subtract (inf - inf is NaN)."""
-    return 0 if (a is b or a == b) and not isinstance(a, float) else abs(a - b)
+def _dev(a, b, op=operator.sub):
+    """Largest |op(x, y)| over entries x, y of the rows of a and b; NaN if one is NaN.
 
-
-def _asym_dev(rows):
-    n = len(rows)
-    return _max_nan(_gap(rows[i][j], rows[j][i]) for i in range(n) for j in range(n))
-
-
-def _antisym_dev(rows):
-    n = len(rows)
-    return _max_nan(_gap(rows[i][j], -rows[j][i]) for i in range(n) for j in range(n))
-
-
-def _transpose_dev(cs, sc):
-    return _max_nan(_gap(cs[i][j], sc[j][i]) for i in range(len(cs)) for j in range(len(cs[i])))
-
-
-def _equal_dev(a, b):
-    return _max_nan(_gap(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _integer_numerators(*blocks):
-    """Exact blocks as integer numerators over their common denominator, and that denominator."""
-    dens = {q.denominator for block in blocks for row in block for q in row}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return [[[q.numerator * scale[q.denominator] for q in row] for row in b] for b in blocks], den
+    Floats always subtract, so equal infinities deviate by NaN.
+    """
+    return _max_nan([g for ra, rb in zip(a, b) for g in map(abs, map(op, ra, rb))])
 
 
 def _combine(a, b, op):
@@ -254,15 +237,11 @@ def extract_conductivity_moments(mset: DtnMatrixSet, k: int, parity: str = "cos"
         raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
     if not least <= k <= mset.N - 1:
         raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
-    exact = mset.exact
-    block_name = "cc" if parity == "cos" else "cs"
-    values = []
-    for i in range(1, mset.N - k + 1):
-        denom = i * (i + k)
-        if exact is not None:
-            values.append(exact[block_name][i - 1][i + k - 1] / denom)
-        else:
-            values.append(mset.block(block_name)[i - 1, i + k - 1] / (denom * math.pi))
+    if mset._integers() is not None:
+        values = _exact_values(mset, k, parity)
+    else:
+        block = mset.block("cc" if parity == "cos" else "cs")
+        values = [block[i - 1, i + k - 1] / (i * (i + k) * math.pi) for i in range(1, mset.N - k + 1)]
     return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=1)
 
 
@@ -275,28 +254,43 @@ def extract_schroedinger_moments(mset: DtnMatrixSet, k: int, parity: str = "cos"
     least = 0 if parity == "cos" else 1
     if not least <= k <= mset.N:
         raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
-    exact = mset.exact
-    values = []
-    if exact is not None:
-        cc, ss, sc, cs = (exact[n] for n in ("cc", "ss", "sc", "cs"))
-        pi_div = 1
+    if mset._integers() is not None:
+        return MomentData(k=k, parity=parity, values=_exact_values(mset, k, parity), origin_shift=0)
+    # Python floats: a sum beyond the double range becomes inf quietly,
+    # and MomentData rejects it
+    cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
+    tail = range(1, mset.N - k + 1)
+    if parity == "cos":  # cc[k][0] is cc[0][0] at k = 0
+        values = [cc[k][0] / math.pi, *((cc[i][i + k] + ss[i - 1][i + k - 1]) / math.pi for i in tail)]
     else:
-        # Python floats: a sum beyond the double range becomes inf quietly,
-        # and MomentData rejects it
-        cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
-        pi_div = math.pi
-    if parity == "cos":
-        if k == 0:
-            values.append(cc[0][0] / pi_div)
-        else:
-            values.append(cc[k][0] / pi_div)
-        for i in range(1, mset.N - k + 1):
-            values.append((cc[i][i + k] + ss[i - 1][i + k - 1]) / pi_div)
-    else:
-        values.append((cs[0][k - 1] + sc[k - 1][0]) / (2 * pi_div))
-        for i in range(1, mset.N - k + 1):
-            values.append((cs[i][i + k - 1] - sc[i - 1][i + k]) / pi_div)
+        values = [(cs[0][k - 1] + sc[k - 1][0]) / (2 * math.pi),
+                  *((cs[i][i + k - 1] - sc[i - 1][i + k]) / math.pi for i in tail)]
     return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=0)
+
+
+def _exact_values(mset, k, parity):
+    """The moments of an exact set as Fractions, one per moment."""
+    nums, den = _exact_moments(mset, k, parity)
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _exact_moments(mset, k, parity):
+    """Integer numerators and one denominator of the order-k moments of an exact set.
+
+    The same entries as the float extraction (see the module docstring), read
+    off the set's integer view: no Fraction is built.
+    """
+    blocks, den = mset._integers()
+    tail = range(1, mset.N - k + 1)
+    if mset.kind == CONDUCTIVITY:
+        block = blocks["cc" if parity == "cos" else "cs"]
+        divisors = [i * (i + k) for i in tail]
+        scale = math.lcm(*divisors)
+        return [block[i - 1][i + k - 1] * (scale // d) for i, d in zip(tail, divisors)], den * scale
+    cc, ss, sc, cs = (blocks[n] for n in ("cc", "ss", "sc", "cs"))
+    if parity == "cos":
+        return [cc[k][0], *(cc[i][i + k] + ss[i - 1][i + k - 1] for i in tail)], den
+    return [cs[0][k - 1] + sc[k - 1][0], *(2 * (cs[i][i + k - 1] - sc[i - 1][i + k]) for i in tail)], 2 * den
 
 
 def solve_moment_problem(data: MomentData) -> list:
@@ -308,13 +302,17 @@ def solve_moment_problem(data: MomentData) -> list:
     row sums reach 1e6 by n = 7, so rounding the individual products would
     already cost ~1e-10 per term.
     """
-    m = len(data.values)
-    if m == 0:
-        return []
     nums, den = _common_denominator(data.values)
+    return _solve(data.k, nums, den, all(isinstance(v, (Fraction, int)) for v in data.values))
+
+
+def _solve(k, nums, den, exact) -> list:
+    """Coefficients from moments nums[m] / den: one integer dot product per solver row."""
+    if not nums:
+        return []
     ratios = [(row.scale * sum(map(operator.mul, row.coeffs, nums)), row.factorial * den)
-              for row in _integer_rows(data.k, m)]
-    return _exact_or_rounded(ratios, all(isinstance(v, (Fraction, int)) for v in data.values))
+              for row in _integer_rows(k, len(nums))]
+    return _exact_or_rounded(ratios, exact)
 
 
 def _exact_or_rounded(ratios, exact) -> list:
@@ -378,7 +376,10 @@ class Reconstruction:
         element of phi before the two broadcast, so a column of radii against
         a row of angles runs the recurrence once per radius.
         """
-        r, phi = _polar_points(r, phi)
+        return self._values(*_polar_points(r, phi))
+
+    def _values(self, r, phi):
+        """``__call__`` on float arrays r and phi that are already checked."""
         radial, weight = self._radial(r[..., None])
         return np.asarray((radial * (weight * self._angular(phi[..., None]))).sum(axis=-1))
 
@@ -506,13 +507,12 @@ def reconstruct(
     report = validate(mset, tol)
     if not report.passed:
         raise InconsistentDataError(report)
-    # exact data that deviates nowhere is its own projection (see forward._mean);
-    # "float" reads the float blocks, which symmetrized rebuilds from the exact tables
-    fixed = arithmetic != "float" and mset.exact is not None and report.max_deviation == 0
-    sym = mset if fixed else mset.symmetrized()
-    if arithmetic == "float" and sym.exact is not None:
-        sym = DtnMatrixSet(sym.kind, sym.N, sym.cc, sym.ss, sym.sc, sym.cs, exact=None)
-    lift = arithmetic == "rational" and sym.exact is None
+    # exact data that deviates nowhere is its own projection; "float" reads
+    # the float blocks, which symmetrized rebuilds from the exact tables
+    exact = arithmetic != "float" and mset._integers() is not None
+    sym = mset if exact and report.max_deviation == 0 else mset.symmetrized()
+    if not exact and sym._integers() is not None:
+        sym = DtnMatrixSet(sym.kind, sym.N, sym.cc, sym.ss, sym.sc, sym.cs)
 
     if mset.kind == CONDUCTIVITY:
         extract = extract_conductivity_moments
@@ -526,13 +526,12 @@ def reconstruct(
         count = lambda k: N - k + 1
 
     def solve_for(k, parity):
-        data = extract(sym, k, parity)
-        values = data.values[: count(k)]
-        if lift:
-            values = tuple(Fraction(v) for v in values)
-        coeffs = solve_moment_problem(
-            MomentData(k=k, parity=parity, values=values, origin_shift=data.origin_shift)
-        )
+        if exact:
+            nums, den = _exact_moments(sym, k, parity)
+            nums = nums[: count(k)]
+        else:
+            nums, den = _common_denominator(extract(sym, k, parity).values[: count(k)])
+        coeffs = _solve(k, nums, den, exact or arithmetic == "rational")
         if reg_cap is not None:
             coeffs = coeffs[: reg_cap + 1]
         return coeffs
@@ -575,16 +574,16 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
         raise KindMismatchError(f"expected a schroedinger set, got {mset.kind!r}")
     N = mset.N
     out = {"cos": {}, "sin": {}}
-    if mset.exact is not None:
-        cc, ss, sc, cs = (mset.exact[n] for n in ("cc", "ss", "sc", "cs"))
-        pi_div = 1
-    else:
-        cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
-        pi_div = math.pi
+    cc, ss, sc, cs, den = _blocks(mset)
+    exact = mset._integers() is not None
+
+    def mean(values):  # exact: one rounding of the exact mean; floats: each over pi first
+        if exact:
+            return sum(values) / (den * len(values))
+        return sum(v / math.pi for v in values) / len(values)
+
     for l in range(N + 1, 2 * N + 1):
-        lo, hi = max(1, l - N), min(N, l - 1)
-        vals_a = [(cc[i][l - i] - ss[i - 1][l - i - 1]) / pi_div for i in range(lo, hi + 1)]
-        vals_b = [(sc[i - 1][l - i] + cs[i][l - i - 1]) / pi_div for i in range(lo, hi + 1)]
-        out["cos"][l] = float(sum(vals_a) / len(vals_a))
-        out["sin"][l] = float(sum(vals_b) / len(vals_b))
+        diagonal = range(max(1, l - N), min(N, l - 1) + 1)
+        out["cos"][l] = mean([cc[i][l - i] - ss[i - 1][l - i - 1] for i in diagonal])
+        out["sin"][l] = mean([sc[i - 1][l - i] + cs[i][l - i - 1] for i in diagonal])
     return out

@@ -205,8 +205,8 @@ class ArcReconstruction:
         keep = (np.abs(z - e_lo) > _ENDPOINT_GUARD) & (np.abs(z - e_hi) > _ENDPOINT_GUARD)
         w = psi_inverse(self.cmap, z[keep])  # the guard keeps it off its singular points
         out = np.zeros(z.shape)
-        out[keep] = self.base(np.minimum(np.abs(w), 1.0),
-                              np.clip(np.arctan2(w.imag, w.real), 0.0, math.pi))
+        out[keep] = self.base._values(np.minimum(np.abs(w), 1.0),
+                                      np.clip(np.arctan2(w.imag, w.real), 0.0, math.pi))
         return out
 
     def evaluate(self, r: float, phi: float) -> float:

@@ -26,7 +26,7 @@ from eitdisk import (
 import eitdisk
 from eitdisk import arc_data as make_arc_data
 from eitdisk import io as eio
-from eitdisk.cli import main
+from eitdisk.cli import MAX_GRID, main
 
 
 @pytest.fixture
@@ -521,3 +521,20 @@ def test_one_process_runs_match_separate_processes(tmp_path, monkeypatch, capsys
     for name in names:
         assert (together / name).read_bytes() == (apart / name).read_bytes(), name
     assert eitdisk.cli._build_parser() is eitdisk.cli._build_parser()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("forward", "--quad-r"), ("forward", "--quad-phi"), ("eval", "--nr"), ("eval", "--nphi"),
+    ("half-invert", "--nr"), ("half-invert", "--nphi"), ("arc-invert", "--nr"), ("arc-invert", "--nphi"),
+])
+def test_grid_above_cap_exits_2_before_reading_the_input(tmp_path, capsys, command, flag):
+    size = MAX_GRID + 1
+    argv = [command, "--input", str(tmp_path / "missing.json"), "--output", str(tmp_path / "out"),
+            flag, str(size)]
+    if command == "forward":
+        argv += ["--nmax", "2", "--oracle"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} {size} is above the cap of {MAX_GRID}\n"
+    assert not (tmp_path / "out").exists()

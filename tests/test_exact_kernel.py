@@ -26,6 +26,7 @@ from eitdisk import (
     build_weighted_family,
     condition_sums,
     conductivity_dtn,
+    extra_hankel_moments,
     inverse_matrix,
     reconstruct,
     schroedinger_dtn,
@@ -482,3 +483,144 @@ def test_float_view_of_an_entry_beyond_the_double_range_is_a_domain_error(huge):
     exact["cc"][1][1] = huge
     with pytest.raises(DomainError, match="block cc has an entry beyond the range of a double"):
         _with_exact(mset, exact).symmetrized()
+
+
+# the integer view of an exact set ----------------------------------------------------
+
+def _mixed_field(kind, N, seed):
+    """Profiles of Fractions, floats, ints, zeros (0 and 0.0) or no terms, one form per order.
+
+    Orders run to 2N + 1: the potential blocks read orders up to 2N, and
+    orders beyond what a kind reads must not change its blocks.
+    """
+    rng = random.Random(seed)
+    forms = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)), lambda: rng.uniform(-1.0, 1.0),
+             lambda: rng.randint(-5, 5), lambda: rng.choice((0, 0.0)), None)
+
+    def profile(k):
+        form = rng.choice(forms)
+        if form is None:
+            return RadialProfile(())
+        powers = rng.sample(range(k, k + 2 * N + 3), rng.randint(1, min(5, 2 * N + 3)))
+        return RadialProfile(tuple((p, form()) for p in powers))
+
+    return FourierRadialField(kind, {k: profile(k) for k in range(2 * N + 2)},
+                              {k: profile(k) for k in range(1, 2 * N + 2)})
+
+
+_KINDS = ((CONDUCTIVITY, conductivity_dtn, _reference_k), (POTENTIAL, schroedinger_dtn, _reference_j))
+
+
+@pytest.mark.parametrize("N", [*range(9), 16, 24])
+def test_integer_view_equals_the_fraction_tables(N):
+    for kind, forward, reference in _KINDS[N == 0:]:
+        field = _mixed_field(kind, N, seed=200 + N)
+        mset = forward(field, N)
+        blocks, den = mset._integers()
+        assert mset._exact is None
+        expected = reference(field, N)
+        for name in BLOCK_NAMES:
+            assert all(type(n) is int for row in blocks[name] for n in row)
+            assert [[Fraction(n, den) for n in row] for row in blocks[name]] == expected[name]
+            want = np.array([[float(q) * math.pi for q in row] for row in expected[name]])
+            np.testing.assert_array_equal(mset.block(name).reshape(want.shape), want)
+        exact = mset.exact
+        assert exact == expected and mset.exact is exact
+        assert all(type(q) is Fraction for name in BLOCK_NAMES for row in exact[name] for q in row)
+
+
+@pytest.mark.parametrize("kind,forward,reference", _KINDS)
+def test_a_sparse_high_power_profile_assembles_over_the_divisors_that_occur(kind, forward, reference):
+    profile = RadialProfile(((5000, Fraction(3, 7)),))
+    field = FourierRadialField(kind, {1: profile}, {2: profile})
+    mset = forward(field, 4)
+    blocks, den = mset._integers()
+    assert den.bit_length() < 100  # lcm(1..5000) alone has about 7200 bits
+    expected = reference(field, 4)
+    assert {name: [[Fraction(n, den) for n in row] for row in blocks[name]] for name in BLOCK_NAMES} == expected
+    assert all(profile.moment_exact(m) == _naive_moment(profile, m) for m in range(2, 10))
+    if kind == CONDUCTIVITY:  # K[cc]_{1,2} = 1 * 2 * integral r^2 a_1 dr
+        assert Fraction(blocks["cc"][0][1], den) == 2 * profile.moment_exact(2)
+    else:  # J[cc]_{0,1} = integral r^2 a_1 dr
+        assert Fraction(blocks["cc"][0][1], den) == profile.moment_exact(2)
+
+
+@pytest.mark.parametrize("kind,forward,reference", _KINDS)
+def test_the_exact_path_never_builds_the_fraction_tables(kind, forward, reference):
+    mset = forward(_random_field(kind, 6, seed=60), 6)
+    assert validate(mset).passed
+    for arithmetic in ("auto", "rational", "float"):
+        reconstruct(mset, arithmetic=arithmetic).to_field()
+    sym = mset.symmetrized()
+    assert validate(sym).passed
+    if kind == POTENTIAL:
+        extra_hankel_moments(mset)
+    assert mset._exact is None and sym._exact is None
+    assert mset.exact == reference(_random_field(kind, 6, seed=60), 6)
+
+
+def _reference_reconstruction(exact, kind, N):
+    """p and q by the module-docstring extraction on Fraction tables and the Fraction solver rows."""
+    cc, ss, sc, cs = ([[Fraction(v) for v in row] for row in exact[n]] for n in BLOCK_NAMES)
+    top = N if kind == CONDUCTIVITY else N + 1
+
+    def moments(k, parity):
+        tail = range(1, N - k + 1)
+        if kind == CONDUCTIVITY:
+            block = cc if parity == "cos" else cs
+            return [block[i - 1][i + k - 1] / (i * (i + k)) for i in tail]
+        if parity == "cos":
+            return [cc[k][0]] + [cc[i][i + k] + ss[i - 1][i + k - 1] for i in tail]
+        return [(cs[0][k - 1] + sc[k - 1][0]) / 2] + [cs[i][i + k - 1] - sc[i - 1][i + k] for i in tail]
+
+    def solve(k, parity):
+        d = moments(k, parity)
+        rows = inverse_matrix(ExponentSequence.shifted(k, len(d)), len(d)).rows
+        return [sum((r * v for r, v in zip(row, d)), Fraction(0)) for row in rows]
+
+    return {k: solve(k, "cos") for k in range(top)}, {k: solve(k, "sin") for k in range(1, top)}
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_hand_built_sets_give_the_fraction_reference_coefficients(kind, forward):
+    mset = forward(_random_field(kind, 5, seed=50), 5)
+    den = math.lcm(*(q.denominator for n in BLOCK_NAMES for row in mset.exact[n] for q in row))
+    ints = _with_exact(mset, {n: [[int(q * den) for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES})
+    cases = [(mset, 1e-9), (_bumped(mset, "cs", 2, 1, Fraction(1, 10**6)), 1e-3),
+             (_bumped(mset, "cc", 1, 3, Fraction(-3, 1000003)), 1e-3), (ints, 1e-9),
+             (_bumped(ints, "sc", 3, 2, 1), 1.0), (_bumped(ints, "ss", 0, 4, Fraction(2, 3)), 1.0)]
+    for data, tol in cases:
+        want_p, want_q = _reference_reconstruction(_reference_symmetrized(data), kind, 5)
+        for arithmetic in ("auto", "rational"):
+            rec = reconstruct(data, tol=tol, arithmetic=arithmetic)
+            assert (rec.p, rec.q) == (want_p, want_q)
+            assert all(type(c) is Fraction for series in (rec.p, rec.q) for cs in series.values() for c in cs)
+        _assert_matches_reference(data)
+
+
+def test_a_consistent_set_beyond_the_double_range_solves_exactly_but_has_no_float_view():
+    mset = schroedinger_dtn(_random_field(POTENTIAL, 4, seed=51), 4)
+    huge = _with_exact(mset, {n: [[q * 10**400 for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES})
+    assert validate(huge, tol=0.0).max_deviation == 0
+    rec, base = reconstruct(huge), reconstruct(mset)
+    assert rec.p == {k: [c * 10**400 for c in cs] for k, cs in base.p.items()}
+    assert rec.q == {k: [c * 10**400 for c in cs] for k, cs in base.q.items()}
+    for call in (huge.symmetrized, lambda: reconstruct(huge, arithmetic="float")):
+        with pytest.raises(DomainError, match="block cc has an entry beyond the range of a double"):
+            call()
+
+
+def test_extra_hankel_moments_equal_the_fraction_means():
+    N = 7
+    mset = schroedinger_dtn(_mixed_field(POTENTIAL, N, seed=0), N)  # orders beyond N: nonzero extras
+    for data in [mset] + [_bumped(mset, name, i, j, Fraction(1, 7))
+                          for name, i, j in (("cc", N, N), ("ss", N - 1, N - 2), ("sc", N - 1, N), ("cs", 5, 6))]:
+        cc, ss, sc, cs = (data.exact[n] for n in BLOCK_NAMES)
+        got = extra_hankel_moments(data)
+        for l in range(N + 1, 2 * N + 1):
+            diagonal = range(max(1, l - N), min(N, l - 1) + 1)
+            a = [cc[i][l - i] - ss[i - 1][l - i - 1] for i in diagonal]
+            b = [sc[i - 1][l - i] + cs[i][l - i - 1] for i in diagonal]
+            assert got["cos"][l] == float(sum(a, Fraction(0)) / len(a))
+            assert got["sin"][l] == float(sum(b, Fraction(0)) / len(b))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import eitdisk.inverse
+import eitdisk.partial
 from eitdisk import (
     CONDUCTIVITY,
     ArcSpec,
@@ -361,3 +363,20 @@ def test_scalar_points_raise_the_array_message(r, phi):
         with pytest.raises(DomainError) as got:
             call(r, phi)
         assert str(got.value) == str(want.value)
+
+
+def test_arc_call_checks_its_points_once(monkeypatch):
+    rec, _ = _bump_reconstruction(N=3)
+    calls = []
+
+    def counted(where, check):
+        def wrapper(r, phi):
+            calls.append(where)
+            return check(r, phi)
+        return wrapper
+
+    monkeypatch.setattr(eitdisk.partial, "_polar_points", counted("arc", eitdisk.partial._polar_points))
+    monkeypatch.setattr(eitdisk.inverse, "_polar_points", counted("base", eitdisk.inverse._polar_points))
+    rec.evaluate(0.5, 1.0)
+    rec(np.array([0.5, 0.25]), np.array([1.0, 2.0]))
+    assert calls == ["arc", "arc"]
