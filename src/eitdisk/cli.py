@@ -287,7 +287,7 @@ def _cmd_muntz(args) -> int:
             raise FormatError(f"bad exponent list: {exc}") from exc
         size = len(seq)
         gram = gram_matrix(seq, size)  # admissibility is checked before anything is printed
-        inv = inverse_matrix(seq, size)
+        inv = inverse_matrix(seq, size)  # this module's binding: the benchmark's tracer patches it
         for n in range(size):
             poly = build_muntz(seq, n)
             terms = " ".join(f"{c}*x^{e}" for e, c in zip(poly.exponents, poly.coefficients))

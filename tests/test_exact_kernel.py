@@ -33,9 +33,9 @@ from eitdisk import (
     solve_moment_problem,
     validate,
 )
-from eitdisk.errors import DomainError
+from eitdisk.errors import DomainError, InconsistentDataError
 from eitdisk.forward import BLOCK_NAMES
-from eitdisk.muntz import _INT_ROWS, ExponentSequence, _integer_rows, _solver_tables
+from eitdisk.muntz import _INT_ROWS, ExponentSequence, _integer_rows, _muntz_rows
 
 HALF = Fraction(1, 2)
 
@@ -66,7 +66,8 @@ def _random_field(kind, N, seed, values="fraction"):
 
 @pytest.mark.parametrize("k", range(9))
 def test_integer_rows_equal_the_fraction_solver_tables(k):
-    unscaled, scaled = _solver_tables(ExponentSequence.shifted(k, 40).lambdas)
+    seq = ExponentSequence.shifted(k, 40)
+    unscaled, scaled = _muntz_rows(seq.lambdas), inverse_matrix(seq, 40).rows
     rows = _integer_rows(k, 40)
     assert len(rows) == 40
     for n, (row, fact, scale, cond) in enumerate(rows):
@@ -80,7 +81,7 @@ def test_integer_rows_equal_the_fraction_solver_tables(k):
 @pytest.mark.parametrize("n", [1, 2, 7, 25, 40])
 def test_family_and_condition_sums_equal_the_fraction_references(k, n):
     seq = ExponentSequence.shifted(k, n)
-    unscaled, _ = _solver_tables(seq.lambdas)
+    unscaled = _muntz_rows(seq.lambdas)
     rows = build_weighted_family(k, n - 1).rows
     assert rows == unscaled
     assert all(type(c) is Fraction for row in rows for c in row)
@@ -123,7 +124,7 @@ def test_threads_extending_one_order_get_correct_prefixes():
     assert not errors and not any(t.is_alive() for t in threads)
     for (sums, rows), n in zip(results, counts):
         assert sums == expected[n]
-        assert rows == _solver_tables(ExponentSequence.shifted(k, n).lambdas)[0]
+        assert rows == _muntz_rows(ExponentSequence.shifted(k, n).lambdas)
 
 
 def test_condition_sums_return_a_fresh_list():
@@ -624,3 +625,28 @@ def test_extra_hankel_moments_equal_the_fraction_means():
             b = [sc[i - 1][l - i] + cs[i][l - i - 1] for i in diagonal]
             assert got["cos"][l] == float(sum(a, Fraction(0)) / len(a))
             assert got["sin"][l] == float(sum(b, Fraction(0)) / len(b))
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+@pytest.mark.parametrize("huge", [Fraction(10**400, 3), Fraction(-(10**309))], ids=["1e400/3", "-1e309"])
+def test_a_deviation_beyond_the_double_range_fails_its_check_as_inf(kind, forward, huge):
+    mset = forward(_random_field(kind, 4, seed=52), 4)
+    data = _bumped(mset, "cc", 1, 2, huge - mset.exact["cc"][1][2])
+    report = validate(data)
+    assert report.checks[0].name == "cc_symmetric"
+    assert report.checks[0].deviation == math.inf and not report.checks[0].passed
+    with pytest.raises(InconsistentDataError) as caught:
+        reconstruct(data)
+    assert caught.value.report.max_deviation == math.inf
+
+
+@pytest.mark.parametrize("scale", [10**400, Fraction(10**400, 3), -(10**312)],
+                         ids=["1e400", "1e400/3", "-1e312"])
+def test_extra_hankel_moments_beyond_the_double_range_are_a_domain_error(scale):
+    N = 5
+    mset = schroedinger_dtn(_mixed_field(POTENTIAL, N, seed=0), N)  # orders beyond N: nonzero extras
+    huge = _with_exact(mset, {n: [[q * scale for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES})
+    assert validate(huge, tol=0.0).max_deviation == 0
+    with pytest.raises(DomainError, match="an extra moment is beyond the range of a double"):
+        extra_hankel_moments(huge)

@@ -12,6 +12,7 @@ from eitdisk import (
     ArcSpec,
     ConformalMap,
     DomainError,
+    DtnMatrixSet,
     FourierRadialField,
     HalfDiskData,
     InconsistentDataError,
@@ -27,6 +28,7 @@ from eitdisk import (
     half_disk_invert,
     psi,
     psi_inverse,
+    reconstruct,
     sample_grid,
 )
 from eitdisk.muntz import _jacobi_constants, _jacobi_sum
@@ -380,3 +382,16 @@ def test_arc_call_checks_its_points_once(monkeypatch):
     rec.evaluate(0.5, 1.0)
     rec(np.array([0.5, 0.25]), np.array([1.0, 2.0]))
     assert calls == ["arc", "arc"]
+
+
+@pytest.mark.parametrize("N", [1, 5, 8])
+@pytest.mark.parametrize("reg_cap", [None, 2])
+def test_half_disk_invert_equals_reconstruct_of_the_doubled_cosine_set(N, reg_cap):
+    # the reflection identity: half-disk data D is the cc (and ss) block 2D of a full-disk set
+    D = half_disk_data(_random_half_disk_field(17), 8).values
+    half = half_disk_invert(D, N, reg_cap=reg_cap)
+    full = reconstruct(DtnMatrixSet(CONDUCTIVITY, 8, 2 * D, 2 * D, np.zeros((8, 8)), np.zeros((8, 8))),
+                       N, reg_cap=reg_cap, arithmetic="float")
+    assert half.p == full.p
+    assert half.condition == full.condition
+    assert all(c == 0.0 for coeffs in full.q.values() for c in coeffs)
