@@ -29,7 +29,7 @@ from .errors import (
 from .fields import CONDUCTIVITY, sample_grid
 from .forward import BLOCK_NAMES, conductivity_dtn, oracle_dtn, schroedinger_dtn
 from .inverse import _check_tol, extra_hankel_moments, reconstruct, validate
-from .muntz import ExponentSequence, build_muntz, build_weighted_family, gram_matrix, inverse_matrix
+from .muntz import ExponentSequence, _muntz_rows, build_weighted_family, gram_matrix, inverse_matrix
 from .partial import arc_invert, half_disk_invert
 from .quadrature import QuadratureSpec
 
@@ -204,14 +204,8 @@ def _cmd_invert(args) -> int:
 
 
 def _field_coefficients(field):
-    coeffs = {}
-    for k, prof in field.cos.items():
-        for p, v in prof.terms:
-            coeffs[("cos", k, p)] = float(v)
-    for k, prof in field.sin.items():
-        for p, v in prof.terms:
-            coeffs[("sin", k, p)] = float(v)
-    return coeffs
+    return {(parity, k, p): float(v) for parity, table in (("cos", field.cos), ("sin", field.sin))
+            for k, prof in table.items() for p, v in prof.terms}
 
 
 def _cmd_roundtrip(args) -> int:
@@ -270,11 +264,8 @@ def _cmd_arc_invert(args) -> int:
 def _map_debug_csv(cmap, count=64):
     theta = math.pi * np.arange(count) / (count - 1)
     z = np.exp(1j * theta)
-    images = _psi_array(cmap, z)
-    lines = ["re_z,im_z,re_psi,im_psi"]
-    for zz, ww in zip(z, images):
-        lines.append(",".join(io.format_float(v) for v in (zz.real, zz.imag, ww.real, ww.imag)))
-    return "\n".join(lines) + "\n"
+    w = _psi_array(cmap, z)
+    return io._csv("re_z,im_z,re_psi,im_psi", np.column_stack([z.real, z.imag, w.real, w.imag]))
 
 
 def _cmd_muntz(args) -> int:
@@ -286,11 +277,11 @@ def _cmd_muntz(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad exponent list: {exc}") from exc
         size = len(seq)
+        _check_cap(size, "--seq length")
         gram = gram_matrix(seq, size)  # admissibility is checked before anything is printed
         inv = inverse_matrix(seq, size)  # this module's binding: the benchmark's tracer patches it
-        for n in range(size):
-            poly = build_muntz(seq, n)
-            terms = " ".join(f"{c}*x^{e}" for e, c in zip(poly.exponents, poly.coefficients))
+        for n, row in enumerate(_muntz_rows(seq.lambdas)):  # row n: L_n on the first n + 1 exponents
+            terms = " ".join(f"{c}*x^{e}" for e, c in zip(seq.lambdas, row))
             print(f"L_{n}: {terms}")
         for label, mat in (("A", gram), ("R", inv)):
             for i, row in enumerate(mat.rows):

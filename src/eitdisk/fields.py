@@ -116,10 +116,6 @@ class FourierRadialField:
     def sin_profile(self, k: int) -> RadialProfile:
         return self.sin.get(k, _ZERO_PROFILE)
 
-    @property
-    def max_order(self) -> int:
-        return max([0, *self.cos.keys(), *self.sin.keys()])
-
 
 def _checked_profiles(profiles, minimum):
     out = {}
@@ -139,10 +135,9 @@ def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"radius {r} outside [0, 1]")
     total = 0.0
-    for k, prof in field.cos.items():
-        total += prof(r) * math.cos(k * phi)
-    for k, prof in field.sin.items():
-        total += prof(r) * math.sin(k * phi)
+    for trig, table in ((math.cos, field.cos), (math.sin, field.sin)):
+        for k, prof in table.items():
+            total += prof(r) * trig(k * phi)
     return total
 
 
@@ -163,10 +158,9 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
             raise DomainError(f"cannot evaluate field of type {type(field).__name__}")
         return np.broadcast_to(np.asarray(field(r, phi), dtype=float), shape).copy()
     out = np.zeros(shape)
-    for k, prof in field.cos.items():
-        out += prof.values_at(r) * np.cos(k * phi)
-    for k, prof in field.sin.items():
-        out += prof.values_at(r) * np.sin(k * phi)
+    for trig, table in ((np.cos, field.cos), (np.sin, field.sin)):
+        for k, prof in table.items():
+            out += prof.values_at(r) * trig(k * phi)
     return out
 
 
@@ -186,11 +180,10 @@ def l2_norm_squared(field: FourierRadialField) -> float:
     pi * (2 * I[a_0^2] + sum_{k>=1} (I[a_k^2] + I[b_k^2])) with I[f] = integral f r dr.
     """
     total = 2 * field.cos_profile(0).pair_moment_exact(field.cos_profile(0))
-    for k, prof in field.cos.items():
-        if k >= 1:
-            total += prof.pair_moment_exact(prof)
-    for prof in field.sin.values():
-        total += prof.pair_moment_exact(prof)
+    for table in (field.cos, field.sin):
+        for k, prof in table.items():
+            if k >= 1:
+                total += prof.pair_moment_exact(prof)
     return math.pi * float(total)
 
 

@@ -71,12 +71,8 @@ class BoundaryMode:
 
 
 def block_shapes(kind: str, N: int) -> dict:
-    """Row/column counts of the four blocks for a given kind and max frequency."""
-    if kind == CONDUCTIVITY:
-        return {name: (N, N) for name in BLOCK_NAMES}
-    if kind == SCHROEDINGER:
-        return {"cc": (N + 1, N + 1), "ss": (N, N), "sc": (N, N + 1), "cs": (N + 1, N)}
-    raise KindMismatchError(f"unknown matrix kind {kind!r}")
+    """Row/column counts of the four blocks for a given kind and max frequency N, from their origins."""
+    return {name: (N + 1 - r0, N + 1 - c0) for name, (r0, c0) in index_origins(kind).items()}
 
 
 def index_origins(kind: str) -> dict:

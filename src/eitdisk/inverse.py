@@ -126,9 +126,9 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     cs antisymmetric (zero diagonal included).
 
     Potential: cc and ss symmetric, cs = sc^T, sc - cs antisymmetric on the
-    overlapping index range i, j >= 1; ss - cc and sc + cs constant along
+    overlapping index range i, j >= 1; cc - ss and sc + cs constant along
     anti-diagonals there (Hankel), each anti-diagonal i + j = l tied to the
-    single-frequency entries -cc[0][l] and sc[l][0] when those exist.
+    single-frequency entries cc[0][l] and sc[l][0] when those exist.
 
     These checks constrain every entry except cc[0][0], cc[N][N] and
     ss[N][N], which carry moments witnessed nowhere else in the set.
@@ -157,19 +157,12 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
         add("cc_matches_ss", _dev(cc, ss))
         add("cs_antisymmetric", _dev(cs, zip(*cs), operator.add))
     else:
-        # overlapping range i, j >= 1: drop column 0 of sc, row 0 of cs and cc
-        N = mset.N
-        sc_ov = [row[1:] for row in sc]
-        cs_ov = cs[1:]
-        diff = _combine(sc_ov, cs_ov, operator.sub)
+        # overlapping range i, j >= 1: drop column 0 of sc and row 0 of cs
+        diff = [list(map(operator.sub, a, b)) for a, b in zip((row[1:] for row in sc), cs[1:])]
         add("sc_minus_cs_antisymmetric", _dev(diff, zip(*diff), operator.add))
-        cc_ov = [row[1:] for row in cc[1:]]
-        ssmcc = _combine(ss, cc_ov, operator.sub)
-        add("ss_minus_cc_hankel", _group_spread(
-            _antidiagonal_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})))
-        scpcs = _combine(sc_ov, cs_ov, operator.add)
-        add("sc_plus_cs_hankel", _group_spread(
-            _antidiagonal_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})))
+        groups = _hankel_groups(cc, ss, sc, cs, mset.N).values()
+        add("ss_minus_cc_hankel", _group_spread(g for g, _ in groups))  # same spread as cc - ss
+        add("sc_plus_cs_hankel", _group_spread(g for _, g in groups))
     return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
 
 
@@ -207,23 +200,22 @@ def _dev(a, b, op=operator.sub):
     return _max_nan([g for ra, rb in zip(a, b) for g in map(abs, map(op, ra, rb))])
 
 
-def _combine(a, b, op):
-    return [list(map(op, ra, rb)) for ra, rb in zip(a, b)]
+def _hankel_groups(cc, ss, sc, cs, N, first=2) -> dict:
+    """{l: (entries of cc - ss, entries of sc + cs)} along the anti-diagonals i + j = l, l = first..2N.
 
-
-def _antidiagonal_groups(rows, extras):
-    """Entry sets with constant index sum; rows holds true indices i, j >= 1.
-
-    extras maps an index sum l to one additional value the anti-diagonal
-    must also agree with.
+    Indices are true frequencies i, j >= 1, in increasing i; for l <= N each
+    group ends with the single-frequency entry it must also agree with,
+    cc[0][l] or sc[l-1][0].  The blocks are those of ``_blocks``.
     """
-    n = len(rows)
-    groups = []
-    for l in range(2, 2 * n + 1):
-        entries = [rows[i - 1][l - i - 1] for i in range(max(1, l - n), min(n, l - 1) + 1)]
-        if l in extras:
-            entries.append(extras[l])
-        groups.append(entries)
+    groups = {}
+    for l in range(first, 2 * N + 1):
+        diagonal = range(max(1, l - N), min(N, l - 1) + 1)
+        cos = [cc[i][l - i] - ss[i - 1][l - i - 1] for i in diagonal]
+        sin = [sc[i - 1][l - i] + cs[i][l - i - 1] for i in diagonal]
+        if l <= N:
+            cos.append(cc[0][l])
+            sin.append(sc[l - 1][0])
+        groups[l] = cos, sin
     return groups
 
 
@@ -418,22 +410,13 @@ class Reconstruction:
         The k = 0 profile is halved so the result follows the plain-series
         convention used by the field type.
         """
-        cos_profiles = {}
-        sin_profiles = {}
-        for k, coeffs in self.p.items():
-            prof = self._monomial_profile(k, coeffs, halve=(k == 0))
-            if prof is not None:
-                cos_profiles[k] = prof
-        for k, coeffs in self.q.items():
-            prof = self._monomial_profile(k, coeffs, halve=False)
-            if prof is not None:
-                sin_profiles[k] = prof
+        cos, sin = ({k: self._monomial_profile(k, coeffs, halve=cosine and k == 0)
+                     for k, coeffs in table.items() if coeffs}
+                    for table, cosine in ((self.p, True), (self.q, False)))
         kind = CONDUCTIVITY if self.kind == CONDUCTIVITY else POTENTIAL
-        return FourierRadialField(kind=kind, cos=cos_profiles, sin=sin_profiles)
+        return FourierRadialField(kind=kind, cos=cos, sin=sin)
 
     def _monomial_profile(self, k, coeffs, halve):
-        if not coeffs:
-            return None
         # family coefficients reach 1e4 by n = 7; lift the floats and round
         # once instead of rounding every product.  Family row n is U_n / n!,
         # so every row is brought over the last row's factorial.
@@ -531,13 +514,11 @@ def admissibility(rec: Reconstruction) -> float:
     data to come from a square-integrable field.
     """
     total = 0.0
-    for k, coeffs in rec.p.items():
-        w = 0.25 if k == 0 else 0.5
-        for n, c in enumerate(coeffs):
-            total += w * float(c) ** 2 / (2 * n + k + 1)
-    for k, coeffs in rec.q.items():
-        for n, c in enumerate(coeffs):
-            total += 0.5 * float(c) ** 2 / (2 * n + k + 1)
+    for table, cosine in ((rec.p, True), (rec.q, False)):
+        for k, coeffs in table.items():
+            w = 0.25 if cosine and k == 0 else 0.5
+            for n, c in enumerate(coeffs):
+                total += w * float(c) ** 2 / (2 * n + k + 1)
     return total
 
 
@@ -552,8 +533,6 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
     """
     if mset.kind != SCHROEDINGER:
         raise KindMismatchError(f"expected a schroedinger set, got {mset.kind!r}")
-    N = mset.N
-    out = {"cos": {}, "sin": {}}
     cc, ss, sc, cs, den = _blocks(mset)
     exact = mset._integers() is not None
 
@@ -565,8 +544,5 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
         except OverflowError:
             raise DomainError("an extra moment is beyond the range of a double") from None
 
-    for l in range(N + 1, 2 * N + 1):
-        diagonal = range(max(1, l - N), min(N, l - 1) + 1)
-        out["cos"][l] = mean([cc[i][l - i] - ss[i - 1][l - i - 1] for i in diagonal])
-        out["sin"][l] = mean([sc[i - 1][l - i] + cs[i][l - i - 1] for i in diagonal])
-    return out
+    groups = _hankel_groups(cc, ss, sc, cs, mset.N, first=mset.N + 1)
+    return {parity: {l: mean(g[s]) for l, g in groups.items()} for s, parity in enumerate(("cos", "sin"))}

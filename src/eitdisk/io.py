@@ -225,10 +225,17 @@ def arc_data_from_dict(doc) -> tuple:
 
 
 def grid_to_csv(rows) -> str:
+    return _csv("x,y,value", rows)
+
+
+def _csv(header, rows) -> str:
+    """The header line, then one line per row of floats, each formatted as ``format_float`` does."""
+    names = header.split(",")
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise FormatError("grid must be an array of (x, y, value) rows")
+    if rows.ndim != 2 or rows.shape[1] != len(names):
+        raise FormatError(f"grid must be an array of ({', '.join(names)}) rows")
     bad = rows[~np.isfinite(rows)]
     if bad.size:
         format_float(bad[0])  # raises the FormatError for the first non-finite value
-    return "x,y,value\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist())
+    line = ",".join(["%.17g"] * len(names)) + "\n"
+    return header + "\n" + line * len(rows) % tuple(rows.ravel().tolist())

@@ -1,10 +1,13 @@
-"""The benchmark's tracer resolves every name it wraps, at every import site it patches.
+"""The benchmark resolves every name it reads off the package.
 
-``bench/tracing.py`` patches functions by name across the ``eitdisk`` modules;
-a renamed or removed binding would otherwise surface only in the slow
-``bench/selftest.py``.  The module is loaded from its file and no workload runs.
+``bench/tracing.py`` patches functions by name across the ``eitdisk`` modules,
+and ``bench/workloads.py`` calls the package through ``ed`` (``import eitdisk
+as ed``) and ``eio`` (``ed.io``); a renamed or removed binding would otherwise
+surface only in the slow ``bench/selftest.py``.  The tracer is loaded from its
+file, the workloads are only parsed, and no workload runs.
 """
 
+import ast
 import importlib.util
 import pathlib
 
@@ -16,7 +19,8 @@ import eitdisk.io
 import eitdisk.muntz
 import eitdisk.partial
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing():
@@ -43,3 +47,22 @@ def test_patcher_resolves_every_target_and_import_site():
     assert eitdisk.cli.reconstruct is eitdisk.reconstruct
     for name in ("extract_conductivity_moments", "extract_schroedinger_moments", "condition_sums"):
         assert getattr(eitdisk, name) is getattr(eitdisk.inverse, name)
+
+
+def test_workloads_resolve_every_package_attribute_they_read():
+    roots = {"ed": eitdisk, "eio": eitdisk.io}
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots and names:
+            chains.add((node.id, *reversed(names)))
+    assert ("ed", "cli", "main") in chains and ("eio", "grid_to_csv") in chains
+    for root, *names in sorted(chains):
+        obj = roots[root]
+        for name in names:
+            assert hasattr(obj, name), f"bench/workloads.py reads {'.'.join([root, *names])}"
+            obj = getattr(obj, name)

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +215,28 @@ def test_arc_invert_cli_with_map_debug(tmp_path):
     assert complex(first[2], first[3]) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha, digest", [
+    (math.pi / 4, "1308ce8c6339bf017834e2d37eb0e70b7634a24008dca20379160b949b8566ab"),
+    (math.pi / 3, "1c70ae8db5ecc74e86c091a037e29226f5c105debe161e4147af7b3f6fd86cfc"),
+])
+def test_map_debug_csv_bytes_are_pinned(tmp_path, alpha, digest):
+    cmap = ConformalMap(ArcSpec(alpha))
+
+    def bump(rho, theta):
+        z = psi_inverse(cmap, np.asarray(rho) * np.exp(1j * np.asarray(theta)))
+        return z.imag**4
+
+    src = tmp_path / "arc.json"
+    src.write_text(eio.dumps(eio.arc_data_to_dict(make_arc_data(bump, cmap, 4), alpha=alpha)),
+                   encoding="utf-8")
+    out = tmp_path / "arc.csv"
+    assert main(["arc-invert", "--input", str(src), "--output", str(out),
+                 "--nr", "2", "--nphi", "4", "--map-debug"]) == 0
+    text = (tmp_path / "arc.csv.mapdebug.csv").read_bytes()
+    assert text.count(b"\n") == 65
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
 def test_arc_invert_requires_alpha(tmp_path, capsys):
     field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
     data = half_disk_data(field, 3)
@@ -247,6 +271,16 @@ def test_muntz_seq_prints_every_row(capsys):
         "R[1]: -5 10\n"
         "R[2]: 220/23 -220 9933/46\n"
     )
+
+
+def test_muntz_seq_rows_match_build_muntz(capsys):
+    seq = eitdisk.ExponentSequence(Fraction(3 * i + 1, 4) for i in range(12))
+    assert main(["muntz", "--seq", ",".join(str(x) for x in seq)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for n in range(len(seq)):
+        poly = eitdisk.build_muntz(seq, n)
+        assert lines[n] == f"L_{n}: " + " ".join(
+            f"{c}*x^{e}" for e, c in zip(poly.exponents, poly.coefficients))
 
 
 def test_muntz_rejects_bad_sequence(capsys):
@@ -429,6 +463,7 @@ def test_arc_invert_empty_grid_exits_2(tmp_path, capsys, flag):
     ["roundtrip", "--nmax", "65"],
     ["muntz", "--nmax", "65"],
     ["muntz", "--k", "65"],
+    ["muntz", "--seq", ",".join(str(i) for i in range(65))],
 ])
 def test_mode_count_above_cap_exits_2(tmp_path, field_file, capsys, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]

@@ -79,6 +79,29 @@ def test_eval_field_grid_matches_scalar():
             assert grid[i, j] == pytest.approx(eval_field(f, ri, pj), rel=1e-14)
 
 
+def test_eval_field_and_grid_add_cosine_then_sine_terms_in_order():
+    f = FourierRadialField(
+        POTENTIAL,
+        {3: RadialProfile(((3, 0.3), (5, -1.25))), 0: RadialProfile(((0, 0.7),)),
+         1: RadialProfile(((1, 1.0 / 3),))},
+        {2: RadialProfile(((2, -0.6), (4, 0.1))), 1: RadialProfile(((3, 2.5),))},
+    )
+    terms = [(math.cos, np.cos, k, p) for k, p in sorted(f.cos.items())]
+    terms += [(math.sin, np.sin, k, p) for k, p in sorted(f.sin.items())]
+    r = np.array([0.0, 0.3, 0.77, 1.0])
+    phi = np.array([-1.0, 0.4, 2.9])
+    grid = np.zeros((len(r), len(phi)))
+    for _, trig, k, prof in terms:
+        grid += prof.values_at(r[:, None]) * trig(k * phi[None, :])
+    assert eval_field_grid(f, r, phi).tolist() == grid.tolist()
+    for ri in r.tolist():
+        for pj in phi.tolist():
+            total = 0.0
+            for trig, _, k, prof in terms:
+                total += prof(ri) * trig(k * pj)
+            assert eval_field(f, ri, pj) == total
+
+
 def test_eval_field_grid_calls_a_callable_with_broadcastable_axes():
     seen = []
 

@@ -356,6 +356,48 @@ def test_extra_hankel_moments_reported():
         extra_hankel_moments(conductivity_dtn(CONST_COND, 3))
 
 
+def test_float_extra_hankel_moments_average_each_antidiagonal_over_pi():
+    field = FourierRadialField(
+        POTENTIAL,
+        {k: RadialProfile(((k, 0.3 + k), (k + 2, -0.7))) for k in range(8)},
+        {k: RadialProfile(((k + 1, 0.1 * k),)) for k in range(1, 8)},
+    )
+    N = 4
+    exact = schroedinger_dtn(field, N)
+    rng = np.random.default_rng(11)
+    mset = DtnMatrixSet(SCHROEDINGER, N, **{
+        n: exact.block(n) + 1e-9 * rng.standard_normal(exact.block(n).shape) for n in BLOCK_NAMES})
+    cc, ss, sc, cs = (mset.block(n).tolist() for n in ("cc", "ss", "sc", "cs"))
+    extra = extra_hankel_moments(mset)
+    for l in range(N + 1, 2 * N + 1):
+        diagonal = range(l - N, N + 1)
+        groups = {"cos": [cc[i][l - i] - ss[i - 1][l - i - 1] for i in diagonal],
+                  "sin": [sc[i - 1][l - i] + cs[i][l - i - 1] for i in diagonal]}
+        for parity, group in groups.items():
+            assert extra[parity][l] == sum(v / math.pi for v in group) / len(group)
+
+
+def test_cancelling_hankel_part_gives_positive_zero_extra_moments():
+    mset = schroedinger_dtn(_mixed_field(POTENTIAL), 3)  # no order beyond 2
+    for s in (mset, DtnMatrixSet(mset.kind, mset.N, **{n: mset.block(n) for n in BLOCK_NAMES})):
+        values = [v for table in extra_hankel_moments(s).values() for v in table.values()]
+        assert len(values) == 6
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
+
+def test_admissibility_sums_cosines_then_sines_term_by_term():
+    recs = [reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 4), arithmetic="float"),
+            Reconstruction(SCHROEDINGER, 2, p={0: [1.0, 0.5], 1: []}, q={0: [1.0], 1: [0.25, 3.0]},
+                           condition={})]
+    for rec in recs:
+        terms = [(0.25 if k == 0 else 0.5, k, n, c) for k, cs in rec.p.items() for n, c in enumerate(cs)]
+        terms += [(0.5, k, n, c) for k, cs in rec.q.items() for n, c in enumerate(cs)]
+        expected = 0.0
+        for w, k, n, c in terms:
+            expected += w * float(c) ** 2 / (2 * n + k + 1)
+        assert admissibility(rec) == expected
+
+
 # ------------------------------------------------------------ evaluation
 
 
