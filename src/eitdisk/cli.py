@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -46,7 +47,10 @@ MAX_GRID = 1024
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(_attach_seq_value(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # usage errors and --help: returned, so library callers get the code
+        return exc.code
     try:
         for flag in ("quad_r", "quad_phi", "nr", "nphi"):  # before any input is read
             if hasattr(args, flag):
@@ -63,6 +67,17 @@ def main(argv=None) -> int:
     except (FormatError, DomainError, RangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _attach_seq_value(argv) -> list:
+    """``--seq V`` as ``--seq=V`` when V starts with a minus and a digit: argparse reads it as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--seq" and re.match(r"-[0-9]", arg):
+            out[-1] = f"--seq={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 @functools.cache  # built once per process: parse_args leaves the parser unchanged

@@ -361,7 +361,11 @@ class Reconstruction:
         return np.asarray((radial * (weight * self._angular(phi[..., None]))).sum(axis=-1))
 
     def evaluate(self, r: float, phi: float) -> float:
-        """Pointwise value at polar (r, phi); points on the last radius reuse its radial rows."""
+        """Pointwise value at polar (r, phi); points on the last radius reuse its radial rows.
+
+        One fresh row per point: cosines, then sines, times r**k, times the radial
+        sums, added by one ``np.add.reduce``; bit-identical to ``__call__``.
+        """
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"radius {r} outside [0, 1]")
         if not math.isfinite(phi):
@@ -369,7 +373,14 @@ class Reconstruction:
         last = self._last_radius  # one tuple, so concurrent callers see a matching pair
         if last is None or last[0] != r or not r:  # 0.0 == -0.0, but odd powers differ in sign
             last = self._last_radius = (r, *self._radial(np.full(1, r, dtype=float)))
-        return float((last[1] * (last[2] * self._angular(phi))).sum())
+        _, _, ks, ncos = self._table  # built by the first _radial call above
+        trig = phi * ks  # fresh, so the shared rows are only read
+        cos, sin = trig[:ncos], trig[ncos:]
+        np.cos(cos, out=cos)
+        np.sin(sin, out=sin)
+        trig *= last[2]
+        trig *= last[1]
+        return float(np.add.reduce(trig))
 
     def _radial(self, r):
         """Radial sums and powers r**k, one per series, at radii r (with a trailing axis)."""

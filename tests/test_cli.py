@@ -283,6 +283,28 @@ def test_muntz_seq_rows_match_build_muntz(capsys):
             f"{c}*x^{e}" for e, c in zip(poly.exponents, poly.coefficients))
 
 
+def test_muntz_seq_with_a_negative_first_exponent_takes_either_form(capsys):
+    assert main(["muntz", "--seq", "-1/3,2"]) == 0
+    spaced = capsys.readouterr()
+    assert main(["muntz", "--seq=-1/3,2"]) == 0
+    joined = capsys.readouterr()
+    assert spaced.out == joined.out
+    assert spaced.out.startswith("L_0: 1*x^-1/3\n")
+    assert spaced.err == joined.err == ""
+
+
+def test_usage_errors_and_help_return_their_exit_code(capsys):
+    assert main(["forward"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()  # the usage line wraps at the terminal width
+    assert lines[0].startswith("usage: eitdisk forward ")
+    assert lines[-1] =="eitdisk forward: error: the following arguments are required: --input, --output"
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: eitdisk ") and err == ""
+
+
 def test_muntz_rejects_bad_sequence(capsys):
     assert main(["muntz", "--seq", "1/2,apple"]) == 2
     assert "bad exponent" in capsys.readouterr().err

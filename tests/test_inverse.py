@@ -478,7 +478,7 @@ def _single_pass_values(rec, r, phi):
     series = [(k, 0.5 if k == 0 else 1.0, c) for k, c in rec.p.items() if c]
     ncos = len(series)
     series += [(k, 1.0, c) for k, c in rec.q.items() if c]
-    depth = max(len(c) for _, _, c in series)
+    depth = max((len(c) for _, _, c in series), default=1)
     coeffs = np.zeros((depth, len(series)))
     for s, (_, scale, c) in enumerate(series):
         coeffs[: len(c), s] = [scale * float(v) for v in c]
@@ -527,14 +527,16 @@ def test_interleaved_radii_never_read_a_stale_row():
 
 def test_signed_zero_radius_and_angle_match_the_single_pass():
     # with one sine series only, every term at r = 0 or phi = 0 is a zero
-    # whose sign follows the sign of r or phi
-    rec = Reconstruction(kind=CONDUCTIVITY, N=2, p={}, q={1: [1.0]}, condition={})
-    points = [(0.0, 0.3), (-0.0, 0.3), (0.5, 0.0), (0.5, -0.0)]
+    # whose sign follows the sign of r or phi; with every series empty each
+    # value is +0.0; an int angle reads as its float
+    points = [(0.0, 0.3), (-0.0, 0.3), (0.5, 0.0), (0.5, -0.0), (0.5, 2)]
     r, phi = np.array(points).T
-    expected = _single_pass_values(rec, r, phi)
-    got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
-    assert got.tobytes() == expected.tobytes()
-    assert rec(np.repeat(r, 2), np.repeat(phi, 2)).tobytes() == np.repeat(expected, 2).tobytes()
+    for p, q in (({}, {1: [1.0]}), ({}, {}), ({0: []}, {1: []})):
+        rec = Reconstruction(kind=CONDUCTIVITY, N=2, p=p, q=q, condition={})
+        expected = _single_pass_values(rec, r, phi)
+        got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
+        assert got.tobytes() == expected.tobytes()
+        assert rec(np.repeat(r, 2), np.repeat(phi, 2)).tobytes() == np.repeat(expected, 2).tobytes()
 
 
 def test_threads_sharing_a_reconstruction_read_matching_rows():

@@ -344,7 +344,7 @@ def test_half_disk_and_arc_invert_reject_nan_or_negative_tolerance(tol):
 
 
 @pytest.mark.parametrize("r,phi", [(0.5, 1.0), (0.0, 2.0), (-0.0, 0.3), (1.0, math.pi / 2),
-                                   (np.float64(0.25), np.float64(-7.5)), (0.999, 100.0)])
+                                   (np.float64(0.25), np.float64(-7.5)), (0.999, 100.0), (0.5, 3)])
 def test_scalar_points_are_bit_equal_to_one_element_arrays(r, phi):
     rec, cmap = _bump_reconstruction()
     expected = rec(np.array([r]), np.array([phi]))[0]
@@ -352,6 +352,7 @@ def test_scalar_points_are_bit_equal_to_one_element_arrays(r, phi):
     assert float(rec.evaluate(r, phi)).hex() == float(expected).hex()
     base = rec.base
     assert np.asarray(base(r, phi)).tobytes() == base(np.array([r]), np.array([phi]))[0].tobytes()
+    assert float(base.evaluate(r, phi)).hex() == float(base(np.array([r]), np.array([phi]))[0]).hex()
 
 
 @pytest.mark.parametrize("r,phi", [(1.5, 0.0), (-0.25, 0.0), (math.nan, 0.0), (math.inf, 0.0),
@@ -361,7 +362,7 @@ def test_scalar_points_raise_the_array_message(r, phi):
     rec, _ = _bump_reconstruction(N=3)
     with pytest.raises(DomainError) as want:
         rec(np.array([r]), np.array([phi]))
-    for call in (rec, rec.evaluate, rec.base):
+    for call in (rec, rec.evaluate, rec.base, rec.base.evaluate):
         with pytest.raises(DomainError) as got:
             call(r, phi)
         assert str(got.value) == str(want.value)
