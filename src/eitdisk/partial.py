@@ -54,8 +54,11 @@ __all__ = [
     "arc_invert",
 ]
 
+# n_phi caps the nested angular rule of the data builders (``_sine_data``).
+# Composition with psi breaks trig-poly exactness: a field . psi that is not
+# even in phi converges only as O(h^2), so the arc needs the higher cap.
 HALF_DISK_QUAD = QuadratureSpec(64, 512)
-ARC_QUAD = QuadratureSpec(64, 1024)  # composition with psi breaks trig-poly exactness
+ARC_QUAD = QuadratureSpec(64, 1024)
 _ENDPOINT_GUARD = 1e-9
 
 
@@ -75,24 +78,47 @@ class HalfDiskData:
         return self.values.shape[0]
 
 
+def _samples(field, r, phi, cmap):
+    """Field values on the grid r x phi, of field . psi with ``cmap``."""
+    if cmap is None:
+        return eval_field_grid(field, r, phi)
+    w = _psi_array(cmap, np.outer(r, np.exp(1j * phi)))
+    return eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
+
+
 def _sine_data(field, N, quad, cmap=None):
     """N x N sine-mode energy data on the upper half disk, of field . psi with ``cmap``.
 
-    One field pass; as sin(n phi) sin(k phi) + cos(n phi) cos(k phi) = cos((n-k) phi),
-    entry (n, k) is n k times the polar moment of power n+k-1, cosine order |n-k|.
+    As sin(n phi) sin(k phi) + cos(n phi) cos(k phi) = cos((n-k) phi), entry
+    (n, k) is n k times the polar moment of power n+k-1, cosine order |n-k|.
+    The closed trapezoid in phi is nested: it starts at the coarsest level
+    n_phi / 2^j with at least max(32, 4N) intervals, and each doubling samples
+    only the new odd nodes.  It stops once no entry moves by more than 1e-13
+    of the finer level's largest, or at n_phi, where nodes, values and moments
+    are those of the single n_phi grid.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     r, wr = gauss_legendre_01(quad.n_r)
-    phi, wphi = trapezoid_closed(quad.n_phi, 0.0, math.pi)
-    if cmap is None:
-        values = eval_field_grid(field, r, phi)
-    else:
-        w = _psi_array(cmap, np.outer(r, np.exp(1j * phi)))
-        values = eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
-    mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
+    levels = [quad.n_phi]
+    while levels[-1] % 2 == 0 and levels[-1] // 2 >= max(32, 4 * N):
+        levels.append(levels[-1] // 2)
     n = np.arange(1, N + 1)
-    return np.outer(n, n) * mc[n[:, None] + n - 1, np.abs(n[:, None] - n)]
+    values = data = None
+    for size in reversed(levels):
+        phi, wphi = trapezoid_closed(size, 0.0, math.pi)
+        if values is None:
+            values = _samples(field, r, phi, cmap)
+        else:  # the even nodes are the coarser level's, bit for bit
+            coarse, values = values, np.empty((r.size, size + 1))
+            values[:, ::2] = coarse
+            values[:, 1::2] = _samples(field, r, phi[1::2].copy(), cmap)
+        mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
+        finer = np.outer(n, n) * mc[n[:, None] + n - 1, np.abs(n[:, None] - n)]
+        if data is not None and np.max(np.abs(finer - data)) <= 1e-13 * np.max(np.abs(finer)):
+            break
+        data = finer
+    return finer
 
 
 def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer call it by name
@@ -101,7 +127,8 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
 
     integral of field * grad(r^n sin(n phi)) . grad(r^k sin(k phi)), with
     n, k >= 1.  ``field`` may be a FourierRadialField or a callable (r, phi)
-    acting on arrays.
+    acting on arrays.  Entry (n, k) of ``half_disk_data`` at N = max(n, k),
+    on the same nested angular rule capped at ``quad.n_phi``.
     """
     if n < 1 or k < 1:
         raise DomainError("sine mode frequencies must be >= 1")
@@ -109,7 +136,13 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
 
 
 def half_disk_data(field, N: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> HalfDiskData:
-    """Full N x N sine-mode data matrix, the field evaluated once on the grid."""
+    """Full N x N sine-mode data matrix.
+
+    The closed trapezoid in phi is refined by nesting, from the coarsest
+    halving of ``quad.n_phi`` with at least max(32, 4N) intervals, until two
+    levels agree to 1e-13 of the largest entry; ``quad.n_phi`` is its cap.
+    Each node is evaluated once.
+    """
     return HalfDiskData(_sine_data(field, N, quad))
 
 
@@ -164,7 +197,7 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
 
     Evaluates the disk-side field at psi(x) and integrates against the
     half-disk sine-mode gradients; this equals the arc boundary data of the
-    transplanted modes.
+    transplanted modes.  Entry (n, k) of ``arc_data`` at N = max(n, k).
     """
     if n < 1 or k < 1:
         raise DomainError("sine mode frequencies must be >= 1")
@@ -172,7 +205,12 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
 
 
 def arc_data(field, cmap: ConformalMap, N: int, quad: QuadratureSpec = ARC_QUAD) -> HalfDiskData:
-    """Full N x N transplanted-mode data matrix, one psi and field pass on the grid."""
+    """Full N x N transplanted-mode data matrix.
+
+    Refined as ``half_disk_data``, with psi and the field evaluated once per
+    new node.  ``quad.n_phi`` caps the rule: a field . psi that is not even
+    in phi converges only as O(h^2) and runs to the cap.
+    """
     return HalfDiskData(_sine_data(field, N, quad, cmap))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,12 +17,15 @@ __all__ = ["QuadratureSpec", "gauss_legendre_01", "trapezoid_periodic", "trapezo
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Radial Gauss-Legendre order and angular trapezoid order."""
+    """Radial Gauss-Legendre order and angular trapezoid order, positive integers."""
 
     n_r: int = 64
     n_phi: int = 512
 
     def __post_init__(self):
+        for order in (self.n_r, self.n_phi):
+            if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+                raise DomainError(f"quadrature orders must be integers, not {order!r}")
         if self.n_r < 1 or self.n_phi < 1:
             raise DomainError("quadrature orders must be positive")
 

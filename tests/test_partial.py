@@ -23,6 +23,7 @@ from eitdisk import (
     arc_invert,
     conductivity_dtn,
     eval_field,
+    eval_field_grid,
     half_disk_data,
     half_disk_forward_oracle,
     half_disk_invert,
@@ -31,8 +32,10 @@ from eitdisk import (
     reconstruct,
     sample_grid,
 )
+from eitdisk.conformal import _psi_array
 from eitdisk.muntz import _jacobi_constants, _jacobi_sum
-from eitdisk.quadrature import QuadratureSpec
+from eitdisk.partial import ARC_QUAD, HALF_DISK_QUAD
+from eitdisk.quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_closed
 
 CONST = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
 COSINE_FIELD = FourierRadialField(
@@ -228,6 +231,127 @@ def test_single_entry_oracles_read_the_data_matrix():
     for n, k in ((1, 1), (2, 4), (4, 3)):
         assert half_disk_forward_oracle(COSINE_FIELD, n, k) == pytest.approx(half[n - 1, k - 1], rel=1e-13)
         assert arc_forward_oracle(COSINE_FIELD, n, k, cmap) == pytest.approx(arc[n - 1, k - 1], rel=1e-13)
+
+
+# ------------------------------------------------- nested angular refinement
+
+
+def _one_grid_sine_data(field, N, quad, cmap=None):
+    """Sine-mode data from one pass over the full n_r x (n_phi + 1) grid, with no refinement."""
+    r, wr = gauss_legendre_01(quad.n_r)
+    phi, wphi = trapezoid_closed(quad.n_phi, 0.0, math.pi)
+    if cmap is None:
+        values = eval_field_grid(field, r, phi)
+    else:
+        w = _psi_array(cmap, np.outer(r, np.exp(1j * phi)))
+        values = eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
+    mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
+    n = np.arange(1, N + 1)
+    return np.outer(n, n) * mc[n[:, None] + n - 1, np.abs(n[:, None] - n)]
+
+
+def _counting_grid(monkeypatch):
+    """Patch the data builders' grid evaluator to record the number of angles of each call."""
+    angles = []
+
+    def counted(field, r, phi):
+        values = eval_field_grid(field, r, phi)
+        angles.append(values.shape[1])
+        return values
+
+    monkeypatch.setattr(eitdisk.partial, "eval_field_grid", counted)
+    return angles
+
+
+def test_in_span_pullback_is_sampled_at_few_nodes_and_none_twice():
+    # criterion 9's gamma = g o psi^{-1}: its pullback g is a trigonometric
+    # polynomial, so two levels agree long before the 1024-interval cap
+    cmap = ConformalMap(ArcSpec(math.pi / 4))
+    g = _random_half_disk_field(23)
+    seen = []
+
+    def gamma(rho, theta):
+        rho, theta = np.broadcast_arrays(rho, theta)
+        seen.extend(zip(rho.ravel().tolist(), theta.ravel().tolist()))
+        z = psi_inverse(cmap, rho * np.exp(1j * theta))
+        return eval_field_grid(g, np.abs(z), np.angle(z))
+
+    data = arc_data(gamma, cmap, 8).values
+    assert len(seen) <= 64 * 65
+    assert len(set(seen)) == len(seen)
+    _assert_close_to_reference(data, _one_grid_sine_data(gamma, 8, QuadratureSpec(64, 1024), cmap))
+
+
+def test_non_even_pullback_reaches_the_cap_bit_for_bit(monkeypatch):
+    # a disk cosine field composed with psi is not even in phi: its data
+    # converge only as O(h^2), so refinement runs to n_phi
+    field = _random_half_disk_field(22)
+    cmap = ConformalMap(ArcSpec(math.pi / 5))
+    quad = QuadratureSpec(64, 1024)
+    want = _one_grid_sine_data(field, 8, quad, cmap)
+    angles = _counting_grid(monkeypatch)
+    got = arc_data(field, cmap, 8).values
+    assert sum(angles) == 1025 and angles[0] == 33
+    assert got.tobytes() == want.tobytes()
+
+
+def test_every_refinement_level_nests_its_coarser_nodes_bitwise(monkeypatch):
+    sizes = set()
+
+    def recorded(n, a=0.0, b=math.pi):
+        sizes.add(n)
+        return trapezoid_closed(n, a, b)
+
+    monkeypatch.setattr(eitdisk.partial, "trapezoid_closed", recorded)
+    cmap = ConformalMap(ArcSpec(math.pi / 5))
+    for n_phi in (1, 7, 300, 512, 1024):
+        for N in (1, 4, 8, 12):
+            half_disk_data(COSINE_FIELD, N, QuadratureSpec(16, n_phi))
+            arc_data(COSINE_FIELD, cmap, N, QuadratureSpec(16, n_phi))
+    assert {75, 150, 300, 32, 64, 128, 256, 512, 1024} <= sizes
+    for n in sizes:
+        if 2 * n in sizes:
+            assert trapezoid_closed(2 * n)[0][::2].tobytes() == trapezoid_closed(n)[0].tobytes()
+
+
+@pytest.mark.parametrize("n_phi", [1, 300])
+def test_angular_orders_that_do_not_halve_to_a_power_of_two_still_work(n_phi):
+    quad = QuadratureSpec(32, n_phi)
+    field = _random_half_disk_field(24, N=4)
+    cmap = ConformalMap(ArcSpec(math.pi / 3))
+    for N in (1, 4):
+        got = half_disk_data(field, N, quad).values
+        _assert_close_to_reference(got, _reference_sine_data(field, N, quad))
+        got = arc_data(field, cmap, N, quad).values
+        _assert_close_to_reference(got, _reference_sine_data(field, N, quad, cmap))
+
+
+@pytest.mark.parametrize("cmap", [None, ConformalMap(ArcSpec(math.pi / 4))])
+def test_a_nan_at_one_node_gives_the_one_grid_data(monkeypatch, cmap):
+    # NaN data never converge, so refinement runs to the cap's single grid
+    calls = []
+
+    def one_nan(rho, theta):
+        values = 1.0 + 0.5 * rho * np.cos(theta)
+        if not calls:
+            values[0, 0] = np.nan  # the node r_0, phi = 0, on every level
+        calls.append(values.shape)
+        return values
+
+    quad = HALF_DISK_QUAD if cmap is None else ARC_QUAD
+    want = _one_grid_sine_data(one_nan, 8, quad, cmap)
+    calls.clear()
+    angles = _counting_grid(monkeypatch)
+    got = half_disk_data(one_nan, 8) if cmap is None else arc_data(one_nan, cmap, 8)
+    assert np.isnan(want).any() and sum(angles) == quad.n_phi + 1
+    np.testing.assert_array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("orders", [(64.5, 512), (64, 512.0), (True, 8), (8, False), ("64", 8), (64, None)])
+def test_quadrature_orders_must_be_integers(orders):
+    with pytest.raises(DomainError, match="integers"):
+        QuadratureSpec(*orders)
+    assert QuadratureSpec(np.int64(8), np.int32(16)).n_phi == 16
 
 
 # ------------------------------------------------------- arc array path
