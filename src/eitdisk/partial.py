@@ -29,7 +29,7 @@ import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
 from .errors import DomainError, InconsistentDataError, RangeError
-from .fields import CONDUCTIVITY, eval_field_grid
+from .fields import CONDUCTIVITY, FourierRadialField, eval_field_grid
 from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
     Reconstruction,
     ValidationCheck,
@@ -54,7 +54,7 @@ __all__ = [
     "arc_invert",
 ]
 
-# n_phi caps the nested angular rule of the data builders (``_sine_data``).
+# n_phi is the finest angular level of the data builders (``_levels``).
 # Composition with psi breaks trig-poly exactness: a field . psi that is not
 # even in phi converges only as O(h^2), so the arc needs the higher cap.
 HALF_DISK_QUAD = QuadratureSpec(64, 512)
@@ -86,39 +86,69 @@ def _samples(field, r, phi, cmap):
     return eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
 
 
+def _levels(field, N, n_phi, cmap):
+    """First and last level, in intervals, of the angular rule for ``field``.
+
+    A cosine-only FourierRadialField on the half disk is integrated exactly
+    once 2 * intervals >= its highest order + N.  Any other is not even in
+    phi (sine terms, or composed with psi) and takes n_phi.  A callable is
+    refined from max(32, 4N) intervals up to n_phi.
+    """
+    least = max(32, 4 * N)
+    fixed = isinstance(field, FourierRadialField)
+    if fixed:
+        if cmap is not None or field.sin:
+            return n_phi, n_phi
+        least = max(least, (max(field.cos, default=0) + N + 1) // 2)
+    first = n_phi
+    while first % 2 == 0 and first // 2 >= least:
+        first //= 2
+    return first, first if fixed else n_phi
+
+
 def _sine_data(field, N, quad, cmap=None):
     """N x N sine-mode energy data on the upper half disk, of field . psi with ``cmap``.
 
     As sin(n phi) sin(k phi) + cos(n phi) cos(k phi) = cos((n-k) phi), entry
     (n, k) is n k times the polar moment of power n+k-1, cosine order |n-k|.
-    The closed trapezoid in phi is nested: it starts at the coarsest level
-    n_phi / 2^j with at least max(32, 4N) intervals, and each doubling samples
-    only the new odd nodes.  It stops once no entry moves by more than 1e-13
-    of the finer level's largest, or at n_phi, where nodes, values and moments
-    are those of the single n_phi grid.
+    Levels are nested: each doubling samples only the new nodes.  It stops
+    once no entry moves by more than 1e-13 of the finer level's largest, or
+    at the last level, whose nodes, values and moments are the single grid's;
+    it jumps there once the last two moves predict it cannot stop sooner.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     r, wr = gauss_legendre_01(quad.n_r)
-    levels = [quad.n_phi]
-    while levels[-1] % 2 == 0 and levels[-1] // 2 >= max(32, 4 * N):
-        levels.append(levels[-1] // 2)
     n = np.arange(1, N + 1)
-    values = data = None
-    for size in reversed(levels):
-        phi, wphi = trapezoid_closed(size, 0.0, math.pi)
-        if values is None:
-            values = _samples(field, r, phi, cmap)
-        else:  # the even nodes are the coarser level's, bit for bit
-            coarse, values = values, np.empty((r.size, size + 1))
-            values[:, ::2] = coarse
-            values[:, 1::2] = _samples(field, r, phi[1::2].copy(), cmap)
+    power, order, scale = n[:, None] + n - 1, np.abs(n[:, None] - n), np.outer(n, n)
+    size, last = _levels(field, N, quad.n_phi, cmap)
+    phi, wphi = trapezoid_closed(size, 0.0, math.pi)
+    values = _samples(field, r, phi, cmap)
+    data = moved = None
+    while True:
         mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
-        finer = np.outer(n, n) * mc[n[:, None] + n - 1, np.abs(n[:, None] - n)]
-        if data is not None and np.max(np.abs(finer - data)) <= 1e-13 * np.max(np.abs(finer)):
-            break
+        finer = scale * mc[power, order]
+        if size == last:
+            return finer
+        target = 2 * size
+        if data is not None:
+            gap, bound = np.max(np.abs(finer - data)), 1e-13 * np.max(np.abs(finer))
+            if gap <= bound:
+                return finer
+            if moved is not None:  # the move predicted at the last level from the last two
+                rate = gap / moved
+                if not (rate < 1 and gap * rate ** ((last // size).bit_length() - 1) <= bound):
+                    target = last
+            moved = gap
         data = finer
-    return finer
+        phi, wphi = trapezoid_closed(target, 0.0, math.pi)
+        step = target // size  # every step-th node is the coarser level's, bit for bit
+        coarse, values = values, np.empty((r.size, target + 1))
+        values[:, ::step] = coarse
+        new = _samples(field, r, np.concatenate([phi[k::step] for k in range(1, step)]), cmap)
+        for k in range(1, step):  # the new nodes, sampled in one call, one residue class at a time
+            values[:, k::step] = new[:, (k - 1) * size:k * size]
+        size = target
 
 
 def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer call it by name
@@ -128,7 +158,7 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
     integral of field * grad(r^n sin(n phi)) . grad(r^k sin(k phi)), with
     n, k >= 1.  ``field`` may be a FourierRadialField or a callable (r, phi)
     acting on arrays.  Entry (n, k) of ``half_disk_data`` at N = max(n, k),
-    on the same nested angular rule capped at ``quad.n_phi``.
+    on the same angular levels, capped at ``quad.n_phi``.
     """
     if n < 1 or k < 1:
         raise DomainError("sine mode frequencies must be >= 1")
@@ -138,10 +168,12 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
 def half_disk_data(field, N: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> HalfDiskData:
     """Full N x N sine-mode data matrix.
 
-    The closed trapezoid in phi is refined by nesting, from the coarsest
-    halving of ``quad.n_phi`` with at least max(32, 4N) intervals, until two
-    levels agree to 1e-13 of the largest entry; ``quad.n_phi`` is its cap.
-    Each node is evaluated once.
+    A cosine-only FourierRadialField is sampled once, at the coarsest halving
+    of ``quad.n_phi`` where the closed trapezoid in phi is exact (else at
+    ``quad.n_phi``); one with sine terms at ``quad.n_phi``.  A callable is refined by nesting, each node
+    evaluated once, until two levels agree to 1e-13 of the largest entry, up
+    to the cap ``quad.n_phi``; features that fall between the nodes of every
+    level sampled go unseen.
     """
     return HalfDiskData(_sine_data(field, N, quad))
 
@@ -197,7 +229,8 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
 
     Evaluates the disk-side field at psi(x) and integrates against the
     half-disk sine-mode gradients; this equals the arc boundary data of the
-    transplanted modes.  Entry (n, k) of ``arc_data`` at N = max(n, k).
+    transplanted modes.  Entry (n, k) of ``arc_data`` at N = max(n, k), on
+    the same angular levels, capped at ``quad.n_phi``.
     """
     if n < 1 or k < 1:
         raise DomainError("sine mode frequencies must be >= 1")
@@ -207,9 +240,10 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
 def arc_data(field, cmap: ConformalMap, N: int, quad: QuadratureSpec = ARC_QUAD) -> HalfDiskData:
     """Full N x N transplanted-mode data matrix.
 
-    Refined as ``half_disk_data``, with psi and the field evaluated once per
-    new node.  ``quad.n_phi`` caps the rule: a field . psi that is not even
-    in phi converges only as O(h^2) and runs to the cap.
+    A FourierRadialField is sampled once at ``quad.n_phi``: composed with psi
+    it is not even in phi and converges only as O(h^2), hence the high cap.
+    A callable is refined as in ``half_disk_data``, psi and the callable
+    evaluated once per new node.
     """
     return HalfDiskData(_sine_data(field, N, quad, cmap))
 

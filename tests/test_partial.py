@@ -282,36 +282,55 @@ def test_in_span_pullback_is_sampled_at_few_nodes_and_none_twice():
     _assert_close_to_reference(data, _one_grid_sine_data(gamma, 8, QuadratureSpec(64, 1024), cmap))
 
 
-def test_non_even_pullback_reaches_the_cap_bit_for_bit(monkeypatch):
+def _as_callable(field):
+    return lambda rho, theta: eval_field_grid(field, rho, theta)
+
+
+@pytest.mark.parametrize("callable_", [False, True])
+def test_non_even_pullback_reaches_the_cap_bit_for_bit(monkeypatch, callable_):
     # a disk cosine field composed with psi is not even in phi: its data
-    # converge only as O(h^2), so refinement runs to n_phi
+    # converge only as O(h^2).  Given as a field it is sampled at n_phi in one
+    # pass; as a callable it is refined until the moves of two doublings show
+    # it cannot agree before the cap, and then sampled at every node left.
     field = _random_half_disk_field(22)
+    if callable_:
+        field = _as_callable(field)
     cmap = ConformalMap(ArcSpec(math.pi / 5))
     quad = QuadratureSpec(64, 1024)
     want = _one_grid_sine_data(field, 8, quad, cmap)
     angles = _counting_grid(monkeypatch)
     got = arc_data(field, cmap, 8).values
-    assert sum(angles) == 1025 and angles[0] == 33
+    assert angles == ([33, 32, 64, 896] if callable_ else [1025])
     assert got.tobytes() == want.tobytes()
 
 
-def test_every_refinement_level_nests_its_coarser_nodes_bitwise(monkeypatch):
-    sizes = set()
+@pytest.mark.parametrize("callable_", [False, True])
+def test_half_disk_field_with_sine_terms_reaches_the_cap_bit_for_bit(monkeypatch, callable_):
+    field = FourierRadialField(CONDUCTIVITY, _random_half_disk_field(25).cos, {1: RadialProfile(((1, 0.5),))})
+    if callable_:
+        field = _as_callable(field)
+    want = _one_grid_sine_data(field, 8, HALF_DISK_QUAD)
+    angles = _counting_grid(monkeypatch)
+    got = half_disk_data(field, 8).values
+    assert angles == ([33, 32, 64, 384] if callable_ else [513])
+    assert got.tobytes() == want.tobytes()
 
-    def recorded(n, a=0.0, b=math.pi):
-        sizes.add(n)
-        return trapezoid_closed(n, a, b)
 
-    monkeypatch.setattr(eitdisk.partial, "trapezoid_closed", recorded)
-    cmap = ConformalMap(ArcSpec(math.pi / 5))
-    for n_phi in (1, 7, 300, 512, 1024):
-        for N in (1, 4, 8, 12):
-            half_disk_data(COSINE_FIELD, N, QuadratureSpec(16, n_phi))
-            arc_data(COSINE_FIELD, cmap, N, QuadratureSpec(16, n_phi))
-    assert {75, 150, 300, 32, 64, 128, 256, 512, 1024} <= sizes
-    for n in sizes:
-        if 2 * n in sizes:
-            assert trapezoid_closed(2 * n)[0][::2].tobytes() == trapezoid_closed(n)[0].tobytes()
+@pytest.mark.parametrize("order", [121, 128, 135, 300])
+def test_high_cosine_orders_are_sampled_where_the_rule_is_exact(monkeypatch, order):
+    # at N = 8 the cosine orders order - 7 .. order + 7 of the integrand
+    # include 128, which every node of the 32- and 64-interval levels aliases
+    # to order 0: two such levels would agree on wrong data
+    field = FourierRadialField(
+        CONDUCTIVITY,
+        {0: RadialProfile(((0, 1.0),)), order: RadialProfile(((order, 1.0), (order + 2, -0.5)))},
+        {},
+    )
+    want = _one_grid_sine_data(field, 8, HALF_DISK_QUAD)
+    angles = _counting_grid(monkeypatch)
+    got = half_disk_data(field, 8).values
+    assert angles == [129 if order < 249 else 257]  # the coarsest halving with 2 * intervals >= order + 8
+    _assert_close_to_reference(got, want)
 
 
 @pytest.mark.parametrize("n_phi", [1, 300])
