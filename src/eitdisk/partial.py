@@ -24,6 +24,7 @@ inside a 1e-9 guard ring around them).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -86,24 +87,33 @@ def _samples(field, r, phi, cmap):
     return eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
 
 
+def _check_modes(*modes):
+    """Raise DomainError unless every sine mode frequency is an integer >= 1 (not a bool)."""
+    for m in modes:
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise DomainError(f"sine mode frequencies must be integers >= 1, not {m!r}")
+
+
 def _levels(field, N, n_phi, cmap):
-    """First and last level, in intervals, of the angular rule for ``field``.
+    """Angular levels, in intervals, of the closed trapezoid for ``field``.
 
     A cosine-only FourierRadialField on the half disk is integrated exactly
-    once 2 * intervals >= its highest order + N.  Any other is not even in
-    phi (sine terms, or composed with psi) and takes n_phi.  A callable is
-    refined from max(32, 4N) intervals up to n_phi.
+    once 2 * intervals >= its highest order + N: one level, the coarsest
+    halving of n_phi with at least that many and max(32, 4N) intervals.  Any
+    other is not even in phi (sine terms, or composed with psi) and takes
+    n_phi.  A callable takes the coarsest halving with at least max(32, 4N)
+    intervals, its double and n_phi.
     """
     least = max(32, 4 * N)
     fixed = isinstance(field, FourierRadialField)
     if fixed:
         if cmap is not None or field.sin:
-            return n_phi, n_phi
+            return [n_phi]
         least = max(least, (max(field.cos, default=0) + N + 1) // 2)
     first = n_phi
     while first % 2 == 0 and first // 2 >= least:
         first //= 2
-    return first, first if fixed else n_phi
+    return [first] if fixed else sorted({first, min(2 * first, n_phi), n_phi})
 
 
 def _sine_data(field, N, quad, cmap=None):
@@ -111,44 +121,32 @@ def _sine_data(field, N, quad, cmap=None):
 
     As sin(n phi) sin(k phi) + cos(n phi) cos(k phi) = cos((n-k) phi), entry
     (n, k) is n k times the polar moment of power n+k-1, cosine order |n-k|.
-    Levels are nested: each doubling samples only the new nodes.  It stops
-    once no entry moves by more than 1e-13 of the finer level's largest, or
-    at the last level, whose nodes, values and moments are the single grid's;
-    it jumps there once the last two moves predict it cannot stop sooner.
+    The levels of ``_levels`` are nested: each samples only the nodes the
+    last did not.  The data stop at a level that moves no entry by more than
+    1e-13 of its largest, or at the last, whose nodes, values and moments
+    are the single grid's.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    _check_modes(N)
     r, wr = gauss_legendre_01(quad.n_r)
     n = np.arange(1, N + 1)
     power, order, scale = n[:, None] + n - 1, np.abs(n[:, None] - n), np.outer(n, n)
-    size, last = _levels(field, N, quad.n_phi, cmap)
-    phi, wphi = trapezoid_closed(size, 0.0, math.pi)
-    values = _samples(field, r, phi, cmap)
-    data = moved = None
-    while True:
+    values = data = None
+    for size in _levels(field, N, quad.n_phi, cmap):
+        phi, wphi = trapezoid_closed(size, 0.0, math.pi)
+        if values is None:
+            values = _samples(field, r, phi, cmap)
+        else:  # every step-th node is the coarser level's, bit for bit; masks fill in row-major order
+            new = np.ones((r.size, size + 1), dtype=bool)
+            new[:, ::size // (values.shape[1] - 1)] = False
+            coarse, values = values, np.empty(new.shape)
+            values[~new] = coarse.ravel()
+            values[new] = _samples(field, r, phi[new[0]], cmap).ravel()
         mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
         finer = scale * mc[power, order]
-        if size == last:
+        if data is not None and np.max(np.abs(finer - data)) <= 1e-13 * np.max(np.abs(finer)):
             return finer
-        target = 2 * size
-        if data is not None:
-            gap, bound = np.max(np.abs(finer - data)), 1e-13 * np.max(np.abs(finer))
-            if gap <= bound:
-                return finer
-            if moved is not None:  # the move predicted at the last level from the last two
-                rate = gap / moved
-                if not (rate < 1 and gap * rate ** ((last // size).bit_length() - 1) <= bound):
-                    target = last
-            moved = gap
         data = finer
-        phi, wphi = trapezoid_closed(target, 0.0, math.pi)
-        step = target // size  # every step-th node is the coarser level's, bit for bit
-        coarse, values = values, np.empty((r.size, target + 1))
-        values[:, ::step] = coarse
-        new = _samples(field, r, np.concatenate([phi[k::step] for k in range(1, step)]), cmap)
-        for k in range(1, step):  # the new nodes, sampled in one call, one residue class at a time
-            values[:, k::step] = new[:, (k - 1) * size:k * size]
-        size = target
+    return data
 
 
 def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer call it by name
@@ -156,12 +154,11 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
     """Quadrature of the energy integral over the upper half disk.
 
     integral of field * grad(r^n sin(n phi)) . grad(r^k sin(k phi)), with
-    n, k >= 1.  ``field`` may be a FourierRadialField or a callable (r, phi)
-    acting on arrays.  Entry (n, k) of ``half_disk_data`` at N = max(n, k),
-    on the same angular levels, capped at ``quad.n_phi``.
+    integers n, k >= 1.  ``field`` may be a FourierRadialField or a callable
+    (r, phi) acting on arrays.  Entry (n, k) of ``half_disk_data`` at
+    N = max(n, k), on the same angular levels.
     """
-    if n < 1 or k < 1:
-        raise DomainError("sine mode frequencies must be >= 1")
+    _check_modes(n, k)
     return float(_sine_data(field, max(n, k), quad)[n - 1, k - 1])
 
 
@@ -170,10 +167,12 @@ def half_disk_data(field, N: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> Half
 
     A cosine-only FourierRadialField is sampled once, at the coarsest halving
     of ``quad.n_phi`` where the closed trapezoid in phi is exact (else at
-    ``quad.n_phi``); one with sine terms at ``quad.n_phi``.  A callable is refined by nesting, each node
-    evaluated once, until two levels agree to 1e-13 of the largest entry, up
-    to the cap ``quad.n_phi``; features that fall between the nodes of every
-    level sampled go unseen.
+    ``quad.n_phi``); one with sine terms at ``quad.n_phi``.  A callable is
+    sampled at the coarsest halving with at least max(32, 4N) intervals and
+    at its double; if no entry moves by more than 1e-13 of the largest, the
+    data stop there, else the remaining nodes of ``quad.n_phi`` are sampled
+    in one call.  No node is evaluated twice; features that fall between the
+    nodes sampled go unseen.  N must be an integer >= 1.
     """
     return HalfDiskData(_sine_data(field, N, quad))
 
@@ -230,10 +229,9 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
     Evaluates the disk-side field at psi(x) and integrates against the
     half-disk sine-mode gradients; this equals the arc boundary data of the
     transplanted modes.  Entry (n, k) of ``arc_data`` at N = max(n, k), on
-    the same angular levels, capped at ``quad.n_phi``.
+    the same angular levels; n, k are integers >= 1.
     """
-    if n < 1 or k < 1:
-        raise DomainError("sine mode frequencies must be >= 1")
+    _check_modes(n, k)
     return float(_sine_data(field, max(n, k), quad, cmap)[n - 1, k - 1])
 
 
@@ -242,8 +240,8 @@ def arc_data(field, cmap: ConformalMap, N: int, quad: QuadratureSpec = ARC_QUAD)
 
     A FourierRadialField is sampled once at ``quad.n_phi``: composed with psi
     it is not even in phi and converges only as O(h^2), hence the high cap.
-    A callable is refined as in ``half_disk_data``, psi and the callable
-    evaluated once per new node.
+    A callable takes the same two levels and the cap as in
+    ``half_disk_data``, psi and the callable evaluated once per node sampled.
     """
     return HalfDiskData(_sine_data(field, N, quad, cmap))
 

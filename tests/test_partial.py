@@ -290,8 +290,8 @@ def _as_callable(field):
 def test_non_even_pullback_reaches_the_cap_bit_for_bit(monkeypatch, callable_):
     # a disk cosine field composed with psi is not even in phi: its data
     # converge only as O(h^2).  Given as a field it is sampled at n_phi in one
-    # pass; as a callable it is refined until the moves of two doublings show
-    # it cannot agree before the cap, and then sampled at every node left.
+    # pass; as a callable its first two levels disagree, so every node of the
+    # cap left is sampled in one call.
     field = _random_half_disk_field(22)
     if callable_:
         field = _as_callable(field)
@@ -300,7 +300,7 @@ def test_non_even_pullback_reaches_the_cap_bit_for_bit(monkeypatch, callable_):
     want = _one_grid_sine_data(field, 8, quad, cmap)
     angles = _counting_grid(monkeypatch)
     got = arc_data(field, cmap, 8).values
-    assert angles == ([33, 32, 64, 896] if callable_ else [1025])
+    assert angles == ([33, 32, 960] if callable_ else [1025])
     assert got.tobytes() == want.tobytes()
 
 
@@ -312,8 +312,40 @@ def test_half_disk_field_with_sine_terms_reaches_the_cap_bit_for_bit(monkeypatch
     want = _one_grid_sine_data(field, 8, HALF_DISK_QUAD)
     angles = _counting_grid(monkeypatch)
     got = half_disk_data(field, 8).values
-    assert angles == ([33, 32, 64, 384] if callable_ else [513])
+    assert angles == ([33, 32, 448] if callable_ else [513])  # as a callable: two levels, then the cap
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_callable_aliased_on_its_first_level_takes_the_cap_bit_for_bit(monkeypatch):
+    # at N = 8 the integrand has cosine orders 57..71: the 32-interval level
+    # aliases order 64 to order 0 and the 64-interval level is exact, so the
+    # two disagree and the callable is sampled on the rest of the cap
+    field = FourierRadialField(
+        CONDUCTIVITY, {0: RadialProfile(((0, 1.0),)), 64: RadialProfile(((64, 1.0), (66, -0.5)))}, {})
+    field = _as_callable(field)
+    want = _one_grid_sine_data(field, 8, HALF_DISK_QUAD)
+    angles = _counting_grid(monkeypatch)
+    got = half_disk_data(field, 8).values
+    assert angles == [33, 32, 448]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_phi", [1, 2, 300, 512, 1024])
+@pytest.mark.parametrize("kind", ["cosine field", "sine field", "arc field", "callable", "arc callable"])
+def test_levels_are_at_most_three_nested_and_end_at_the_cap(n_phi, kind):
+    field = COSINE_FIELD
+    if kind == "sine field":
+        field = FourierRadialField(CONDUCTIVITY, COSINE_FIELD.cos, {1: RadialProfile(((1, 0.5),))})
+    elif kind.endswith("callable"):
+        field = _as_callable(COSINE_FIELD)
+    cmap = ConformalMap(ArcSpec(math.pi / 4)) if kind.startswith("arc") else None
+    for N in (1, 8, 40):
+        levels = eitdisk.partial._levels(field, N, n_phi, cmap)
+        assert 1 <= len(levels) <= 3
+        assert all(coarse < fine and fine % coarse == 0 for coarse, fine in zip(levels, levels[1:]))
+        assert levels[-1] <= n_phi and n_phi % levels[-1] == 0
+        if kind != "cosine field":
+            assert levels[-1] == n_phi
 
 
 @pytest.mark.parametrize("order", [121, 128, 135, 300])
@@ -364,6 +396,22 @@ def test_a_nan_at_one_node_gives_the_one_grid_data(monkeypatch, cmap):
     got = half_disk_data(one_nan, 8) if cmap is None else arc_data(one_nan, cmap, 8)
     assert np.isnan(want).any() and sum(angles) == quad.n_phi + 1
     np.testing.assert_array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("N", [8.0, 2.5, True, "8", None])
+@pytest.mark.parametrize("build", [
+    lambda N: half_disk_data(COSINE_FIELD, N),
+    lambda N: arc_data(COSINE_FIELD, ConformalMap(ArcSpec(math.pi / 4)), N),
+    lambda N: half_disk_forward_oracle(COSINE_FIELD, N, 1),
+    lambda N: arc_forward_oracle(COSINE_FIELD, N, 1, ConformalMap(ArcSpec(math.pi / 4))),
+    lambda N: half_disk_forward_oracle(COSINE_FIELD, 8, N),
+    lambda N: arc_forward_oracle(COSINE_FIELD, 8, N, ConformalMap(ArcSpec(math.pi / 4))),
+], ids=["half_disk_data", "arc_data", "half_disk_forward_oracle_n", "arc_forward_oracle_n",
+        "half_disk_forward_oracle_k", "arc_forward_oracle_k"])
+def test_data_builders_reject_a_non_integer_mode_count(build, N):
+    with pytest.raises(DomainError, match="integer"):
+        build(N)
+    build(np.int64(4))  # numpy integers are integers
 
 
 @pytest.mark.parametrize("orders", [(64.5, 512), (64, 512.0), (True, 8), (8, False), ("64", 8), (64, None)])
