@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for integer arguments."""
+
+import numbers
 
 __all__ = [
     "EitdiskError",
@@ -54,3 +56,16 @@ class InconsistentDataError(EitdiskError):
     def __init__(self, report, message="matrix data fails structural validation"):
         super().__init__(message)
         self.report = report
+
+
+def integer(value, least, what) -> int:
+    """``value`` as an int; a DomainError unless it is an integer >= ``least`` (0 or 1).
+
+    Every count, order, frequency and truncation argument passes through here.
+    numpy integers pass; bools, floats (integral ones such as 8.0 too),
+    strings and None do not.
+    """
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+            or value < least):  # type() first: a plain int skips the slower abstract-class check
+        raise DomainError(f"{what} must be {('non-negative', 'positive')[least]} (integers only), not {value!r}")
+    return int(value)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError
+from .errors import DomainError, KindMismatchError, integer
 
 __all__ = [
     "CONDUCTIVITY",
@@ -37,8 +37,8 @@ _KINDS = (CONDUCTIVITY, POTENTIAL)
 class RadialProfile:
     """Sparse polynomial sum_p value_p * r**p with distinct integer powers >= 0.
 
-    Values may be floats or exact rationals; moments are computed exactly
-    either way (every float is a dyadic rational).
+    Values may be finite floats or exact rationals; moments are computed
+    exactly either way (every float is a dyadic rational).
     """
 
     terms: tuple
@@ -47,9 +47,9 @@ class RadialProfile:
         cleaned = []
         seen = set()
         for power, value in terms:
-            p = int(power)
-            if p != power or p < 0:
-                raise DomainError(f"radial power {power!r} must be a non-negative integer")
+            p = integer(power, 0, "radial powers")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"radial profile value {value!r} is non-finite")
             if p in seen:
                 raise DomainError(f"duplicate radial power {p}")
             seen.add(p)
@@ -107,8 +107,8 @@ class FourierRadialField:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise KindMismatchError(f"unknown field kind {self.kind!r}")
-        object.__setattr__(self, "cos", _checked_profiles(self.cos, minimum=0))
-        object.__setattr__(self, "sin", _checked_profiles(self.sin, minimum=1))
+        object.__setattr__(self, "cos", _checked_profiles(self.cos, "cos"))
+        object.__setattr__(self, "sin", _checked_profiles(self.sin, "sin"))
 
     def cos_profile(self, k: int) -> RadialProfile:
         return self.cos.get(k, _ZERO_PROFILE)
@@ -117,17 +117,22 @@ class FourierRadialField:
         return self.sin.get(k, _ZERO_PROFILE)
 
 
-def _checked_profiles(profiles, minimum):
+def _checked_profiles(profiles, parity):
     out = {}
     for k in sorted(profiles):
-        kk = int(k)
-        if kk != k or kk < minimum:
-            raise DomainError(f"angular order {k!r} must be an integer >= {minimum}")
+        kk = integer(k, _least_order(parity), f"{parity} orders")
         prof = profiles[k]
         if not isinstance(prof, RadialProfile):
             prof = RadialProfile(prof)
         out[kk] = prof
     return out
+
+
+def _least_order(parity) -> int:
+    """The least angular order of a parity, 0 for 'cos' and 1 for 'sin'; any other parity is a DomainError."""
+    if parity not in ("cos", "sin"):
+        raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
+    return 0 if parity == "cos" else 1
 
 
 def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
@@ -170,7 +175,7 @@ def moment(field: FourierRadialField, parity: str, k: int, m: int) -> float:
     Exact rational arithmetic internally; a single rounding on return.
     """
     prof = _parity_profile(field, parity, k)
-    return float(prof.moment_exact(m))
+    return float(prof.moment_exact(integer(m, 0, "moment powers m")))
 
 
 def l2_norm_squared(field: FourierRadialField) -> float:
@@ -197,8 +202,7 @@ def sample_grid(field, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.nd
     emitted in row-major order with the radius as the outer loop.  A value
     beyond the range of a double is a DomainError.
     """
-    if nr < 1 or nphi < 1:
-        raise DomainError("grid sizes must be positive")
+    nr, nphi = integer(nr, 1, "grid sizes"), integer(nphi, 1, "grid sizes")
     r = np.arange(1, nr + 1) / nr
     phi = span * np.arange(nphi) / nphi
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,12 +215,5 @@ def sample_grid(field, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.nd
 
 
 def _parity_profile(field, parity, k):
-    if parity == "cos":
-        if k < 0:
-            raise DomainError("cosine order must be >= 0")
-        return field.cos_profile(k)
-    if parity == "sin":
-        if k < 1:
-            raise DomainError("sine order must be >= 1")
-        return field.sin_profile(k)
-    raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
+    k = integer(k, _least_order(parity), f"{parity} orders")
+    return field.cos_profile(k) if parity == "cos" else field.sin_profile(k)

@@ -33,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, ShapeError
-from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, eval_field_grid
+from .errors import DomainError, KindMismatchError, ShapeError, integer
+from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, _least_order, eval_field_grid
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
 
 __all__ = [
@@ -63,11 +63,7 @@ class BoundaryMode:
     frequency: int
 
     def __post_init__(self):
-        if self.parity not in ("cos", "sin"):
-            raise DomainError(f"parity must be 'cos' or 'sin', got {self.parity!r}")
-        least = 0 if self.parity == "cos" else 1
-        if self.frequency < least:
-            raise DomainError(f"{self.parity} frequency must be >= {least}")
+        integer(self.frequency, _least_order(self.parity), f"{self.parity} frequencies")
 
 
 def block_shapes(kind: str, N: int) -> dict:
@@ -103,11 +99,8 @@ class DtnMatrixSet:
     def __init__(self, kind, N, cc, ss, sc, cs, exact=None):
         if kind not in (CONDUCTIVITY, SCHROEDINGER):
             raise KindMismatchError(f"unknown matrix kind {kind!r}")
-        least = 1 if kind == CONDUCTIVITY else 0
-        if N < least:
-            raise DomainError(f"max frequency {N} too small for kind {kind!r}")
         self.kind = kind
-        self.N = int(N)
+        self.N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
         shapes = block_shapes(kind, self.N)
         for name, block in (("cc", cc), ("ss", ss), ("sc", sc), ("cs", cs)):
             arr = np.asarray(block, dtype=float)
@@ -253,8 +246,7 @@ def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     """Assemble the four K blocks for frequencies 1..N, exactly."""
     if field.kind != CONDUCTIVITY:
         raise KindMismatchError(f"expected a conductivity field, got kind {field.kind!r}")
-    if N < 1:
-        raise DomainError("max frequency N must be >= 1")
+    N = integer(N, 1, "max frequency N")
     # entry (i, j) reads the moment (|i - j|, i + j - 1)
     (ma, mb), den = _moment_tables(field, lambda k: range(k + 1, 2 * N - k, 2))
 
@@ -272,8 +264,7 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     """Assemble the four J blocks for frequencies up to N (cos from 0), exactly."""
     if field.kind != POTENTIAL:
         raise KindMismatchError(f"expected a potential field, got kind {field.kind!r}")
-    if N < 0:
-        raise DomainError("max frequency N must be >= 0")
+    N = integer(N, 0, "max frequency N")
 
     def powers(k):  # entry (i, j) reads the moments (i + j, i + j + 1) and (|i - j|, i + j + 1)
         return range(k + 1, 2 * N - k + 2, 2) if k <= N else range(k + 1, k + 2 if k <= 2 * N else 0)
@@ -320,18 +311,19 @@ def energy_oracle(  # public; the tests and the benchmark's tracer call it by na
 def oracle_dtn(field: FourierRadialField, N: int, quad: QuadratureSpec = QuadratureSpec()) -> DtnMatrixSet:
     """All four blocks by the quadrature of ``energy_oracle``, as a float set.
 
-    The field is evaluated once on the polar grid and every entry is read off
+    The field is evaluated once on the polar grid and every block is read off
     one table of weighted polar moments, at O(R Phi N) + O(R N^2) cost.
     """
     kind = CONDUCTIVITY if field.kind == CONDUCTIVITY else SCHROEDINGER
+    N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
     shapes, origins = block_shapes(kind, N), index_origins(kind)
     blocks = {}
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mc, ms = _disk_moments(field, 2 * N, quad)
         for name, (rp, cp) in _BLOCK_MODES.items():
             (rows, cols), (r0, c0) = shapes[name], origins[name]
-            blocks[name] = [[_mode_product(field.kind, mc, ms, rp, r0 + i, cp, c0 + j)
-                             for j in range(cols)] for i in range(rows)]
+            blocks[name] = _mode_product(field.kind, mc, ms, rp, r0 + np.arange(rows)[:, None],
+                                         cp, c0 + np.arange(cols))
     if not all(np.all(np.isfinite(b)) for b in blocks.values()):
         raise DomainError("quadrature oracle has an entry beyond the range of a double")
     return DtnMatrixSet(kind, N, **blocks)
@@ -345,19 +337,17 @@ def _disk_moments(field, top, quad):
 
 
 def _mode_product(kind, mc, ms, fp, n, gp, k):
-    """One entry read off the polar moments by product-to-sum identities.
+    """Entries read off the polar moments by product-to-sum identities, for integer n, k that broadcast.
 
     grad u_f . grad u_g = n k r^(n+k-2) cos((n-k) phi) for equal parities and
     +-n k r^(n+k-2) sin((n-k) phi) (sin-cos +, cos-sin -); u_f u_g = r^(n+k)/2
     times cos((n-k) phi) +- cos((n+k) phi) or sin((n+k) phi) +- sin((n-k) phi).
     """
-    d, s = abs(n - k), _sign(n - k)
-    if kind == CONDUCTIVITY:
-        if n == 0 or k == 0:
-            return 0.0
+    d, s = np.abs(n - k), np.sign(n - k)
+    if kind == CONDUCTIVITY:  # the gradient of a zero-frequency mode vanishes
         if fp == gp:
-            return n * k * mc[n + k - 1, d]
-        return (1 if fp == "sin" else -1) * s * n * k * ms[n + k - 1, d]
+            return np.where(n * k == 0, 0.0, n * k * mc[n + k - 1, d])
+        return np.where(n * k == 0, 0.0, (1 if fp == "sin" else -1) * s * n * k * ms[n + k - 1, d])
     p = n + k + 1
     if fp == gp:
         return 0.5 * (mc[p, d] + (1 if fp == "cos" else -1) * mc[p, n + k])

@@ -40,8 +40,10 @@ from .errors import (
     InconsistentDataError,
     KindMismatchError,
     RangeError,
+    integer,
 )
-from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator
+from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
+                     _least_order)
 from .forward import SCHROEDINGER, DtnMatrixSet
 from .muntz import (  # inverse_matrix: re-exported, the benchmark's tracer patches it here
     WeightedFamily,
@@ -83,8 +85,7 @@ class MomentData:
     origin_shift: int
 
     def __post_init__(self):
-        if self.parity not in ("cos", "sin"):
-            raise DomainError(f"parity must be 'cos' or 'sin', got {self.parity!r}")
+        _least_order(self.parity)
         if self.origin_shift not in (0, 1):
             raise DomainError("origin_shift must be 0 or 1")
         for v in self.values:
@@ -239,9 +240,7 @@ def _extract(mset, kind, k, parity):
     """The order-k moments of a set of the given kind: Fractions of an exact set, floats otherwise."""
     if mset.kind != kind:
         raise KindMismatchError(f"expected a {kind} set, got {mset.kind!r}")
-    if parity not in ("cos", "sin"):
-        raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
-    least = 0 if parity == "cos" else 1
+    least, k = _least_order(parity), integer(k, 0, "angular order k")
     shift = 1 if kind == CONDUCTIVITY else 0
     if not least <= k <= mset.N - shift:
         raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
@@ -476,10 +475,9 @@ def reconstruct(
     """
     if arithmetic not in ("auto", "rational", "float"):
         raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
-    if reg_cap is not None and reg_cap < 0:
-        raise DomainError("reg_cap must be >= 0")
-    if N is None:
-        N = mset.N
+    if reg_cap is not None:
+        reg_cap = integer(reg_cap, 0, "reg_cap")
+    N = integer(mset.N if N is None else N, 0, "truncation N")
     least = 1 if mset.kind == CONDUCTIVITY else 0
     if not least <= N <= mset.N:
         raise RangeError(f"truncation N={N} outside stored range {least}..{mset.N}")

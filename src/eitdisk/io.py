@@ -120,11 +120,9 @@ def field_from_dict(doc) -> FourierRadialField:
             if any(isinstance(x, bool) for t in terms for x in t):
                 raise FormatError(f"profile for {name}[{key}] has a boolean power or value")
             try:
-                out[k] = RadialProfile((int(p), float(v)) for p, v in terms)
+                out[k] = RadialProfile((p, float(v)) for p, v in terms)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"bad profile term in {name}[{key}]: {exc}") from exc
-            if not all(math.isfinite(v) for _, v in out[k].terms):
-                raise FormatError(f"profile for {name}[{key}] has a non-finite value")
         return out
 
     try:

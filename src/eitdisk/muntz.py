@@ -29,7 +29,7 @@ from math import comb, factorial, perm, prod
 
 import numpy as np
 
-from .errors import DegenerateSequenceError, DomainError, RangeError
+from .errors import DegenerateSequenceError, DomainError, RangeError, integer
 
 __all__ = [
     "ExponentSequence",
@@ -48,12 +48,16 @@ _HALF = Fraction(1, 2)
 
 
 class ExponentSequence:
-    """Finite sequence of distinct rational exponents, each >= -1/2."""
+    """Finite sequence of distinct finite rational exponents, each >= -1/2."""
 
     __slots__ = ("lambdas",)
 
     def __init__(self, lambdas):
-        lams = tuple(Fraction(x) for x in lambdas)
+        lambdas = tuple(lambdas)  # errors the caller's own iterator raises pass through unwrapped
+        try:
+            lams = tuple(Fraction(x) for x in lambdas)
+        except (ValueError, OverflowError) as exc:  # NaN, an infinity or a malformed string
+            raise DomainError(f"exponents must be finite rationals: {exc}") from None
         if not lams:
             raise DomainError("exponent sequence must be non-empty")
         for lam in lams:
@@ -66,8 +70,7 @@ class ExponentSequence:
     @classmethod
     def shifted(cls, k: int, count: int) -> "ExponentSequence":
         """The sequence 2i + k + 1/2, i = 0..count-1, tied to angular order k."""
-        if k < 0 or count < 1:
-            raise DomainError("need k >= 0 and count >= 1")
+        k, count = integer(k, 0, "angular order k"), integer(count, 1, "count")
         return cls(Fraction(4 * i + 2 * k + 1, 2) for i in range(count))
 
     def __len__(self):
@@ -166,10 +169,7 @@ def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
     shifted sequence divided by 1 + 2 lambda_n = 4n + 2k + 2, so both come
     from one cached integer table (see ``_integer_rows``).
     """
-    if k < 0:
-        raise DomainError("angular order k must be >= 0")
-    if nmax < 0:
-        raise DomainError("nmax must be >= 0")
+    k, nmax = integer(k, 0, "angular order k"), integer(nmax, 0, "nmax")
     rows = _integer_rows(k, nmax + 1)
     return WeightedFamily(k=k, rows=tuple(tuple(Fraction(u, r.factorial) for u in r.coeffs) for r in rows))
 
@@ -306,8 +306,7 @@ def _integer_rows(k: int, count: int) -> tuple:
 
 def lm_norm_squared(k: int, n: int) -> Fraction:
     """||LM^k_n||^2 on L^2([0,1], x dx), exactly 1/(4n + 2k + 2)."""
-    if k < 0 or n < 0:
-        raise DomainError("need k >= 0 and n >= 0")
+    k, n = integer(k, 0, "angular order k"), integer(n, 0, "index n")
     return Fraction(1, 4 * n + 2 * k + 2)
 
 

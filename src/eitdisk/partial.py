@@ -24,13 +24,13 @@ inside a 1e-9 guard ring around them).
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
-from .errors import DomainError, InconsistentDataError, RangeError
+from .errors import DomainError, InconsistentDataError, RangeError, integer
 from .fields import CONDUCTIVITY, FourierRadialField, eval_field_grid
+from .forward import _mode_product
 from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
     Reconstruction,
     ValidationCheck,
@@ -87,13 +87,6 @@ def _samples(field, r, phi, cmap):
     return eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
 
 
-def _check_modes(*modes):
-    """Raise DomainError unless every sine mode frequency is an integer >= 1 (not a bool)."""
-    for m in modes:
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise DomainError(f"sine mode frequencies must be integers >= 1, not {m!r}")
-
-
 def _levels(field, N, n_phi, cmap):
     """Angular levels, in intervals, of the closed trapezoid for ``field``.
 
@@ -126,10 +119,9 @@ def _sine_data(field, N, quad, cmap=None):
     1e-13 of its largest, or at the last, whose nodes, values and moments
     are the single grid's.
     """
-    _check_modes(N)
+    N = integer(N, 1, "sine mode frequencies")
     r, wr = gauss_legendre_01(quad.n_r)
     n = np.arange(1, N + 1)
-    power, order, scale = n[:, None] + n - 1, np.abs(n[:, None] - n), np.outer(n, n)
     values = data = None
     for size in _levels(field, N, quad.n_phi, cmap):
         phi, wphi = trapezoid_closed(size, 0.0, math.pi)
@@ -142,7 +134,7 @@ def _sine_data(field, N, quad, cmap=None):
             values[~new] = coarse.ravel()
             values[new] = _samples(field, r, phi[new[0]], cmap).ravel()
         mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
-        finer = scale * mc[power, order]
+        finer = _mode_product(CONDUCTIVITY, mc, None, "sin", n[:, None], "sin", n)
         if data is not None and np.max(np.abs(finer - data)) <= 1e-13 * np.max(np.abs(finer)):
             return finer
         data = finer
@@ -158,7 +150,7 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
     (r, phi) acting on arrays.  Entry (n, k) of ``half_disk_data`` at
     N = max(n, k), on the same angular levels.
     """
-    _check_modes(n, k)
+    n, k = integer(n, 1, "sine mode frequencies"), integer(k, 1, "sine mode frequencies")
     return float(_sine_data(field, max(n, k), quad)[n - 1, k - 1])
 
 
@@ -193,12 +185,11 @@ def half_disk_invert(
     _check_tol(tol)
     if not isinstance(data, HalfDiskData):
         data = HalfDiskData(data)
-    if N is None:
-        N = data.N
+    N = integer(data.N if N is None else N, 0, "truncation N")
     if not 1 <= N <= data.N:
         raise RangeError(f"truncation N={N} outside data range 1..{data.N}")
-    if reg_cap is not None and reg_cap < 0:
-        raise DomainError("reg_cap must be >= 0")
+    if reg_cap is not None:
+        reg_cap = integer(reg_cap, 0, "reg_cap")
     rows = data.values.tolist()
     dev = _dev(rows, zip(*rows))
     report = ValidationReport(
@@ -231,7 +222,7 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
     transplanted modes.  Entry (n, k) of ``arc_data`` at N = max(n, k), on
     the same angular levels; n, k are integers >= 1.
     """
-    _check_modes(n, k)
+    n, k = integer(n, 1, "sine mode frequencies"), integer(k, 1, "sine mode frequencies")
     return float(_sine_data(field, max(n, k), quad, cmap)[n - 1, k - 1])
 
 

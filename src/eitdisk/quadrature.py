@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import integer
 
 __all__ = ["QuadratureSpec", "gauss_legendre_01", "trapezoid_periodic", "trapezoid_closed",
            "polar_moments"]
@@ -24,10 +23,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for order in (self.n_r, self.n_phi):
-            if isinstance(order, bool) or not isinstance(order, numbers.Integral):
-                raise DomainError(f"quadrature orders must be integers, not {order!r}")
-        if self.n_r < 1 or self.n_phi < 1:
-            raise DomainError("quadrature orders must be positive")
+            integer(order, 1, "quadrature orders")
 
 
 @lru_cache(maxsize=None)

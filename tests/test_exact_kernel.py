@@ -153,11 +153,10 @@ def test_moment_exact_equals_the_fraction_sum(terms, m):
     assert got == _naive_moment(profile, m)
 
 
-def test_moment_exact_rejects_non_finite_values_as_before():
-    with pytest.raises(ValueError):
-        RadialProfile(((0, math.nan),)).moment_exact(1)
-    with pytest.raises(OverflowError):
-        RadialProfile(((0, math.inf),)).moment_exact(1)
+def test_radial_profile_rejects_non_finite_values():
+    for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(DomainError, match="non-finite"):
+            RadialProfile(((0, 1.0), (2, value)))
 
 
 # forward assembly ---------------------------------------------------------------

@@ -278,8 +278,9 @@ def test_reconstruct_tolerates_noise_within_tol():
 
 def test_reconstruct_range_and_mode_guards():
     mset = conductivity_dtn(CONST_COND, 3)
-    with pytest.raises(RangeError):
-        reconstruct(mset, N=4)
+    for N in (0, 4):  # integers, but outside 1..3
+        with pytest.raises(RangeError):
+            reconstruct(mset, N=N)
     with pytest.raises(DomainError):
         reconstruct(mset, arithmetic="decimal")
     with pytest.raises(DomainError):

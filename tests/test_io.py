@@ -95,6 +95,12 @@ def test_field_from_dict_rejects_non_finite_and_bool_values():
         eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[math.inf, 1.0]]}, "sin": {}})
 
 
+def test_field_from_dict_rejects_a_non_integer_power():
+    for power in (2.5, 2.0, "2", 1e308):  # a truncating int() would read 2.5 as 2
+        with pytest.raises(FormatError, match="integers only"):
+            eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[power, 1.0]]}, "sin": {}})
+
+
 def test_dtn_dict_roundtrip_conductivity():
     field = FourierRadialField(CONDUCTIVITY, {1: RadialProfile(((1, 1.0),))}, {})
     mset = conductivity_dtn(field, 3)

@@ -37,6 +37,12 @@ def test_sequence_validation():
         ExponentSequence([HALF, HALF])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_sequence_rejects_non_finite_exponents(bad):
+    with pytest.raises(DomainError, match="finite"):
+        ExponentSequence([HALF, bad])
+
+
 def test_shifted_sequence():
     seq = ExponentSequence.shifted(1, 3)
     assert list(seq) == [Fraction(3, 2), Fraction(7, 2), Fraction(11, 2)]

@@ -95,8 +95,9 @@ def test_half_disk_invert_validates_symmetry():
 
 def test_half_disk_invert_range_guard():
     data = half_disk_data(CONST, 3)
-    with pytest.raises(RangeError):
-        half_disk_invert(data, N=4)
+    for N in (0, 4):  # integers, but outside 1..3
+        with pytest.raises(RangeError):
+            half_disk_invert(data, N=N)
 
 
 def test_half_disk_quadrature_consistency():
