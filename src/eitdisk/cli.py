@@ -46,16 +46,14 @@ MAX_GRID = 1024
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_seq_value(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:  # usage errors and --help: returned, so library callers get the code
-        return exc.code
-    try:
+        args = _build_parser().parse_args(_attach_seq_value(sys.argv[1:] if argv is None else argv))
         for flag in ("quad_r", "quad_phi", "nr", "nphi"):  # before any input is read
             if hasattr(args, flag):
                 _check_cap(getattr(args, flag), "--" + flag.replace("_", "-"), MAX_GRID)
         return args.func(args)
+    except SystemExit as exc:  # --help: returned, so library callers get the code
+        return exc.code
     except InconsistentDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for line in exc.report.lines():
@@ -80,9 +78,14 @@ def _attach_seq_value(argv) -> list:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one FormatError line (exit 2), not argparse's usage text and exit
+        raise FormatError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="eitdisk", description=__doc__)
+    parser = _Parser(prog="eitdisk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, **flags):

@@ -90,10 +90,10 @@ _ZERO_PROFILE = RadialProfile(())
 
 
 def _common_denominator(values) -> tuple:
-    """Integers n_i and the lcm D of the denominators, with values[i] == n_i / D exactly."""
+    """Python ints n_i and the lcm D of the denominators, with values[i] == n_i / D exactly."""
     fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     den = math.lcm(*(q.denominator for q in fracs))
-    return [q.numerator * (den // q.denominator) for q in fracs], den
+    return [int(q.numerator) * (den // q.denominator) for q in fracs], den  # a numpy int would wrap
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,11 @@ class FourierRadialField:
 
 
 def _checked_profiles(profiles, parity):
-    out = {}
-    for k in sorted(profiles):
-        kk = integer(k, _least_order(parity), f"{parity} orders")
-        prof = profiles[k]
-        if not isinstance(prof, RadialProfile):
-            prof = RadialProfile(prof)
-        out[kk] = prof
-    return out
+    """The profiles in increasing order; every key is checked before any two are compared."""
+    least = _least_order(parity)
+    checked = [(integer(k, least, f"{parity} orders"), p if isinstance(p, RadialProfile) else RadialProfile(p))
+               for k, p in profiles.items()]
+    return dict(sorted(checked))  # distinct int keys: no two profiles are compared
 
 
 def _least_order(parity) -> int:

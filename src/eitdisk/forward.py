@@ -27,6 +27,7 @@ inversion path rely on them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, KindMismatchError, ShapeError, integer
-from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, _least_order, eval_field_grid
+from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order,
+                     eval_field_grid)
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
 
 __all__ = [
@@ -89,9 +91,9 @@ class DtnMatrixSet:
     (entry = fraction * pi); sets loaded from serialized floats have
     ``exact = None``.  Exact sets also carry one integer view, the four
     blocks as integer numerators over one common denominator, which the
-    validation, projection and inversion read; an assembled set builds its
-    ``exact`` Fractions from it on first read, a set given ``exact`` tables
-    derives it from them on first use.
+    validation, projection and inversion read.  ``exact=`` tables, whose
+    entries must be rationals (not bools), become that view here; an
+    assembled set builds its ``exact`` Fractions from the view on first read.
     """
 
     __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints")
@@ -111,14 +113,21 @@ class DtnMatrixSet:
                     f"block {name} has shape {arr.shape}, expected {shapes[name]}"
                 )
             setattr(self, name, arr)
+        self._exact, self._ints = exact, None
         if exact is not None:
             for name in BLOCK_NAMES:
                 rows, cols = shapes[name]
                 table = exact[name]
                 if len(table) != rows or any(len(row) != cols for row in table):
                     raise ShapeError(f"exact block {name} shape mismatch")
-        self._exact = exact
-        self._ints = None
+                bad = [q for row in table for q in row
+                       if isinstance(q, bool) or not isinstance(q, numbers.Rational)]
+                if bad:
+                    raise DomainError(f"exact block {name} has an entry that is not rational: {bad[0]!r}")
+            nums, den = _common_denominator([q for name in BLOCK_NAMES for row in exact[name] for q in row])
+            nums = iter(nums)
+            self._ints = {name: [[next(nums) for _ in row] for row in exact[name]]
+                          for name in BLOCK_NAMES}, den
 
     @property
     def exact(self):
@@ -128,16 +137,6 @@ class DtnMatrixSet:
             self._exact = {name: [[Fraction(n, den) for n in row] for row in blocks[name]]
                            for name in BLOCK_NAMES}
         return self._exact
-
-    def _integers(self):
-        """(blocks, D): the exact blocks as integer numerators over one denominator D, or None."""
-        if self._ints is None and self._exact is not None:
-            dens = {q.denominator for name in BLOCK_NAMES for row in self._exact[name] for q in row}
-            den = math.lcm(*dens)
-            scale = {d: den // d for d in dens}
-            self._ints = {name: [[q.numerator * scale[q.denominator] for q in row]
-                                 for row in self._exact[name]] for name in BLOCK_NAMES}, den
-        return self._ints
 
     def block(self, name: str) -> np.ndarray:
         if name not in BLOCK_NAMES:
@@ -151,11 +150,10 @@ class DtnMatrixSet:
         conductivity kind, with its own antisymmetry), then sc = cs^T.
         Structurally exact data is returned unchanged up to rounding.
         """
-        ints = self._integers()
-        if ints is not None:
+        if self._ints is not None:
             # an average sums two numerators and doubles the denominator; the
             # conductivity cs is averaged twice, so cc and ss are doubled again
-            e, den = ints
+            e, den = self._ints
             twice = 2 if self.kind == CONDUCTIVITY else 1
             rows, cols = block_shapes(self.kind, self.N)["cs"]
             ecc, ess = ([[twice * (t[i][j] + t[j][i]) for j in range(len(t))] for i in range(len(t))]

@@ -86,6 +86,7 @@ class MomentData:
 
     def __post_init__(self):
         _least_order(self.parity)
+        object.__setattr__(self, "k", integer(self.k, 0, "angular order k"))
         if self.origin_shift not in (0, 1):
             raise DomainError("origin_shift must be 0 or 1")
         for v in self.values:
@@ -169,7 +170,7 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
 
 def _blocks(mset, floats=False):
     """cc, ss, sc, cs and D: integer numerators over D of an exact set, or lists of floats and 1."""
-    ints = None if floats else mset._integers()
+    ints = None if floats else mset._ints
     if ints is None:
         return (*(b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs)), 1)
     blocks, den = ints
@@ -244,7 +245,7 @@ def _extract(mset, kind, k, parity):
     shift = 1 if kind == CONDUCTIVITY else 0
     if not least <= k <= mset.N - shift:
         raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
-    values, den = _moments(kind, _blocks(mset), mset._integers() is not None, mset.N, k, parity)
+    values, den = _moments(kind, _blocks(mset), mset._ints is not None, mset.N, k, parity)
     if den is not None:
         values = [Fraction(n, den) for n in values]
     return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=shift)
@@ -314,6 +315,7 @@ def condition_sums(k: int, count: int) -> list:  # public; the benchmark's trace
     Growth with n measures how strongly the moment inversion amplifies data
     errors at depth n.
     """
+    k, count = integer(k, 0, "angular order k"), integer(count, 1, "count")
     return [row.condition for row in _integer_rows(k, count)]
 
 
@@ -430,6 +432,7 @@ class Reconstruction:
         # family coefficients reach 1e4 by n = 7; lift the floats and round
         # once instead of rounding every product.  Family row n is U_n / n!,
         # so every row is brought over the last row's factorial.
+        k = integer(k, 0, "angular order k")
         nums, den = _common_denominator(coeffs)
         rows = _integer_rows(k, len(coeffs))
         top = rows[-1].factorial
@@ -446,8 +449,6 @@ def _polar_points(r, phi) -> tuple:
 
     A radius outside [0, 1] or a NaN or infinite angle is a DomainError.
     """
-    if isinstance(r, float) and isinstance(phi, float) and 0.0 <= r <= 1.0 and math.isfinite(phi):
-        return np.asarray(r), np.asarray(phi)  # one valid point: no array passes
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     inside = (r >= 0.0) & (r <= 1.0)
     if not inside.all():
@@ -486,7 +487,7 @@ def reconstruct(
         raise InconsistentDataError(report)
     # exact data that deviates nowhere is its own projection; "float" reads
     # the float blocks, which symmetrized rebuilds from the exact tables
-    exact = arithmetic != "float" and mset._integers() is not None
+    exact = arithmetic != "float" and mset._ints is not None
     sym = mset if exact and report.max_deviation == 0 else mset.symmetrized()
     moments = functools.partial(_moments, mset.kind, _blocks(sym, floats=not exact), exact, N)
     top = N if mset.kind == CONDUCTIVITY else N + 1
@@ -543,7 +544,7 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
     if mset.kind != SCHROEDINGER:
         raise KindMismatchError(f"expected a schroedinger set, got {mset.kind!r}")
     cc, ss, sc, cs, den = _blocks(mset)
-    exact = mset._integers() is not None
+    exact = mset._ints is not None
 
     def mean(values):  # exact: one rounding of the exact mean; floats: each over pi first
         if not exact:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile
+from .fields import FourierRadialField, RadialProfile
 from .forward import BLOCK_NAMES, DtnMatrixSet, index_origins
 from .inverse import Reconstruction
 from .partial import HalfDiskData
@@ -99,9 +99,6 @@ def field_to_dict(field: FourierRadialField) -> dict:
 def field_from_dict(doc) -> FourierRadialField:
     if not isinstance(doc, dict):
         raise FormatError("field document must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in (CONDUCTIVITY, POTENTIAL):
-        raise FormatError(f"field kind must be '{CONDUCTIVITY}' or '{POTENTIAL}', got {kind!r}")
 
     def profiles(name):
         section = doc.get(name, {})
@@ -126,8 +123,8 @@ def field_from_dict(doc) -> FourierRadialField:
         return out
 
     try:
-        return FourierRadialField(kind=kind, cos=profiles("cos"), sin=profiles("sin"))
-    except (TypeError, ValueError) as exc:
+        return FourierRadialField(kind=doc.get("kind"), cos=profiles("cos"), sin=profiles("sin"))
+    except (TypeError, ValueError) as exc:  # the field's KindMismatchError is a TypeError
         raise FormatError(str(exc)) from exc
 
 

@@ -155,8 +155,8 @@ class TriangularMatrix:
 
 def build_muntz(seq: ExponentSequence, n: int) -> MuntzPolynomial:
     """Construct L_n for the leading n+1 exponents of ``seq``."""
-    lam = seq.lambdas
-    if not 0 <= n < len(lam):
+    lam, n = seq.lambdas, integer(n, 0, "degree n")
+    if n >= len(lam):
         raise RangeError(f"degree {n} outside sequence of length {len(lam)}")
     return MuntzPolynomial(exponents=lam[: n + 1], coefficients=_muntz_rows(lam[: n + 1])[n])
 
@@ -178,7 +178,7 @@ def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
     """Evaluate LM^k_n at x in [0, 1] as x^k P_n^{(0,k)}(2x^2 - 1) by the recurrence."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument {x} outside [0, 1]")
-    if not 0 <= n <= family.nmax:
+    if integer(n, 0, "index n") > family.nmax:
         raise RangeError(f"index {n} outside family range 0..{family.nmax}")
     coeffs = np.zeros((n + 1, 1))
     coeffs[n] = 1.0
@@ -291,10 +291,10 @@ def _integer_rows(k: int, count: int) -> tuple:
     U_n[l] = n! S[n][l] = (-1)^(n-l) C(n, l) (l+k+1)_n (Borwein, Erdelyi and
     Zhang, Trans. AMS 342, 1994), so R[n][l] = (4n + 2k + 2) U_n[l] / n!, the
     family row LM^k_n is U_n / n!, and the condition sum is sum_l |R[n][l]|
-    rounded once.  Rows are cached per k and extended by prefix.
+    rounded once.  Rows are cached per k and extended by prefix.  Callers pass
+    ints k >= 0 and count >= 1, checked by ``errors.integer`` or taken from a
+    range, so this function checks neither.
     """
-    if k < 0 or count < 1:
-        raise DomainError("need k >= 0 and count >= 1")
     rows = _INT_ROWS.get(k, ())
     for n in range(len(rows), count):
         row = tuple((-1) ** (n - l) * comb(n, l) * perm(n + l + k, n) for l in range(n + 1))
@@ -311,6 +311,6 @@ def lm_norm_squared(k: int, n: int) -> Fraction:
 
 
 def _checked_prefix(seq: ExponentSequence, size: int):
-    if not 1 <= size <= len(seq):
+    if integer(size, 1, "size") > len(seq):
         raise RangeError(f"size {size} outside sequence of length {len(seq)}")
     return seq.lambdas[:size]

@@ -297,9 +297,7 @@ def test_usage_errors_and_help_return_their_exit_code(capsys):
     assert main(["forward"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    lines = err.splitlines()  # the usage line wraps at the terminal width
-    assert lines[0].startswith("usage: eitdisk forward ")
-    assert lines[-1] =="eitdisk forward: error: the following arguments are required: --input, --output"
+    assert err == "error: eitdisk forward: the following arguments are required: --input, --output\n"
     assert main(["--help"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: eitdisk ") and err == ""

@@ -447,6 +447,28 @@ def test_potential_validate_on_exact_tables_of_plain_ints():
         _assert_matches_reference(_bumped(scaled, name, i, j, Fraction(2, 3)))  # ints and a Fraction
 
 
+@pytest.mark.parametrize("bad", [0.5, "1", True, None])
+def test_exact_tables_of_non_rationals_are_rejected_at_construction(bad):
+    mset = conductivity_dtn(_random_field(CONDUCTIVITY, 3, seed=5), 3)
+    exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
+    exact["cs"][1][2] = bad
+    with pytest.raises(DomainError, match="exact block cs has an entry that is not rational"):
+        _with_exact(mset, exact)
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_exact_tables_of_numpy_integers_invert_as_plain_ints(kind, forward):
+    # numerators near 2**60: products with the solver rows wrap around in int64
+    mset = forward(_random_field(kind, 8, seed=12), 8)
+    den = math.lcm(*(q.denominator for n in BLOCK_NAMES for row in mset.exact[n] for q in row))
+    ints = {n: [[int(q * den) for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES}
+    numpy_ints = {n: [[np.int64(v) for v in row] for row in ints[n]] for n in BLOCK_NAMES}
+    want, got = (reconstruct(_with_exact(mset, tables)) for tables in (ints, numpy_ints))
+    assert (got.p, got.q) == (want.p, want.q)
+    assert _with_exact(mset, numpy_ints).exact is numpy_ints  # the caller's own tables
+
+
 @pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
                                           (POTENTIAL, schroedinger_dtn)])
 def test_reconstruct_equals_the_symmetrized_reconstruction(kind, forward):
@@ -516,7 +538,7 @@ def test_integer_view_equals_the_fraction_tables(N):
     for kind, forward, reference in _KINDS[N == 0:]:
         field = _mixed_field(kind, N, seed=200 + N)
         mset = forward(field, N)
-        blocks, den = mset._integers()
+        blocks, den = mset._ints
         assert mset._exact is None
         expected = reference(field, N)
         for name in BLOCK_NAMES:
@@ -534,7 +556,7 @@ def test_a_sparse_high_power_profile_assembles_over_the_divisors_that_occur(kind
     profile = RadialProfile(((5000, Fraction(3, 7)),))
     field = FourierRadialField(kind, {1: profile}, {2: profile})
     mset = forward(field, 4)
-    blocks, den = mset._integers()
+    blocks, den = mset._ints
     assert den.bit_length() < 100  # lcm(1..5000) alone has about 7200 bits
     expected = reference(field, 4)
     assert {name: [[Fraction(n, den) for n in row] for row in blocks[name]] for name in BLOCK_NAMES} == expected

@@ -6,6 +6,8 @@ argument past what the data hold stays a RangeError (tests/test_inverse.py,
 tests/test_partial.py).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,19 +19,27 @@ from eitdisk import (
     DtnMatrixSet,
     ExponentSequence,
     FourierRadialField,
+    MomentData,
     RadialProfile,
+    Reconstruction,
+    build_muntz,
     build_weighted_family,
+    condition_sums,
     conductivity_dtn,
+    eval_weighted,
     extract_conductivity_moments,
     extract_schroedinger_moments,
+    gram_matrix,
     half_disk_data,
     half_disk_invert,
+    inverse_matrix,
     lm_norm_squared,
     moment,
     oracle_dtn,
     reconstruct,
     sample_grid,
     schroedinger_dtn,
+    solve_moment_problem,
 )
 from eitdisk.quadrature import QuadratureSpec
 
@@ -40,6 +50,17 @@ POT_SET = schroedinger_dtn(POT, 3)
 HALF_DATA = half_disk_data(COND, 3)
 SMALL_QUAD = QuadratureSpec(8, 16)
 ZEROS = [np.zeros((2, 2))] * 4
+SEQ = ExponentSequence.shifted(0, 3)
+FAMILY = build_weighted_family(0, 3)
+
+
+def _moment_data(k):
+    return MomentData(k=k, parity="cos", values=(Fraction(1, 3), Fraction(1, 5)), origin_shift=1)
+
+
+def _to_field(k):
+    return Reconstruction(CONDUCTIVITY, 3, {k: [1.0, 0.5]}, {}, {}).to_field()
+
 
 # entry(value) for a value in place of one integer argument; each accepts 2
 ENTRIES = {
@@ -67,6 +88,14 @@ ENTRIES = {
     "build_weighted_family nmax": lambda v: build_weighted_family(0, v),
     "lm_norm_squared k": lambda v: lm_norm_squared(v, 1),
     "lm_norm_squared n": lambda v: lm_norm_squared(1, v),
+    "gram_matrix size": lambda v: gram_matrix(SEQ, v),
+    "inverse_matrix size": lambda v: inverse_matrix(SEQ, v),
+    "build_muntz n": lambda v: build_muntz(SEQ, v),
+    "eval_weighted n": lambda v: eval_weighted(FAMILY, v, 0.5),
+    "condition_sums k": lambda v: condition_sums(v, 2),
+    "condition_sums count": lambda v: condition_sums(0, v),
+    "MomentData k": lambda v: solve_moment_problem(_moment_data(v)),
+    "Reconstruction.to_field order key": _to_field,
 }
 
 
@@ -89,3 +118,28 @@ def test_fractional_sizes_are_not_truncated():
         DtnMatrixSet(CONDUCTIVITY, 4.5, *blocks)
     assert DtnMatrixSet(CONDUCTIVITY, np.int64(4), *blocks).N == 4
 
+
+BELOW_LEAST = {
+    "gram_matrix size 0": lambda: gram_matrix(SEQ, 0),
+    "inverse_matrix size -1": lambda: inverse_matrix(SEQ, -1),
+    "build_muntz n -1": lambda: build_muntz(SEQ, -1),
+    "eval_weighted n -1": lambda: eval_weighted(FAMILY, -1, 0.5),
+    "condition_sums k -1": lambda: condition_sums(-1, 2),
+    "condition_sums count 0": lambda: condition_sums(0, 0),
+    "MomentData k -1": lambda: _moment_data(-1),
+    "Reconstruction.to_field order key -1": lambda: _to_field(-1),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_LEAST)
+def test_integers_below_their_least_value_are_domain_errors(name):
+    with pytest.raises(DomainError, match="integers only"):
+        BELOW_LEAST[name]()
+
+
+def test_field_keys_of_mixed_types_are_checked_before_they_are_sorted():
+    for parity in ("cos", "sin"):
+        with pytest.raises(DomainError, match=f"{parity} orders must be .* not '1'"):
+            FourierRadialField(CONDUCTIVITY, **{parity: {2: ((0, 1.0),), "1": ((0, 1.0),)}})
+    field = FourierRadialField(CONDUCTIVITY, {np.int64(3): ((0, 1.0),), 1: ((0, 2.0),)}, {})
+    assert list(field.cos) == [1, 3] and all(type(k) is int for k in field.cos)
