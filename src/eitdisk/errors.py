@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule for integer arguments."""
+"""Exception types shared across the package, and its rules for integer arguments and exact values."""
 
 import numbers
 
@@ -69,3 +69,8 @@ def integer(value, least, what) -> int:
             or value < least):  # type() first: a plain int skips the slower abstract-class check
         raise DomainError(f"{what} must be {('non-negative', 'positive')[least]} (integers only), not {value!r}")
     return int(value)
+
+
+def rational(value) -> bool:
+    """Whether a value is exact: a ``numbers.Rational`` (numpy integers included) that is not a bool."""
+    return isinstance(value, numbers.Rational) and not isinstance(value, bool)

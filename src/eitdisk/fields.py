@@ -48,6 +48,7 @@ class RadialProfile:
         seen = set()
         for power, value in terms:
             p = integer(power, 0, "radial powers")
+            value = int(value) if isinstance(value, np.integer) else value  # numpy integers wrap
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"radial profile value {value!r} is non-finite")
             if p in seen:

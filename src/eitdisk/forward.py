@@ -27,14 +27,13 @@ inversion path rely on them.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, ShapeError, integer
+from .errors import DomainError, KindMismatchError, ShapeError, integer, rational
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order,
                      eval_field_grid)
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
@@ -120,8 +119,7 @@ class DtnMatrixSet:
                 table = exact[name]
                 if len(table) != rows or any(len(row) != cols for row in table):
                     raise ShapeError(f"exact block {name} shape mismatch")
-                bad = [q for row in table for q in row
-                       if isinstance(q, bool) or not isinstance(q, numbers.Rational)]
+                bad = [q for row in table for q in row if not rational(q)]
                 if bad:
                     raise DomainError(f"exact block {name} has an entry that is not rational: {bad[0]!r}")
             nums, den = _common_denominator([q for name in BLOCK_NAMES for row in exact[name] for q in row])

@@ -35,13 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InconsistentDataError,
-    KindMismatchError,
-    RangeError,
-    integer,
-)
+from .errors import DomainError, InconsistentDataError, KindMismatchError, RangeError, integer, rational
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
                      _least_order)
 from .forward import SCHROEDINGER, DtnMatrixSet
@@ -89,9 +83,8 @@ class MomentData:
         object.__setattr__(self, "k", integer(self.k, 0, "angular order k"))
         if self.origin_shift not in (0, 1):
             raise DomainError("origin_shift must be 0 or 1")
-        for v in self.values:
-            if not isinstance(v, (Fraction, int)) and not math.isfinite(v):
-                raise DomainError("moment values must be finite")
+        if not all(rational(v) or math.isfinite(v) for v in self.values):
+            raise DomainError("moment values must be finite")
 
 
 @dataclass(frozen=True)
@@ -277,34 +270,27 @@ def _moments(kind, blocks, exact, N, k, parity):
 def solve_moment_problem(data: MomentData) -> list:
     """Coefficients p_n of the profile in the LM^k basis from its moments.
 
-    Exact-rational input gives exact rational output.  Float input is lifted
-    to exact dyadic rationals, pushed through the same exact solver rows and
-    rounded once per coefficient, at the cost of the exact solve; the solver
-    row sums reach 1e6 by n = 7, so rounding the individual products would
-    already cost ~1e-10 per term.
+    Exact input (``errors.rational``) gives exact rational output.  Float
+    input is lifted to exact dyadic rationals, pushed through the same exact
+    solver rows and rounded once per coefficient, at the cost of the exact
+    solve; the solver row sums reach 1e6 by n = 7, so rounding the individual
+    products would already cost ~1e-10 per term.
     """
     nums, den = _common_denominator(data.values)
-    return _solve(data.k, nums, den, all(isinstance(v, (Fraction, int)) for v in data.values))
+    return _exact_or_rounded(_solve(data.k, nums), den, all(map(rational, data.values)))
 
 
-def _solve(k, nums, den, exact) -> list:
-    """Coefficients from moments nums[m] / den: one integer dot product per solver row."""
-    if not nums:
-        return []
-    ratios = [(row.scale * sum(map(operator.mul, row.coeffs, nums)), row.factorial * den)
-              for row in _integer_rows(k, len(nums))]
-    return _exact_or_rounded(ratios, exact)
+def _solve(k, nums) -> list:
+    """Coefficient numerators over the moments' denominator: one integer dot product per solver row."""
+    return [row.scale * sum(map(operator.mul, row.coeffs, nums)) for row in _integer_rows(k, len(nums))]
 
 
-def _exact_or_rounded(ratios, exact) -> list:
-    """Fractions from (numerator, denominator) pairs, or doubles each rounded once.
-
-    A value beyond the range of a double is a DomainError.
-    """
+def _exact_or_rounded(nums, den, exact) -> list:
+    """Fractions n / den, or doubles each rounded once; a value beyond the double range is a DomainError."""
     if exact:
-        return [Fraction(n, d) for n, d in ratios]
+        return [Fraction(n, den) for n in nums]
     try:
-        return [n / d for n, d in ratios]
+        return [n / den for n in nums]
     except OverflowError:
         raise DomainError("a reconstructed coefficient is beyond the range of a double") from None
 
@@ -323,23 +309,35 @@ class Reconstruction:
     """Profile coefficients p (cosine) and q (sine) per angular order.
 
     p[k][n] multiplies LM^k_n; the k = 0 series carries a conventional 1/2.
-    ``condition[k]`` holds the solver row sums used for diagnostics.
+    ``condition[k]`` holds the solver row sums used for diagnostics.  An exact
+    solve's series are integer numerators over one denominator, which p and q
+    are built from on first read and every other reader reads directly.
 
     Calling the reconstruction on arrays r, phi evaluates it there through the
     Jacobi recurrence (see ``muntz._jacobi_sum``), from a float table built on
     the first call; the exact LM families are built only for ``family``.
     """
 
-    __slots__ = ("kind", "N", "p", "q", "condition", "_table", "_last_radius")
+    __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius")
 
     def __init__(self, kind, N, p, q, condition):
-        self.kind = kind
-        self.N = N
-        self.p = p
-        self.q = q
-        self.condition = condition
-        self._table = None
-        self._last_radius = None
+        self.kind, self.N, self.condition = kind, N, condition
+        self._pq, self._ints = [p, q], None  # _ints: per parity {k: (numerators, denominator, True)}
+        self._table = self._last_radius = None
+
+    p = property(lambda self: self._coefficients(0), doc="Cosine coefficients per order.")
+    q = property(lambda self: self._coefficients(1), doc="Sine coefficients per order.")
+
+    def _coefficients(self, parity):
+        if self._pq[parity] is None:
+            self._pq[parity] = {k: _exact_or_rounded(*v) for k, v in self._ints[parity].items()}
+        return self._pq[parity]
+
+    def _floats(self) -> list:
+        """p and q as doubles: float(c), or n / den from the numerators, the same double with no Fraction."""
+        if self._ints is None:
+            return [{k: list(map(float, c)) for k, c in table.items()} for table in self._pq]
+        return [{k: [n / den for n in nums] for k, (nums, den, _) in ints.items()} for ints in self._ints]
 
     def family(self, k: int) -> WeightedFamily:
         depth = max(len(self.p.get(k, ())), len(self.q.get(k, ())))
@@ -359,7 +357,11 @@ class Reconstruction:
     def _values(self, r, phi):
         """``__call__`` on float arrays r and phi that are already checked."""
         radial, weight = self._radial(r[..., None])
-        return np.asarray((radial * (weight * self._angular(phi[..., None]))).sum(axis=-1))
+        _, _, ks, ncos = self._table  # built by _radial
+        trig = phi[..., None] * ks  # cos(k phi), then sin(k phi), one per series
+        np.cos(trig[..., :ncos], out=trig[..., :ncos])
+        np.sin(trig[..., ncos:], out=trig[..., ncos:])
+        return np.asarray((radial * (weight * trig)).sum(axis=-1))
 
     def evaluate(self, r: float, phi: float) -> float:
         """Pointwise value at polar (r, phi); points on the last radius reuse its radial rows.
@@ -388,14 +390,6 @@ class Reconstruction:
         coeffs, constants, ks, _ = self._series_table()
         return _jacobi_sum(coeffs, constants, 2.0 * r * r - 1.0), r**ks
 
-    def _angular(self, phi):
-        """cos(k phi), then sin(k phi), one per series, at phi (scalar or with a trailing axis)."""
-        _, _, ks, ncos = self._series_table()
-        trig = phi * ks
-        np.cos(trig[..., :ncos], out=trig[..., :ncos])
-        np.sin(trig[..., ncos:], out=trig[..., ncos:])
-        return trig
-
     def _series_table(self):
         """Float coefficients (k = 0 half folded in), one column per nonempty series.
 
@@ -405,13 +399,14 @@ class Reconstruction:
         """
         if self._table is not None:
             return self._table
-        series = [(k, 0.5 if k == 0 else 1.0, c) for k, c in self.p.items() if c]
+        p, q = self._floats()
+        series = [(k, 0.5 if k == 0 else 1.0, c) for k, c in p.items() if c]
         ncos = len(series)
-        series += [(k, 1.0, c) for k, c in self.q.items() if c]
+        series += [(k, 1.0, c) for k, c in q.items() if c]
         depth = max((len(c) for _, _, c in series), default=1)
         coeffs = np.zeros((depth, len(series)))
         for s, (_, scale, c) in enumerate(series):
-            coeffs[: len(c), s] = [scale * float(v) for v in c]
+            coeffs[: len(c), s] = [scale * v for v in c]
         ks = np.array([k for k, _, _ in series], dtype=float)
         self._table = coeffs, _jacobi_constants(ks, depth), ks, ncos
         return self._table
@@ -420,28 +415,28 @@ class Reconstruction:
         """Expand the LM series into monomial radial profiles.
 
         The k = 0 profile is halved so the result follows the plain-series
-        convention used by the field type.
+        convention used by the field type.  Coefficients other than an exact
+        solve's are lifted to one denominator per series first, exact if all are.
         """
-        cos, sin = ({k: self._monomial_profile(k, coeffs, halve=cosine and k == 0)
-                     for k, coeffs in table.items() if coeffs}
-                    for table, cosine in ((self.p, True), (self.q, False)))
+        views = self._ints or [{k: (*_common_denominator(c), all(map(rational, c))) for k, c in table.items()}
+                               for table in self._pq]
+        cos, sin = ({k: _monomial_profile(k, nums, 2 * den if parity == k == 0 else den, exact)
+                     for k, (nums, den, exact) in views[parity].items() if nums} for parity in (0, 1))
         kind = CONDUCTIVITY if self.kind == CONDUCTIVITY else POTENTIAL
         return FourierRadialField(kind=kind, cos=cos, sin=sin)
 
-    def _monomial_profile(self, k, coeffs, halve):
-        # family coefficients reach 1e4 by n = 7; lift the floats and round
-        # once instead of rounding every product.  Family row n is U_n / n!,
-        # so every row is brought over the last row's factorial.
-        k = integer(k, 0, "angular order k")
-        nums, den = _common_denominator(coeffs)
-        rows = _integer_rows(k, len(coeffs))
-        top = rows[-1].factorial
-        nums = [c * (top // row.factorial) for c, row in zip(nums, rows)]
-        den *= top * (2 if halve else 1)
-        ratios = [(sum(nums[n] * rows[n].coeffs[l] for n in range(l, len(nums))), den)
-                  for l in range(len(nums))]
-        values = _exact_or_rounded(ratios, all(isinstance(c, (Fraction, int)) for c in coeffs))
-        return RadialProfile((2 * l + k, c) for l, c in enumerate(values))
+
+def _monomial_profile(k, nums, den, exact) -> RadialProfile:
+    """sum_n (nums[n] / den) LM^k_n on the powers r^(2l+k).
+
+    One pass over family row n per coefficient: family coefficients reach 1e4
+    by n = 7, so each power's sum is formed in integers and rounded once.
+    """
+    k = integer(k, 0, "angular order k")
+    sums = [0] * len(nums)
+    for n, (c, row) in enumerate(zip(nums, _integer_rows(k, len(nums)))):
+        sums[: n + 1] = map(operator.add, sums, map(c.__mul__, row.coeffs))
+    return RadialProfile((2 * l + k, v) for l, v in enumerate(_exact_or_rounded(sums, den, exact)))
 
 
 def _polar_points(r, phi) -> tuple:
@@ -500,19 +495,22 @@ def _invert(kind, N, cos_orders, sin_orders, moments, exact, reg_cap) -> Reconst
 
     Doubles are lifted to exact dyadic rationals; coefficients stay exact when ``exact``.
     """
-    def solve(k, parity):
+    def solve(k, parity):  # coefficient n reads moments 0..n only, so a cap drops the moments beyond it
         nums, den = moments(k, parity)
         if den is None:
             if not all(map(math.isfinite, nums)):
                 raise DomainError("moment values must be finite")
             nums, den = _common_denominator(nums)
-        coeffs = _solve(k, nums, den, exact)
-        return coeffs if reg_cap is None else coeffs[: reg_cap + 1]
+        return _solve(k, nums if reg_cap is None else nums[: reg_cap + 1]), den, exact
 
-    p = {k: solve(k, "cos") for k in cos_orders}
-    q = {k: solve(k, "sin") for k in sin_orders}
-    condition = {k: condition_sums(k, len(p[k])) for k in p if p[k]}
-    return Reconstruction(kind=kind, N=N, p=p, q=q, condition=condition)
+    series = [{k: solve(k, "cos") for k in cos_orders}, {k: solve(k, "sin") for k in sin_orders}]
+    condition = {k: condition_sums(k, len(nums)) for k, (nums, _, _) in series[0].items() if nums}
+    rec = Reconstruction(kind, N, None, None, condition)
+    if exact:  # p and q are built on first read
+        rec._ints = series
+    else:
+        rec._pq = [{k: _exact_or_rounded(*v) for k, v in view.items()} for view in series]
+    return rec
 
 
 def admissibility(rec: Reconstruction) -> float:
@@ -524,11 +522,11 @@ def admissibility(rec: Reconstruction) -> float:
     data to come from a square-integrable field.
     """
     total = 0.0
-    for table, cosine in ((rec.p, True), (rec.q, False)):
+    for parity, table in enumerate(rec._floats()):
         for k, coeffs in table.items():
-            w = 0.25 if cosine and k == 0 else 0.5
+            w = 0.25 if parity == k == 0 else 0.5
             for n, c in enumerate(coeffs):
-                total += w * float(c) ** 2 / (2 * n + k + 1)
+                total += w * c**2 / (2 * n + k + 1)
     return total
 
 

@@ -179,11 +179,12 @@ def _float_matrix(rows, what) -> np.ndarray:
 
 
 def reconstruction_to_dict(rec: Reconstruction) -> dict:
+    p, q = rec._floats()  # an exact solve's numerators as n / den: float(Fraction), no Fraction built
     return {
         "N": rec.N,
         "kind": rec.kind,
-        "p": {str(k): [float(c) for c in v] for k, v in rec.p.items()},
-        "q": {str(k): [float(c) for c in v] for k, v in rec.q.items()},
+        "p": {str(k): v for k, v in p.items()},
+        "q": {str(k): v for k, v in q.items()},
         "condition": [float(c) for c in rec.condition.get(0, [])],
     }
 

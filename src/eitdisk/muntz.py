@@ -9,8 +9,8 @@ the n-th Muntz-Legendre polynomial is
 orthogonal on L^2([0,1]) with L_n(1) = 1.  The moment matrix
 ``A[l][n] = <L_n, x^{lambda_l}>`` is lower triangular with a hypergeometric
 closed form, and so is its inverse ``R``; both are computed here as exact
-``fractions.Fraction`` tables, and for the shifted sequences below ``R`` is
-also kept as integer rows over n!.  Floating point enters only at
+``fractions.Fraction`` tables, and for the shifted sequences below the rows
+of ``R`` are integer rows times 4n + 2k + 2.  Floating point enters only at
 evaluation, which runs the Jacobi three-term recurrence, never the monomial
 rows.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -164,14 +164,11 @@ def build_muntz(seq: ExponentSequence, n: int) -> MuntzPolynomial:
 def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
     """Exact coefficient rows of LM^k_0 .. LM^k_nmax.
 
-    Row n: Lc^k_{l,n} = prod_{j<n}(l+j+k+1) / prod_{j<=n, j!=l}(l-j), an integer
-    numerator over l!(n-l)! up to sign.  This is row n of the solver for the
-    shifted sequence divided by 1 + 2 lambda_n = 4n + 2k + 2, so both come
-    from one cached integer table (see ``_integer_rows``).
+    Row n is Lc^k_{l,n} = (-1)^(n-l) C(n, l) C(n+l+k, n), the cached integer
+    row E_n of the shifted sequence's solver (see ``_integer_rows``).
     """
     k, nmax = integer(k, 0, "angular order k"), integer(nmax, 0, "nmax")
-    rows = _integer_rows(k, nmax + 1)
-    return WeightedFamily(k=k, rows=tuple(tuple(Fraction(u, r.factorial) for u in r.coeffs) for r in rows))
+    return WeightedFamily(k=k, rows=tuple(tuple(map(Fraction, r.coeffs)) for r in _integer_rows(k, nmax + 1)))
 
 
 def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
@@ -281,25 +278,24 @@ def _muntz_rows(lam: tuple) -> tuple:
 # angular order k -> rows of _integer_rows; entries hold immutable tuples, so
 # concurrent callers can at worst build the same rows twice.
 _INT_ROWS = {}
-_IntegerRow = namedtuple("_IntegerRow", "coeffs factorial scale condition")
+_IntegerRow = namedtuple("_IntegerRow", "coeffs scale condition")
 
 
 def _integer_rows(k: int, count: int) -> tuple:
     """Solver rows n = 0..count-1 of the shifted sequence 2i + k + 1/2, in integers.
 
-    Row n holds U_n, n!, 4n + 2k + 2 and the condition sum, with
-    U_n[l] = n! S[n][l] = (-1)^(n-l) C(n, l) (l+k+1)_n (Borwein, Erdelyi and
-    Zhang, Trans. AMS 342, 1994), so R[n][l] = (4n + 2k + 2) U_n[l] / n!, the
-    family row LM^k_n is U_n / n!, and the condition sum is sum_l |R[n][l]|
-    rounded once.  Rows are cached per k and extended by prefix.  Callers pass
-    ints k >= 0 and count >= 1, checked by ``errors.integer`` or taken from a
-    range, so this function checks neither.
+    Row n holds E_n = S[n], 4n + 2k + 2 and the condition sum, with
+    E_n[l] = (-1)^(n-l) C(n, l) C(n+l+k, n) (Borwein, Erdelyi and Zhang, Trans.
+    AMS 342, 1994): R[n] = (4n + 2k + 2) E_n, the family row LM^k_n is E_n, and
+    the condition sum is sum_l |R[n][l]| as a double.  Rows are cached per k
+    and extended by prefix.  Callers pass ints k, count >= 0 (checked by
+    ``errors.integer`` or taken from a range), so this function checks neither.
     """
     rows = _INT_ROWS.get(k, ())
     for n in range(len(rows), count):
-        row = tuple((-1) ** (n - l) * comb(n, l) * perm(n + l + k, n) for l in range(n + 1))
-        scale, fact = 4 * n + 2 * k + 2, factorial(n)
-        rows += (_IntegerRow(row, fact, scale, scale * sum(map(abs, row)) / fact),)
+        row = tuple((-1) ** (n - l) * comb(n, l) * comb(n + l + k, n) for l in range(n + 1))
+        scale = 4 * n + 2 * k + 2
+        rows += (_IntegerRow(row, scale, float(scale * sum(map(abs, row)))),)
         _INT_ROWS[k] = rows
     return rows[:count]
 

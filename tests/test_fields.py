@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,18 @@ def test_l2_norm_known_values():
     assert l2_norm_squared(rsin) == pytest.approx(math.pi / 4, rel=1e-15)
     empty = FourierRadialField(CONDUCTIVITY, {}, {})
     assert l2_norm_squared(empty) == 0.0
+
+
+def test_numpy_integer_profile_values_become_python_ints():
+    plain = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 2**62), (1, 2**62)))}, {})
+    wide = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, np.int64(2**62)), (1, np.int64(2**62))))}, {})
+    assert all(type(v) is int for _, v in wide.cos[0].terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a wrapped int64 product warns
+        got = l2_norm_squared(wide)
+    # 2 pi 2^124 integral (1 + r)^2 r dr = 2 pi 2^124 (17/12)
+    assert got == l2_norm_squared(plain) == math.pi * float(2 * 2**124 * Fraction(17, 12))
+    assert got == pytest.approx(1.893e38, rel=1e-3)
 
 
 def test_l2_norm_against_quadrature():

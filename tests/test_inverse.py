@@ -29,6 +29,7 @@ from eitdisk import (
     extract_conductivity_moments,
     extract_schroedinger_moments,
     gram_matrix,
+    inverse_matrix,
     l2_norm_squared,
     reconstruct,
     sample_grid,
@@ -36,6 +37,7 @@ from eitdisk import (
     solve_moment_problem,
     validate,
 )
+from eitdisk import io as eio
 from eitdisk.forward import BLOCK_NAMES
 from eitdisk.muntz import ExponentSequence, _jacobi_constants, _jacobi_sum
 
@@ -189,6 +191,20 @@ def test_solver_constant_profile():
     values = tuple(Fraction(1, 2 * m + 2) for m in range(4))
     coeffs = solve_moment_problem(MomentData(k=0, parity="cos", values=values, origin_shift=1))
     assert coeffs == [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+
+
+def test_numpy_integer_moments_and_coefficients_stay_exact():
+    plain = solve_moment_problem(MomentData(k=1, parity="cos", values=(1, 2, 3), origin_shift=1))
+    wide = solve_moment_problem(MomentData(k=1, parity="cos", values=tuple(map(np.int64, (1, 2, 3))),
+                                           origin_shift=1))
+    assert wide == plain and all(type(c) is Fraction for c in wide)
+    flags = solve_moment_problem(MomentData(k=1, parity="cos", values=(True, 2), origin_shift=1))
+    assert all(type(c) is float for c in flags)  # bools are not exact values
+    fields = [Reconstruction(CONDUCTIVITY, 3, {1: cs}, {2: cs}, {}).to_field()
+              for cs in ([1, 2, 3], [np.int64(1), np.int64(2), np.int64(3)])]
+    assert fields[1] == fields[0]
+    assert all(type(v) is Fraction for table in (fields[1].cos, fields[1].sin)
+               for prof in table.values() for _, v in prof.terms)
 
 
 def test_solver_float_path_close_to_exact():
@@ -622,3 +638,49 @@ def test_nan_or_negative_tolerance_is_a_domain_error(tol):
     with pytest.raises(DomainError, match="tolerance"):
         reconstruct(mset, tol=tol)
     assert validate(mset, 0.0).passed
+
+
+# ------------------------------------------------------------ the exact solve's integer view
+
+
+def _fraction_solve(mset, N):
+    """p and q by the moments, as Fractions, times the Fraction solver table, one operation at a time."""
+    conductivity = mset.kind == CONDUCTIVITY
+    extract = extract_conductivity_moments if conductivity else extract_schroedinger_moments
+    top = N if conductivity else N + 1
+
+    def solve(k, parity):
+        d = [Fraction(v) for v in extract(mset, k, parity).values]
+        rows = inverse_matrix(ExponentSequence.shifted(k, len(d)), len(d)).rows
+        return [sum((r * v for r, v in zip(row, d)), Fraction(0)) for row in rows]
+
+    return {k: solve(k, "cos") for k in range(top)}, {k: solve(k, "sin") for k in range(1, top)}
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn), (POTENTIAL, schroedinger_dtn)])
+@pytest.mark.parametrize("N", [4, 8, 16, 24])
+def test_exact_reconstruction_reads_its_integer_view(kind, forward, N):
+    source = _span_field(kind, N, seed=100 + N)
+    mset = forward(source, N)
+    rec = reconstruct(mset)
+    doc = eio.reconstruction_to_dict(rec)
+    field = rec.to_field()
+    assert rec._pq == [None, None]  # neither reader built p or q
+    assert (field.cos, field.sin) == (source.cos, source.sin)
+    want_p, want_q = _fraction_solve(mset, N)
+    assert (rec.p, rec.q) == (want_p, want_q) and rec.p is rec.p
+    assert all(type(c) is Fraction for table in (rec.p, rec.q) for cs in table.values() for c in cs)
+    assert doc["p"] == {str(k): [float(c) for c in cs] for k, cs in want_p.items()}
+    assert doc["q"] == {str(k): [float(c) for c in cs] for k, cs in want_q.items()}
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn), (POTENTIAL, schroedinger_dtn)])
+def test_float_reconstruction_keeps_doubles_built_at_construction(kind, forward):
+    mset = forward(_span_field(kind, 8, seed=7), 8)
+    rec = reconstruct(mset, arithmetic="float")
+    assert rec._ints is None
+    sym = mset.symmetrized()  # the float blocks the float path reads
+    want_p, want_q = _fraction_solve(DtnMatrixSet(mset.kind, 8, sym.cc, sym.ss, sym.sc, sym.cs), 8)
+    assert rec.p == {k: [float(c) for c in cs] for k, cs in want_p.items()}
+    assert rec.q == {k: [float(c) for c in cs] for k, cs in want_q.items()}
+    assert all(type(c) is float for table in (rec.p, rec.q) for cs in table.values() for c in cs)

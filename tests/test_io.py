@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -327,3 +328,42 @@ def test_serialized_outputs_match_their_golden_digests(kind, index, N):
     for label, doc in docs.items():
         digest = hashlib.sha256(eio.dumps(doc).encode("utf-8")).hexdigest()
         assert digest == _GOLDEN_SHA256[kind, index, N, label], label
+
+
+def _span_field(kind, N, seed):
+    """Seeded rational field inside the recoverable span at truncation N (powers 2l + k)."""
+    rng = random.Random(seed)
+    top = N if kind == CONDUCTIVITY else N + 1
+
+    def profile(k):
+        return RadialProfile(tuple((2 * l + k, _F(rng.randint(-8, 8), rng.randint(1, 8))) for l in range(top - k)))
+
+    return FourierRadialField(kind, {k: profile(k) for k in range(top)}, {k: profile(k) for k in range(1, top)})
+
+
+_SPAN_SHA256 = {
+    (CONDUCTIVITY, 8, "dtn"): "30e016159d725916945c461a8f66685c1e36b35140ef979b99a17de1edbf2c04",
+    (CONDUCTIVITY, 8, "reconstruction"): "315b063840397f9125b5c371e1412174664dee2cbfd8a150dd829ab262aa2abd",
+    (CONDUCTIVITY, 8, "field"): "bf05640759c8565a4dfb2bfdc2429d645f5876c0f9cccdee82ab14ef445c4acb",
+    (CONDUCTIVITY, 16, "dtn"): "ce3cd353d7d5b6dd2a635dd665d06c938f423548edb5e760529ef522e95308f2",
+    (CONDUCTIVITY, 16, "reconstruction"): "32885f96c397ca1667bdcb1add31b77ad2e9baccb0dfcac222b171a0eaff6a66",
+    (CONDUCTIVITY, 16, "field"): "b9b47819ec5694c3224d4d698b2a310bdbe65e63e3ab797976a10ebea7e71d41",
+    (POTENTIAL, 8, "dtn"): "882d8dfd6f75c3b56a5b2e3a45bccd5f6c5042e4ab6aa5ac6fefc3493ba7010b",
+    (POTENTIAL, 8, "reconstruction"): "5980bed43cbe5d5b86d3223211fe2fb7508015f0e171226aeac92f3e5461b5b2",
+    (POTENTIAL, 8, "field"): "49bb3e91cb313b49fccd5cfd9490458cfd96ad5010ca82690e1f5f01bfd8092d",
+    (POTENTIAL, 16, "dtn"): "2ad36d49338b129f2d1ab03607eeeb95c4fe97f25c2b7a0bedd7ed83f757d385",
+    (POTENTIAL, 16, "reconstruction"): "229d8c6bfa3884b9f8d4b063fa102df11012d7bb8b75c0037fe03355098a6cc5",
+    (POTENTIAL, 16, "field"): "5092c909a17c83001d67ce732adf0fec1c6513e4fc6f7a30f9f7a6233ee0358c",
+}
+
+
+@pytest.mark.parametrize("kind", [CONDUCTIVITY, POTENTIAL])
+@pytest.mark.parametrize("N", [8, 16])
+def test_span_field_outputs_match_their_golden_digests(kind, N):
+    mset = (conductivity_dtn if kind == CONDUCTIVITY else schroedinger_dtn)(_span_field(kind, N, seed=N), N)
+    rec = reconstruct(mset)
+    docs = {"dtn": eio.dtn_to_dict(mset), "reconstruction": eio.reconstruction_to_dict(rec),
+            "field": eio.field_to_dict(rec.to_field())}
+    for label, doc in docs.items():
+        digest = hashlib.sha256(eio.dumps(doc).encode("utf-8")).hexdigest()
+        assert digest == _SPAN_SHA256[kind, N, label], label
