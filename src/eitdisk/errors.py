@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its rules for integer arguments and exact values."""
+"""Exception types shared across the package, and its rules for integer arguments and values."""
 
+import math
 import numbers
+from fractions import Fraction
 
 __all__ = [
     "EitdiskError",
@@ -74,3 +76,22 @@ def integer(value, least, what) -> int:
 def rational(value) -> bool:
     """Whether a value is exact: a ``numbers.Rational`` (numpy integers included) that is not a bool."""
     return isinstance(value, numbers.Rational) and not isinstance(value, bool)
+
+
+def real(value, what):
+    """``value`` as an exact rational or a finite float; a DomainError if it is neither.
+
+    Exact values (``rational``) pass, numpy integers as ints (they wrap).  Every
+    other real, bools and numpy floats included, becomes a float, which must be finite.
+    """
+    if type(value) in (int, Fraction):  # type() first: these skip the slower abstract-class checks
+        return value
+    if type(value) is not float:
+        if rational(value):
+            return int(value) if isinstance(value, numbers.Integral) else value
+        if not isinstance(value, numbers.Real):
+            raise DomainError(f"{what} {value!r} is not a real number")
+        value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{what} {value!r} is non-finite")
+    return value

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, integer
+from .errors import DomainError, KindMismatchError, integer, real
 
 __all__ = [
     "CONDUCTIVITY",
@@ -37,8 +37,9 @@ _KINDS = (CONDUCTIVITY, POTENTIAL)
 class RadialProfile:
     """Sparse polynomial sum_p value_p * r**p with distinct integer powers >= 0.
 
-    Values may be finite floats or exact rationals; moments are computed
-    exactly either way (every float is a dyadic rational).
+    Values follow ``errors.real``: exact rationals, or finite reals taken as
+    floats.  Moments are computed exactly either way (every float is a
+    dyadic rational).
     """
 
     terms: tuple
@@ -48,9 +49,7 @@ class RadialProfile:
         seen = set()
         for power, value in terms:
             p = integer(power, 0, "radial powers")
-            value = int(value) if isinstance(value, np.integer) else value  # numpy integers wrap
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"radial profile value {value!r} is non-finite")
+            value = real(value, "radial profile value")
             if p in seen:
                 raise DomainError(f"duplicate radial power {p}")
             seen.add(p)

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InconsistentDataError, KindMismatchError, RangeError, integer, rational
+from .errors import DomainError, InconsistentDataError, KindMismatchError, RangeError, integer, rational, real
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
                      _least_order)
 from .forward import SCHROEDINGER, DtnMatrixSet
@@ -70,7 +70,8 @@ class MomentData:
 
     values[m] = integral_0^1 r^{2m+k+1} profile(r) dr.  origin_shift records
     the first mode index the data came from (1 for conductivity blocks, 0 for
-    potential blocks); the solve itself is shift-independent.
+    potential blocks); the solve itself is shift-independent.  Values follow
+    ``errors.real``: exact rationals, or finite reals taken as floats.
     """
 
     k: int
@@ -83,8 +84,7 @@ class MomentData:
         object.__setattr__(self, "k", integer(self.k, 0, "angular order k"))
         if self.origin_shift not in (0, 1):
             raise DomainError("origin_shift must be 0 or 1")
-        if not all(rational(v) or math.isfinite(v) for v in self.values):
-            raise DomainError("moment values must be finite")
+        object.__setattr__(self, "values", tuple(real(v, "moment value") for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -309,9 +309,12 @@ class Reconstruction:
     """Profile coefficients p (cosine) and q (sine) per angular order.
 
     p[k][n] multiplies LM^k_n; the k = 0 series carries a conventional 1/2.
-    ``condition[k]`` holds the solver row sums used for diagnostics.  An exact
-    solve's series are integer numerators over one denominator, which p and q
-    are built from on first read and every other reader reads directly.
+    ``condition[k]`` holds the solver row sums used for diagnostics.  Each
+    parity's series are kept as one view {k: (numerators, D, exact)}, which
+    every reader but p and q reads.  Tables passed in are checked (keys by
+    ``errors.integer``, coefficients by ``errors.real``) and lifted into it;
+    p and q are those tables, or for a solve are built from the view on first
+    read (n / D is each double itself; -0.0 reads as 0.0).
 
     Calling the reconstruction on arrays r, phi evaluates it there through the
     Jacobi recurrence (see ``muntz._jacobi_sum``), from a float table built on
@@ -322,7 +325,8 @@ class Reconstruction:
 
     def __init__(self, kind, N, p, q, condition):
         self.kind, self.N, self.condition = kind, N, condition
-        self._pq, self._ints = [p, q], None  # _ints: per parity {k: (numerators, denominator, True)}
+        self._pq = [p, q]  # the caller's tables, or None where a solve's p or q is not built yet
+        self._ints = [{integer(k, 0, "angular order k"): _series(c) for k, c in t.items()} for t in self._pq]
         self._table = self._last_radius = None
 
     p = property(lambda self: self._coefficients(0), doc="Cosine coefficients per order.")
@@ -334,13 +338,11 @@ class Reconstruction:
         return self._pq[parity]
 
     def _floats(self) -> list:
-        """p and q as doubles: float(c), or n / den from the numerators, the same double with no Fraction."""
-        if self._ints is None:
-            return [{k: list(map(float, c)) for k, c in table.items()} for table in self._pq]
-        return [{k: [n / den for n in nums] for k, (nums, den, _) in ints.items()} for ints in self._ints]
+        """p and q as doubles: n / D from the view, float(c) with no Fraction built."""
+        return [{k: _exact_or_rounded(nums, den, False) for k, (nums, den, _) in v.items()} for v in self._ints]
 
     def family(self, k: int) -> WeightedFamily:
-        depth = max(len(self.p.get(k, ())), len(self.q.get(k, ())))
+        depth = max(len(view[k][0]) if k in view else 0 for view in self._ints)
         if not depth:
             raise KeyError(k)
         return build_weighted_family(k, depth - 1)
@@ -415,13 +417,12 @@ class Reconstruction:
         """Expand the LM series into monomial radial profiles.
 
         The k = 0 profile is halved so the result follows the plain-series
-        convention used by the field type.  Coefficients other than an exact
-        solve's are lifted to one denominator per series first, exact if all are.
+        convention used by the field type.  Each series expands from its
+        view's numerators, exact when the series is, else rounded once per
+        monomial coefficient.
         """
-        views = self._ints or [{k: (*_common_denominator(c), all(map(rational, c))) for k, c in table.items()}
-                               for table in self._pq]
         cos, sin = ({k: _monomial_profile(k, nums, 2 * den if parity == k == 0 else den, exact)
-                     for k, (nums, den, exact) in views[parity].items() if nums} for parity in (0, 1))
+                     for k, (nums, den, exact) in v.items() if nums} for parity, v in enumerate(self._ints))
         kind = CONDUCTIVITY if self.kind == CONDUCTIVITY else POTENTIAL
         return FourierRadialField(kind=kind, cos=cos, sin=sin)
 
@@ -432,11 +433,16 @@ def _monomial_profile(k, nums, den, exact) -> RadialProfile:
     One pass over family row n per coefficient: family coefficients reach 1e4
     by n = 7, so each power's sum is formed in integers and rounded once.
     """
-    k = integer(k, 0, "angular order k")
     sums = [0] * len(nums)
     for n, (c, row) in enumerate(zip(nums, _integer_rows(k, len(nums)))):
         sums[: n + 1] = map(operator.add, sums, map(c.__mul__, row.coeffs))
     return RadialProfile((2 * l + k, v) for l, v in enumerate(_exact_or_rounded(sums, den, exact)))
+
+
+def _series(coeffs) -> tuple:
+    """(numerators, D, exact) of one series of coefficients, each checked by ``errors.real``."""
+    coeffs = [real(c, "coefficient") for c in coeffs]
+    return (*_common_denominator(coeffs), all(map(rational, coeffs)))
 
 
 def _polar_points(r, phi) -> tuple:
@@ -493,7 +499,8 @@ def reconstruct(
 def _invert(kind, N, cos_orders, sin_orders, moments, exact, reg_cap) -> Reconstruction:
     """Solve each order's moments(k, parity): (numerators, denominator), or (doubles, None).
 
-    Doubles are lifted to exact dyadic rationals; coefficients stay exact when ``exact``.
+    Doubles are lifted to exact dyadic rationals; coefficients stay exact when ``exact``, else each
+    is rounded once and the view holds the lift of those doubles.
     """
     def solve(k, parity):  # coefficient n reads moments 0..n only, so a cap drops the moments beyond it
         nums, den = moments(k, parity)
@@ -501,15 +508,13 @@ def _invert(kind, N, cos_orders, sin_orders, moments, exact, reg_cap) -> Reconst
             if not all(map(math.isfinite, nums)):
                 raise DomainError("moment values must be finite")
             nums, den = _common_denominator(nums)
-        return _solve(k, nums if reg_cap is None else nums[: reg_cap + 1]), den, exact
+        nums = _solve(k, nums if reg_cap is None else nums[: reg_cap + 1])
+        return (nums, den, True) if exact else _series(_exact_or_rounded(nums, den, False))
 
     series = [{k: solve(k, "cos") for k in cos_orders}, {k: solve(k, "sin") for k in sin_orders}]
     condition = {k: condition_sums(k, len(nums)) for k, (nums, _, _) in series[0].items() if nums}
-    rec = Reconstruction(kind, N, None, None, condition)
-    if exact:  # p and q are built on first read
-        rec._ints = series
-    else:
-        rec._pq = [{k: _exact_or_rounded(*v) for k, v in view.items()} for view in series]
+    rec = Reconstruction(kind, N, {}, {}, condition)
+    rec._pq, rec._ints = [None, None], series
     return rec
 
 
@@ -519,14 +524,20 @@ def admissibility(rec: Reconstruction) -> float:
     With the k = 0 convention factor folded in this is
     (1/4) sum_n p_{n,0}^2/(2n+1) + (1/2) sum_{k>=1,n} (p_{n,k}^2 + q_{n,k}^2)/(2n+k+1);
     boundedness of the full series is the admissibility criterion for moment
-    data to come from a square-integrable field.
+    data to come from a square-integrable field.  A sum beyond the range of
+    a double is a DomainError.
     """
     total = 0.0
-    for parity, table in enumerate(rec._floats()):
-        for k, coeffs in table.items():
-            w = 0.25 if parity == k == 0 else 0.5
-            for n, c in enumerate(coeffs):
-                total += w * c**2 / (2 * n + k + 1)
+    try:
+        for parity, table in enumerate(rec._floats()):
+            for k, coeffs in table.items():
+                w = 0.25 if parity == k == 0 else 0.5
+                for n, c in enumerate(coeffs):
+                    total += w * c**2 / (2 * n + k + 1)
+    except OverflowError:  # c**2 beyond the double range
+        total = math.inf
+    if total == math.inf:
+        raise DomainError("the admissibility sum is beyond the range of a double")
     return total
 
 

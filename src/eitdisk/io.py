@@ -179,7 +179,7 @@ def _float_matrix(rows, what) -> np.ndarray:
 
 
 def reconstruction_to_dict(rec: Reconstruction) -> dict:
-    p, q = rec._floats()  # an exact solve's numerators as n / den: float(Fraction), no Fraction built
+    p, q = rec._floats()  # the view's n / D: float(c), no Fraction built
     return {
         "N": rec.N,
         "kind": rec.kind,

@@ -12,6 +12,7 @@ from eitdisk import (
     FourierRadialField,
     KindMismatchError,
     RadialProfile,
+    conductivity_dtn,
     eval_field,
     eval_field_grid,
     l2_norm_squared,
@@ -148,6 +149,22 @@ def test_numpy_integer_profile_values_become_python_ints():
     # 2 pi 2^124 integral (1 + r)^2 r dr = 2 pi 2^124 (17/12)
     assert got == l2_norm_squared(plain) == math.pi * float(2 * 2**124 * Fraction(17, 12))
     assert got == pytest.approx(1.893e38, rel=1e-3)
+
+
+def test_numpy_float_profile_values_become_floats():
+    values = (np.float32(0.5), np.float16(-0.25), np.float64(0.1))
+    wide = RadialProfile(((0, values[0]), (2, values[1]), (3, values[2])))
+    assert all(type(v) is float for _, v in wide.terms)
+    plain = RadialProfile(((0, 0.5), (2, -0.25), (3, 0.1)))
+    dtn = [conductivity_dtn(FourierRadialField(CONDUCTIVITY, {0: prof, 1: prof}, {2: prof}), 3)
+           for prof in (wide, plain)]
+    assert dtn[0].exact == dtn[1].exact
+    for nan in (math.nan, np.float32(math.nan), np.float16(math.nan)):
+        with pytest.raises(DomainError, match="radial profile value nan is non-finite"):
+            RadialProfile(((0, 1.0), (2, nan)))
+    for bad in ("0.5", None, 1j):
+        with pytest.raises(DomainError, match="is not a real number"):
+            RadialProfile(((0, bad),))
 
 
 def test_l2_norm_against_quadrature():

@@ -678,9 +678,83 @@ def test_exact_reconstruction_reads_its_integer_view(kind, forward, N):
 def test_float_reconstruction_keeps_doubles_built_at_construction(kind, forward):
     mset = forward(_span_field(kind, 8, seed=7), 8)
     rec = reconstruct(mset, arithmetic="float")
-    assert rec._ints is None
+    flags = [exact for view in rec._ints for _, _, exact in view.values()]
+    assert flags and not any(flags)  # the view of the once-rounded doubles
     sym = mset.symmetrized()  # the float blocks the float path reads
     want_p, want_q = _fraction_solve(DtnMatrixSet(mset.kind, 8, sym.cc, sym.ss, sym.sc, sym.cs), 8)
     assert rec.p == {k: [float(c) for c in cs] for k, cs in want_p.items()}
     assert rec.q == {k: [float(c) for c in cs] for k, cs in want_q.items()}
     assert all(type(c) is float for table in (rec.p, rec.q) for cs in table.values() for c in cs)
+
+
+# ------------------------------------------------------------ checks at construction
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32(math.nan), "0.5", None, 1j])
+def test_hand_built_reconstruction_rejects_a_bad_coefficient(bad):
+    for p, q in (({1: [1.0, bad]}, {}), ({}, {2: [bad]})):
+        with pytest.raises(DomainError, match="coefficient"):
+            Reconstruction(CONDUCTIVITY, 3, p, q, {})
+
+
+@pytest.mark.parametrize("key", [1.0, "1", None, True, -1])
+def test_hand_built_reconstruction_rejects_a_bad_order_key(key):
+    with pytest.raises(DomainError, match="angular order k"):
+        Reconstruction(CONDUCTIVITY, 3, {key: [1.0]}, {}, {})
+    with pytest.raises(DomainError, match="angular order k"):
+        Reconstruction(CONDUCTIVITY, 3, {}, {key: [1.0]}, {})
+
+
+def test_hand_built_reconstruction_reads_each_entry_as_its_float():
+    entries = [Fraction(1, 3), Fraction(-10**30, 7), 7, -2**80 - 1, np.int64(2**62 + 1), True, False,
+               0.1, -1.5e300, 5e-324, np.float64(2.0 / 3.0)]
+    p, q = {0: entries, 2: entries[::-1]}, {1: entries[3:]}
+    rec = Reconstruction(CONDUCTIVITY, 3, p, q, {})
+    assert rec.p is p and rec.q is q  # the caller's own tables
+    got_p, got_q = rec._floats()
+    for table, got in ((p, got_p), (q, got_q)):
+        for k, cs in table.items():
+            assert [float(c).hex() for c in cs] == [v.hex() for v in got[k]]
+            assert all(type(v) is float for v in got[k])
+    assert [exact for view in rec._ints for _, _, exact in view.values()] == [False, False, False]
+    exact = Reconstruction(CONDUCTIVITY, 3, {0: entries[:5]}, {}, {})
+    assert exact._ints[0][0][2] is True
+    assert [v.hex() for v in exact._floats()[0][0]] == [float(c).hex() for c in entries[:5]]
+
+
+def test_family_of_an_exact_solve_builds_neither_p_nor_q():
+    rec = reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 4))
+    for k in (0, 1, 2):
+        depth = max(len(view[k][0]) for view in rec._ints if k in view)
+        assert rec.family(k).rows == build_weighted_family(k, depth - 1).rows
+    with pytest.raises(KeyError):
+        rec.family(9)
+    assert rec._pq == [None, None]
+
+
+def test_numpy_float_moments_solve_as_their_floats():
+    for values in ((np.float32(0.5), np.float16(-0.25)), (np.float32(1.0 / 3.0),)):
+        data = MomentData(k=1, parity="cos", values=values, origin_shift=1)
+        assert all(type(v) is float for v in data.values)
+        want = MomentData(k=1, parity="cos", values=tuple(map(float, values)), origin_shift=1)
+        assert solve_moment_problem(data) == solve_moment_problem(want)
+    for nan in (math.nan, np.float32(math.nan)):
+        with pytest.raises(DomainError, match="moment value nan is non-finite"):
+            MomentData(k=1, parity="cos", values=(0.5, nan), origin_shift=1)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 1j, [0.5]])
+def test_moment_values_that_are_not_reals_are_a_domain_error(bad):
+    with pytest.raises(DomainError, match="moment value .* is not a real number"):
+        MomentData(k=1, parity="cos", values=(0.5, bad), origin_shift=1)
+
+
+def test_admissibility_beyond_the_double_range_is_a_domain_error():
+    mset = conductivity_dtn(_mixed_field(CONDUCTIVITY), 3)
+    big = DtnMatrixSet(CONDUCTIVITY, 3, *(mset.block(n) * 1e160 for n in BLOCK_NAMES))
+    rec = reconstruct(big)
+    assert max(abs(c) for cs in rec.p.values() for c in cs) > 1e154
+    with pytest.raises(DomainError, match="beyond the range of a double"):
+        admissibility(rec)
+    with pytest.raises(DomainError, match="beyond the range of a double"):  # each term finite, the sum not
+        admissibility(Reconstruction(CONDUCTIVITY, 3, {1: [1e154] * 3, 2: [1.7e308]}, {}, {}))
