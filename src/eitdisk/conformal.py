@@ -26,26 +26,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError, Record, SingularPointError
 
 __all__ = ["ArcSpec", "ConformalMap", "psi", "psi_inverse"]
 
 _BOUNDARY_FUZZ = 1e-12
 
 
-@dataclass(frozen=True)
-class ArcSpec:
+class ArcSpec(Record):
     """Boundary arc [pi/2 - alpha, pi/2 + alpha] with opening half-angle alpha."""
 
-    alpha: float
+    __slots__ = _fields = ("alpha",)
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.pi / 2.0:
-            raise DomainError(f"alpha must lie in (0, pi/2), got {self.alpha}")
+    def __init__(self, alpha):
+        if not 0.0 < alpha < math.pi / 2.0:
+            raise DomainError(f"alpha must lie in (0, pi/2), got {alpha}")
+        self._store(alpha)
 
     @property
     def interval(self) -> tuple:

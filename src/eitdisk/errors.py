@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its rules for integer arguments and values."""
+"""Exception types shared across the package, its rules for integer arguments and values, and its record base."""
 
 import math
 import numbers
@@ -95,3 +95,48 @@ def real(value, what):
     if not math.isfinite(value):
         raise DomainError(f"{what} {value!r} is non-finite")
     return value
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields once, in ``_fields`` (and in ``__slots__`` unless
+    it keeps an instance dict); its ``__init__`` checks the arguments and stores
+    them with ``_store``.  A record equals a record of its own class with equal
+    fields and hashes as their tuple; setting or deleting an attribute is an
+    AttributeError; copy, deepcopy and pickle call the constructor again.
+    """
+
+    __slots__ = _fields = ()
+
+    def _store(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of values the program has already checked; the subclass's ``__init__`` is skipped."""
+        self = object.__new__(cls)
+        self._store(*values)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, integer, real
+from .errors import DomainError, KindMismatchError, Record, integer, real
 
 __all__ = [
     "CONDUCTIVITY",
@@ -33,16 +32,15 @@ POTENTIAL = "potential"
 _KINDS = (CONDUCTIVITY, POTENTIAL)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Record):
     """Sparse polynomial sum_p value_p * r**p with distinct integer powers >= 0.
 
     Values follow ``errors.real``: exact rationals, or finite reals taken as
     floats.  Moments are computed exactly either way (every float is a
-    dyadic rational).
+    dyadic rational).  ``terms`` holds (power, value) pairs in increasing power.
     """
 
-    terms: tuple
+    _fields = ("terms",)  # no __slots__: the instance dict holds the cached _scaled
 
     def __init__(self, terms):
         cleaned = []
@@ -55,7 +53,7 @@ class RadialProfile:
             seen.add(p)
             cleaned.append((p, value))
         cleaned.sort(key=lambda t: t[0])
-        object.__setattr__(self, "terms", tuple(cleaned))
+        self._store(tuple(cleaned))
 
     def __call__(self, r: float) -> float:
         return sum(float(v) * r**p for p, v in self.terms)
@@ -96,19 +94,19 @@ def _common_denominator(values) -> tuple:
     return [int(q.numerator) * (den // q.denominator) for q in fracs], den  # a numpy int would wrap
 
 
-@dataclass(frozen=True)
-class FourierRadialField:
-    """Finite trigonometric series with radial-profile coefficients."""
+class FourierRadialField(Record):
+    """Finite trigonometric series with radial-profile coefficients.
 
-    kind: str
-    cos: dict = dc_field(default_factory=dict)
-    sin: dict = dc_field(default_factory=dict)
+    ``cos`` and ``sin`` map each angular order to its profile, in increasing
+    order; tables passed in may hold profiles or their (power, value) terms.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise KindMismatchError(f"unknown field kind {self.kind!r}")
-        object.__setattr__(self, "cos", _checked_profiles(self.cos, "cos"))
-        object.__setattr__(self, "sin", _checked_profiles(self.sin, "sin"))
+    __slots__ = _fields = ("kind", "cos", "sin")
+
+    def __init__(self, kind, cos={}, sin={}):  # the default tables are only read
+        if kind not in _KINDS:
+            raise KindMismatchError(f"unknown field kind {kind!r}")
+        self._store(kind, _checked_profiles(cos, "cos"), _checked_profiles(sin, "sin"))
 
     def cos_profile(self, k: int) -> RadialProfile:
         return self.cos.get(k, _ZERO_PROFILE)

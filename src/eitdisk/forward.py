@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, ShapeError, integer, rational
+from .errors import DomainError, KindMismatchError, Record, ShapeError, integer, rational
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order,
                      eval_field_grid)
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
@@ -56,15 +55,14 @@ BLOCK_NAMES = ("cc", "ss", "sc", "cs")
 _BLOCK_MODES = {"cc": ("cos", "cos"), "ss": ("sin", "sin"), "sc": ("sin", "cos"), "cs": ("cos", "sin")}
 
 
-@dataclass(frozen=True)
-class BoundaryMode:
+class BoundaryMode(Record):
     """One harmonic boundary mode: cos(n phi) with n >= 0 or sin(n phi) with n >= 1."""
 
-    parity: str
-    frequency: int
+    __slots__ = _fields = ("parity", "frequency")
 
-    def __post_init__(self):
-        integer(self.frequency, _least_order(self.parity), f"{self.parity} frequencies")
+    def __init__(self, parity, frequency):
+        integer(frequency, _least_order(parity), f"{parity} frequencies")
+        self._store(parity, frequency)
 
 
 def block_shapes(kind: str, N: int) -> dict:
@@ -74,11 +72,16 @@ def block_shapes(kind: str, N: int) -> dict:
 
 def index_origins(kind: str) -> dict:
     """First (row, column) frequency of each block."""
-    if kind == CONDUCTIVITY:
+    if _checked_kind(kind) == CONDUCTIVITY:
         return {name: (1, 1) for name in BLOCK_NAMES}
-    if kind == SCHROEDINGER:
-        return {"cc": (0, 0), "ss": (1, 1), "sc": (1, 0), "cs": (0, 1)}
-    raise KindMismatchError(f"unknown matrix kind {kind!r}")
+    return {"cc": (0, 0), "ss": (1, 1), "sc": (1, 0), "cs": (0, 1)}
+
+
+def _checked_kind(kind) -> str:
+    """``kind`` if it is a matrix-set kind (conductivity or schroedinger), else a KindMismatchError."""
+    if kind not in (CONDUCTIVITY, SCHROEDINGER):
+        raise KindMismatchError(f"unknown matrix kind {kind!r}")
+    return kind
 
 
 class DtnMatrixSet:
@@ -98,9 +101,7 @@ class DtnMatrixSet:
     __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints")
 
     def __init__(self, kind, N, cc, ss, sc, cs, exact=None):
-        if kind not in (CONDUCTIVITY, SCHROEDINGER):
-            raise KindMismatchError(f"unknown matrix kind {kind!r}")
-        self.kind = kind
+        self.kind = _checked_kind(kind)
         self.N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
         shapes = block_shapes(kind, self.N)
         for name, block in (("cc", cc), ("ss", ss), ("sc", sc), ("cs", cs)):

@@ -30,15 +30,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InconsistentDataError, KindMismatchError, RangeError, integer, rational, real
+from .errors import (DomainError, InconsistentDataError, KindMismatchError, RangeError, Record, integer, rational,
+                     real)
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
                      _least_order)
-from .forward import SCHROEDINGER, DtnMatrixSet
+from .forward import SCHROEDINGER, DtnMatrixSet, _checked_kind
 from .muntz import (  # inverse_matrix: re-exported, the benchmark's tracer patches it here
     WeightedFamily,
     _integer_rows,
@@ -64,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentData:
+class MomentData(Record):
     """Weighted radial moments of one angular profile.
 
     values[m] = integral_0^1 r^{2m+k+1} profile(r) dr.  origin_shift records
@@ -74,31 +73,32 @@ class MomentData:
     ``errors.real``: exact rationals, or finite reals taken as floats.
     """
 
-    k: int
-    parity: str
-    values: tuple
-    origin_shift: int
+    __slots__ = _fields = ("k", "parity", "values", "origin_shift")
 
-    def __post_init__(self):
-        _least_order(self.parity)
-        object.__setattr__(self, "k", integer(self.k, 0, "angular order k"))
-        if self.origin_shift not in (0, 1):
+    def __init__(self, k, parity, values, origin_shift):
+        _least_order(parity)
+        k = integer(k, 0, "angular order k")
+        if origin_shift not in (0, 1):
             raise DomainError("origin_shift must be 0 or 1")
-        object.__setattr__(self, "values", tuple(real(v, "moment value") for v in self.values))
+        self._store(k, parity, tuple(real(v, "moment value") for v in values), origin_shift)
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    deviation: float
-    passed: bool
+class ValidationCheck(Record):
+    """One structural check: its name, the deviation found and whether it is within tolerance."""
+
+    __slots__ = _fields = ("name", "deviation", "passed")
+
+    def __init__(self, name, deviation, passed):
+        self._store(name, deviation, passed)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    kind: str
-    tol: float
-    checks: tuple
+class ValidationReport(Record):
+    """The checks of one matrix set of a kind, against tolerance ``tol``."""
+
+    __slots__ = _fields = ("kind", "tol", "checks")
+
+    def __init__(self, kind, tol, checks):
+        self._store(kind, tol, checks)
 
     @property
     def passed(self) -> bool:
@@ -311,8 +311,9 @@ class Reconstruction:
     p[k][n] multiplies LM^k_n; the k = 0 series carries a conventional 1/2.
     ``condition[k]`` holds the solver row sums used for diagnostics.  Each
     parity's series are kept as one view {k: (numerators, D, exact)}, which
-    every reader but p and q reads.  Tables passed in are checked (keys by
-    ``errors.integer``, coefficients by ``errors.real``) and lifted into it;
+    every reader but p and q reads.  ``kind`` is a matrix-set kind, and tables
+    passed in are checked (keys by ``errors.integer``, least 0 for p and 1 for
+    q, coefficients by ``errors.real``) and lifted into it;
     p and q are those tables, or for a solve are built from the view on first
     read (n / D is each double itself; -0.0 reads as 0.0).
 
@@ -324,9 +325,10 @@ class Reconstruction:
     __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius")
 
     def __init__(self, kind, N, p, q, condition):
-        self.kind, self.N, self.condition = kind, N, condition
+        self.kind, self.N, self.condition = _checked_kind(kind), N, condition
         self._pq = [p, q]  # the caller's tables, or None where a solve's p or q is not built yet
-        self._ints = [{integer(k, 0, "angular order k"): _series(c) for k, c in t.items()} for t in self._pq]
+        self._ints = [{integer(k, _least_order(parity), "angular order k"): _series(c) for k, c in t.items()}
+                      for parity, t in zip(("cos", "sin"), self._pq)]
         self._table = self._last_radius = None
 
     p = property(lambda self: self._coefficients(0), doc="Cosine coefficients per order.")
@@ -419,12 +421,13 @@ class Reconstruction:
         The k = 0 profile is halved so the result follows the plain-series
         convention used by the field type.  Each series expands from its
         view's numerators, exact when the series is, else rounded once per
-        monomial coefficient.
+        monomial coefficient.  The view's keys and values were checked when it was
+        built, so the profiles and the field are built without checking them again.
         """
         cos, sin = ({k: _monomial_profile(k, nums, 2 * den if parity == k == 0 else den, exact)
-                     for k, (nums, den, exact) in v.items() if nums} for parity, v in enumerate(self._ints))
+                     for k, (nums, den, exact) in sorted(v.items()) if nums} for parity, v in enumerate(self._ints))
         kind = CONDUCTIVITY if self.kind == CONDUCTIVITY else POTENTIAL
-        return FourierRadialField(kind=kind, cos=cos, sin=sin)
+        return FourierRadialField._trusted(kind, cos, sin)
 
 
 def _monomial_profile(k, nums, den, exact) -> RadialProfile:
@@ -436,7 +439,7 @@ def _monomial_profile(k, nums, den, exact) -> RadialProfile:
     sums = [0] * len(nums)
     for n, (c, row) in enumerate(zip(nums, _integer_rows(k, len(nums)))):
         sums[: n + 1] = map(operator.add, sums, map(c.__mul__, row.coeffs))
-    return RadialProfile((2 * l + k, v) for l, v in enumerate(_exact_or_rounded(sums, den, exact)))
+    return RadialProfile._trusted(tuple((2 * l + k, v) for l, v in enumerate(_exact_or_rounded(sums, den, exact))))
 
 
 def _series(coeffs) -> tuple:

@@ -7,6 +7,7 @@ floats, or of [int, float] pairs, is formatted in one pass.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -63,11 +64,17 @@ def _encode(obj):
 
 
 def _encode_list(obj):
-    """A list of floats, or of [int, float] pairs, in one formatting pass; others item by item."""
-    if all(type(v) is float for v in obj):
-        text = "%.17g," * len(obj) % tuple(obj)
-    elif all(type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is float for v in obj):
-        text = "[%d,%.17g]," * len(obj) % tuple(x for pair in obj for x in pair)
+    """A list of floats, or of [int, float] pairs, in one formatting pass; others item by item.
+
+    Types and lengths are read by ``map`` and compared as lists, loops that run in C.
+    """
+    types = [*map(type, obj)]
+    n = len(types)
+    if types.count(float) == n:
+        text = "%.17g," * n % tuple(obj)
+    elif (types.count(list) == n and [*map(len, obj)].count(2) == n
+          and [*map(type, flat := tuple(itertools.chain.from_iterable(obj)))] == [int, float] * n):
+        text = "[%d,%.17g]," * n % flat
     else:
         return "[" + ",".join(_encode(v) for v in obj) + "]"
     if "n" in text:  # "nan" or "inf": format_float raises for the first such value

@@ -23,13 +23,12 @@ L^2([0,1], x dx) with squared norm 1/(4n + 2k + 2).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
 import numpy as np
 
-from .errors import DegenerateSequenceError, DomainError, RangeError, integer
+from .errors import DegenerateSequenceError, DomainError, RangeError, Record, integer
 
 __all__ = [
     "ExponentSequence",
@@ -92,12 +91,13 @@ class ExponentSequence:
         return f"ExponentSequence({list(self.lambdas)!r})"
 
 
-@dataclass(frozen=True)
-class MuntzPolynomial:
+class MuntzPolynomial(Record):
     """A combination sum_k coefficients[k] * x**exponents[k] on [0, 1]."""
 
-    exponents: tuple
-    coefficients: tuple
+    __slots__ = _fields = ("exponents", "coefficients")
+
+    def __init__(self, exponents, coefficients):
+        self._store(exponents, coefficients)
 
     def __call__(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
@@ -107,26 +107,29 @@ class MuntzPolynomial:
         return sum(float(c) * x ** float(e) for e, c in zip(self.exponents, self.coefficients))
 
 
-@dataclass(frozen=True)
-class WeightedFamily:
+class WeightedFamily(Record):
     """Coefficient rows of LM^k_n on powers x^{2l+k}, exact up to degree nmax.
 
     ``rows[n][l]`` is the coefficient of ``x^{2l+k}`` in ``LM^k_n``.
     """
 
-    k: int
-    rows: tuple
+    __slots__ = _fields = ("k", "rows")
+
+    def __init__(self, k, rows):
+        self._store(k, rows)
 
     @property
     def nmax(self) -> int:
         return len(self.rows) - 1
 
 
-@dataclass(frozen=True)
-class TriangularMatrix:
+class TriangularMatrix(Record):
     """Lower-triangular square matrix of exact rationals; rows[i] has i+1 entries."""
 
-    rows: tuple
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows):
+        self._store(rows)
 
     @property
     def size(self) -> int:

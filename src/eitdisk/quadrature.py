@@ -3,27 +3,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import integer
+from .errors import Record, integer
 
 __all__ = ["QuadratureSpec", "gauss_legendre_01", "trapezoid_periodic", "trapezoid_closed",
            "polar_moments"]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Radial Gauss-Legendre order and angular trapezoid order, positive integers."""
 
-    n_r: int = 64
-    n_phi: int = 512
+    __slots__ = _fields = ("n_r", "n_phi")
 
-    def __post_init__(self):
-        for order in (self.n_r, self.n_phi):
+    def __init__(self, n_r=64, n_phi=512):
+        for order in (n_r, n_phi):
             integer(order, 1, "quadrature orders")
+        self._store(n_r, n_phi)
 
 
 @lru_cache(maxsize=None)

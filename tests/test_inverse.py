@@ -404,7 +404,7 @@ def test_cancelling_hankel_part_gives_positive_zero_extra_moments():
 
 def test_admissibility_sums_cosines_then_sines_term_by_term():
     recs = [reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 4), arithmetic="float"),
-            Reconstruction(SCHROEDINGER, 2, p={0: [1.0, 0.5], 1: []}, q={0: [1.0], 1: [0.25, 3.0]},
+            Reconstruction(SCHROEDINGER, 2, p={0: [1.0, 0.5], 1: []}, q={1: [1.0], 2: [0.25, 3.0]},
                            condition={})]
     for rec in recs:
         terms = [(0.25 if k == 0 else 0.5, k, n, c) for k, cs in rec.p.items() for n, c in enumerate(cs)]
@@ -703,6 +703,34 @@ def test_hand_built_reconstruction_rejects_a_bad_order_key(key):
         Reconstruction(CONDUCTIVITY, 3, {key: [1.0]}, {}, {})
     with pytest.raises(DomainError, match="angular order k"):
         Reconstruction(CONDUCTIVITY, 3, {}, {key: [1.0]}, {})
+
+
+@pytest.mark.parametrize("kind", ["nonsense", POTENTIAL, "half-disk", None])
+def test_hand_built_reconstruction_takes_only_matrix_set_kinds(kind):
+    with pytest.raises(KindMismatchError, match="unknown matrix kind"):
+        Reconstruction(kind, 3, {0: [1.0]}, {}, {})
+
+
+def test_hand_built_reconstruction_rejects_sine_order_0():
+    with pytest.raises(DomainError, match="angular order k must be positive"):
+        Reconstruction(CONDUCTIVITY, 3, {}, {0: [1.0]}, {})
+    assert Reconstruction(CONDUCTIVITY, 3, {0: [1.0]}, {1: [1.0]}, {}).to_field().sin[1].terms == ((1, 1.0),)
+
+
+@pytest.mark.parametrize("arithmetic", ["auto", "float"])
+def test_to_field_equals_the_field_built_with_every_check(arithmetic):
+    recs = [reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 5), arithmetic=arithmetic),
+            reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 4), arithmetic=arithmetic),
+            Reconstruction(SCHROEDINGER, 3, {2: [0.5, 0.25], 0: [Fraction(1, 3)], 1: []}, {3: [1.0], 1: [2.0]}, {})]
+    for rec in recs:
+        field = rec.to_field()
+        checked = FourierRadialField(field.kind, {k: p.terms for k, p in field.cos.items()},
+                                     {k: p.terms for k, p in field.sin.items()})
+        assert field == checked and repr(field) == repr(checked)
+        for got, want in ((field.cos, checked.cos), (field.sin, checked.sin)):
+            assert list(got) == list(want) == sorted(got)
+            assert [p.moment_exact(3) for p in got.values()] == [p.moment_exact(3) for p in want.values()]
+        assert eio.dumps(eio.field_to_dict(field)) == eio.dumps(eio.field_to_dict(checked))
 
 
 def test_hand_built_reconstruction_reads_each_entry_as_its_float():

@@ -244,6 +244,9 @@ def test_dumps_equals_the_recursive_encoder():
         "numpy": [np.float64(v) for v in doubles[:50]], "numpy_pairs": [[np.int64(2), 0.5]],
         "bool_pairs": [[True, 0.5], [False, -1.5]], "int_bool_pairs": [[1, 0.5], [2, False]], "ints": [1, 2, 3], "long_pair": [[1, 2.0, 3.0]],
         "nested": {"a": {"b": [[0, -0.0], [1, 5e-324]], "c": [[1.0, 2.0], [3.0]]}, "d": {}},
+        "tuple_pairs": [(1, 0.5), (2, 0.25)], "int_int_pairs": [[1, 0.5], [2, 3]], "three_rows": [[1, 0.5, 2.0]] * 2,
+        "ragged_pairs": [[1, 0.5], [2, 0.25, 1.0]], "swapped_pairs": [[0.5, 1], [0.25, 2]],
+        "pairs_then_float": [[1, 0.5], 0.5], "float_then_int": [0.5, 1], "int_float_rows": [[1, 0.5], [0.25, 2]],
     }
     assert eio.dumps(doc) == _reference_encode(doc) + "\n"
     for value in doc.values():
