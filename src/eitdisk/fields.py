@@ -131,9 +131,11 @@ def _least_order(parity) -> int:
 
 
 def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
-    """Pointwise value at polar (r, phi); requires 0 <= r <= 1."""
+    """Pointwise value at polar (r, phi); requires 0 <= r <= 1 and a finite phi."""
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"radius {r} outside [0, 1]")
+    if not math.isfinite(phi):
+        raise DomainError(f"angle {phi} is not finite")
     total = 0.0
     for trig, table in ((math.cos, field.cos), (math.sin, field.sin)):
         for k, prof in table.items():

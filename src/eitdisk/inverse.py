@@ -311,7 +311,9 @@ class Reconstruction:
     p[k][n] multiplies LM^k_n; the k = 0 series carries a conventional 1/2.
     ``condition[k]`` holds the solver row sums used for diagnostics.  Each
     parity's series are kept as one view {k: (numerators, D, exact)}, which
-    every reader but p and q reads.  ``kind`` is a matrix-set kind, and tables
+    every reader but p and q reads.  ``kind`` is a matrix-set kind, ``N`` is
+    checked by ``errors.integer`` with the kind's least value (as in
+    ``DtnMatrixSet``) and each condition row by ``errors.real``; tables
     passed in are checked (keys by ``errors.integer``, least 0 for p and 1 for
     q, coefficients by ``errors.real``) and lifted into it;
     p and q are those tables, or for a solve are built from the view on first
@@ -325,7 +327,9 @@ class Reconstruction:
     __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius")
 
     def __init__(self, kind, N, p, q, condition):
-        self.kind, self.N, self.condition = _checked_kind(kind), N, condition
+        self.kind = _checked_kind(kind)
+        self.N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
+        self.condition = {k: [real(c, "condition sum") for c in row] for k, row in condition.items()}
         self._pq = [p, q]  # the caller's tables, or None where a solve's p or q is not built yet
         self._ints = [{integer(k, _least_order(parity), "angular order k"): _series(c) for k, c in t.items()}
                       for parity, t in zip(("cos", "sin"), self._pq)]

@@ -86,11 +86,33 @@ def _encode_list(obj):
 def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+            return json.load(fh, object_pairs_hook=_object)
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, too many digits
+        raise FormatError(f"cannot read {path} as JSON: {exc}") from exc
+
+
+def _object(pairs) -> dict:
+    """A JSON object; a repeated key is a ValueError, where ``json`` would keep its last value."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError(f"key {next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))!r} appears twice")
+    return obj
+
+
+def _numbers(values, what) -> list:
+    """JSON numbers as floats: each an int or a float by exact type (so not a bool), within the double range."""
+    if not {*map(type, values)} <= {int, float}:
+        raise FormatError(f"{what} holds {next(v for v in values if type(v) not in (int, float))!r}, not a number")
+    try:
+        return [*map(float, values)]
+    except OverflowError:
+        raise FormatError(f"{what} holds a number beyond the range of a double") from None
+
+
+def _integer(value, what) -> int:
+    """A JSON integer: an int by exact type, so a boolean, a float such as 2.0, a string or null is a FormatError."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def field_to_dict(field: FourierRadialField) -> dict:
@@ -113,19 +135,14 @@ def field_from_dict(doc) -> FourierRadialField:
             raise FormatError(f"field section {name!r} must be an object")
         out = {}
         for key, terms in section.items():
-            try:
-                k = int(key)
-            except ValueError as exc:
-                raise FormatError(f"angular order key {key!r} is not an integer") from exc
-            if not isinstance(terms, list) or not all(
-                isinstance(t, list) and len(t) == 2 for t in terms
-            ):
+            if not key.removeprefix("-").isdecimal() or str(k := int(key)) != key:  # not "01", " 1", "+1", "1_0"
+                raise FormatError(f"angular order key {key!r} is not a plain integer such as '0' or '12'")
+            if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in terms):
                 raise FormatError(f"profile for {name}[{key}] must be a list of [power, value]")
-            if any(isinstance(x, bool) for t in terms for x in t):
-                raise FormatError(f"profile for {name}[{key}] has a boolean power or value")
+            values = _numbers([v for _, v in terms], f"profile for {name}[{key}]")
             try:
-                out[k] = RadialProfile((p, float(v)) for p, v in terms)
-            except (TypeError, ValueError, OverflowError) as exc:
+                out[k] = RadialProfile(zip([p for p, _ in terms], values))
+            except ValueError as exc:  # the profile's DomainError
                 raise FormatError(f"bad profile term in {name}[{key}]: {exc}") from exc
         return out
 
@@ -151,38 +168,25 @@ def dtn_from_dict(doc) -> DtnMatrixSet:
     if not isinstance(doc, dict):
         raise FormatError("matrix document must be a JSON object")
     kind = doc.get("kind")
-    n = doc.get("N")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise FormatError("matrix document needs an integer 'N'")
-    blocks = {}
-    for name in BLOCK_NAMES:
-        if name not in doc:
-            raise FormatError(f"matrix document missing block {name!r}")
-        blocks[name] = _float_matrix(doc[name], f"block {name!r}")
+    n = _integer(doc.get("N"), "matrix document's 'N'")
+    blocks = [_float_matrix(doc, name, f"block {name!r}") for name in BLOCK_NAMES]
     declared = doc.get("index_origin")
-    if declared is not None:
-        expected = {k: list(v) for k, v in index_origins(kind).items()}
-        if declared != expected:
-            raise ShapeError(f"index_origin {declared!r} does not match kind {kind!r}")
-    return DtnMatrixSet(kind, n, blocks["cc"], blocks["ss"], blocks["sc"], blocks["cs"])
+    if declared is not None and declared != {k: list(v) for k, v in index_origins(kind).items()}:
+        raise ShapeError(f"index_origin {declared!r} does not match kind {kind!r}")
+    return DtnMatrixSet(kind, n, *blocks)
 
 
-def _float_matrix(rows, what) -> np.ndarray:
-    """A JSON list of numeric rows as a float array.
-
-    Entries other than numbers (booleans included) are a FormatError, rows of
-    unequal length a ShapeError.
-    """
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+def _float_matrix(doc, name, what) -> np.ndarray:
+    """``doc[name]``, a list of rows of JSON numbers (``_numbers``), as a float array; a missing entry
+    is a FormatError, rows that are not lists or of unequal length a ShapeError."""
+    if name not in doc:
+        raise FormatError(f"document missing {what}")
+    if not isinstance(rows := doc[name], list) or not all(isinstance(row, list) for row in rows):
         raise ShapeError(f"{what} is not a list of rows")
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for row in rows for x in row):
-        raise FormatError(f"{what} has an entry that is not a number")
-    try:
-        return np.asarray(rows, dtype=float)
-    except OverflowError as exc:
-        raise FormatError(f"{what} has an entry beyond the range of a double") from exc
-    except ValueError as exc:
-        raise ShapeError(f"{what} is not a rectangular numeric matrix") from exc
+    values = _numbers([*itertools.chain.from_iterable(rows)], what)
+    if len(widths := {*map(len, rows)}) > 1:
+        raise ShapeError(f"{what} is not a rectangular numeric matrix")
+    return np.array(values).reshape(len(rows), *widths)  # [] keeps the shape (0,) np.asarray gives it
 
 
 def reconstruction_to_dict(rec: Reconstruction) -> dict:
@@ -209,22 +213,16 @@ def arc_data_from_dict(doc) -> tuple:
     """Returns (HalfDiskData, alpha-or-None)."""
     if not isinstance(doc, dict):
         raise FormatError("data document must be a JSON object")
-    if "data" not in doc:
-        raise FormatError("data document missing 'data' matrix")
-    values = _float_matrix(doc["data"], "'data'")
+    values = _float_matrix(doc, "data", "matrix 'data'")
     try:
         data = HalfDiskData(values)
     except ValueError as exc:
         raise ShapeError(f"'data' is not a square numeric matrix: {exc}") from exc
     declared_n = doc.get("N")
-    if declared_n is not None and (isinstance(declared_n, bool) or declared_n != data.N):
+    if declared_n is not None and _integer(declared_n, "declared 'N'") != data.N:
         raise ShapeError(f"declared N={declared_n} does not match data size {data.N}")
     alpha = doc.get("alpha")
-    if alpha is not None:
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise FormatError(f"'alpha' must be a number, got {alpha!r}")
-        alpha = float(alpha)
-    return data, alpha
+    return data, None if alpha is None else _numbers([alpha], "'alpha'")[0]
 
 
 def grid_to_csv(rows) -> str:

@@ -46,10 +46,10 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-class ExponentSequence:
+class ExponentSequence(Record):
     """Finite sequence of distinct finite rational exponents, each >= -1/2."""
 
-    __slots__ = ("lambdas",)
+    __slots__ = _fields = ("lambdas",)
 
     def __init__(self, lambdas):
         lambdas = tuple(lambdas)  # errors the caller's own iterator raises pass through unwrapped
@@ -64,7 +64,7 @@ class ExponentSequence:
                 raise DomainError(f"exponent {lam} below -1/2")
         if len(set(lams)) != len(lams):
             raise DegenerateSequenceError("repeated exponent in sequence")
-        self.lambdas = lams
+        self._store(lams)
 
     @classmethod
     def shifted(cls, k: int, count: int) -> "ExponentSequence":
@@ -80,12 +80,6 @@ class ExponentSequence:
 
     def __iter__(self):
         return iter(self.lambdas)
-
-    def __eq__(self, other):
-        return isinstance(other, ExponentSequence) and self.lambdas == other.lambdas
-
-    def __hash__(self):
-        return hash(self.lambdas)
 
     def __repr__(self):
         return f"ExponentSequence({list(self.lambdas)!r})"

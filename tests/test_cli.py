@@ -339,6 +339,23 @@ def test_entry_beyond_double_range_exits_2(tmp_path, capsys, command):
     assert "range of a double" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("eval", '{"kind":"conductivity","cos":{"0":[[0,"1.5"]]},"sin":{}}', "not a number"),
+    ("eval", '{"kind":"conductivity","cos":{"1":[[1,1.0]],"01":[[1,2.0]]},"sin":{}}', "angular order key '01'"),
+    ("eval", '{"kind":"conductivity","cos":{"0":[[0,1.0]],"0":[[0,2.0]]},"sin":{}}', "key '0' appears twice"),
+    ("arc-invert", '{"alpha":1%s,"N":2,"data":[[1.0,0.0],[0.0,1.0]]}' % ("0" * 400), "range of a double"),
+    ("half-invert", '{"N":2.0,"data":[[1.0,0.0],[0.0,1.0]]}', "'N' must be an integer"),
+], ids=["string-value", "aliased-keys", "repeated-key", "huge-alpha", "float-N"])
+def test_malformed_documents_exit_2_with_one_error_line(tmp_path, capsys, command, text, message):
+    src = tmp_path / "in.json"
+    src.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(src), "--output", str(tmp_path / "out.csv"), "--nr", "2", "--nphi", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(pathlib.Path(eitdisk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

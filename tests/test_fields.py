@@ -64,6 +64,11 @@ def test_eval_field_matches_series():
     assert eval_field(f, r, phi) == pytest.approx(expected, rel=1e-15)
     with pytest.raises(DomainError):
         eval_field(f, 1.2, 0.0)
+    constant = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))})
+    for field in (f, constant):  # math.cos(inf) once raised a bare ValueError; a constant field gave NaN
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"angle {bad} is not finite"):
+                eval_field(field, 0.5, bad)
 
 
 def test_eval_field_grid_matches_scalar():

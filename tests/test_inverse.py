@@ -697,6 +697,27 @@ def test_hand_built_reconstruction_rejects_a_bad_coefficient(bad):
             Reconstruction(CONDUCTIVITY, 3, p, q, {})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float32(math.nan), "0.5", None, 1j])
+def test_hand_built_reconstruction_rejects_a_bad_condition_sum(bad):
+    with pytest.raises(DomainError, match="condition sum"):
+        Reconstruction(CONDUCTIVITY, 3, {}, {}, {0: [2.0, bad]})
+    with pytest.raises(DomainError, match="condition sum 'j' is not a real number"):
+        Reconstruction(CONDUCTIVITY, 3, {}, {}, {0: "junk"})
+    rec = Reconstruction(CONDUCTIVITY, 3, {}, {}, {0: [2, np.float64(18.0), Fraction(1, 2)]})
+    assert rec.condition == {0: [2, 18.0, Fraction(1, 2)]}
+    assert type(rec.condition[0][1]) is float
+
+
+@pytest.mark.parametrize("kind, N", [(CONDUCTIVITY, "x"), (CONDUCTIVITY, 0), (CONDUCTIVITY, 3.0),
+                                     (SCHROEDINGER, -5), (SCHROEDINGER, True), (SCHROEDINGER, None)])
+def test_hand_built_reconstruction_checks_N_as_a_matrix_set_does(kind, N):
+    with pytest.raises(DomainError, match="max frequency N must be"):
+        Reconstruction(kind, N, {}, {}, {})
+    with pytest.raises(DomainError, match="max frequency N must be"):
+        DtnMatrixSet(kind, N, [], [], [], [])
+    assert Reconstruction(SCHROEDINGER, np.int64(0), {}, {}, {}).N == 0
+
+
 @pytest.mark.parametrize("key", [1.0, "1", None, True, -1])
 def test_hand_built_reconstruction_rejects_a_bad_order_key(key):
     with pytest.raises(DomainError, match="angular order k"):

@@ -87,13 +87,24 @@ def test_field_from_dict_validates():
 
 
 def test_field_from_dict_rejects_non_finite_and_bool_values():
-    for value in (math.nan, math.inf, -math.inf, True):
+    for value in (math.nan, math.inf, -math.inf, True, "1.5", None, 10**400):
         with pytest.raises(FormatError):
             eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[0, value]]}, "sin": {}})
     with pytest.raises(FormatError):
         eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[True, 1.0]]}, "sin": {}})
     with pytest.raises(FormatError):
         eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[math.inf, 1.0]]}, "sin": {}})
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1_0", "-0", "1.0", "", "None", "\u0661"])
+def test_field_from_dict_rejects_an_order_key_not_written_as_str_writes_an_int(key):
+    with pytest.raises(FormatError, match="angular order key"):
+        eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {key: [[1, 2.0]]}, "sin": {}})
+    # "1" and "01" once both read as order 1, and the later profile replaced the earlier
+    with pytest.raises(FormatError, match="angular order key"):
+        eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"1": [[1, 1.0]], key: [[1, 2.0]]}, "sin": {}})
+    field = eio.field_from_dict({"kind": CONDUCTIVITY, "cos": {"0": [[0, 1.0]], "12": [[12, 2]]}, "sin": {"3": []}})
+    assert list(field.cos) == [0, 12] and field.cos[12].terms == ((12, 2.0),) and list(field.sin) == [3]
 
 
 def test_field_from_dict_rejects_a_non_integer_power():
@@ -141,9 +152,14 @@ def test_dtn_from_dict_validates_shape_and_origin():
 def test_dtn_from_dict_rejects_bool_n():
     field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
     doc = eio.dtn_to_dict(conductivity_dtn(field, 1))
-    doc["N"] = True  # bool is an int subclass, but not an integer N
-    with pytest.raises(FormatError):
-        eio.dtn_from_dict(doc)
+    for n in (True, 1.0, "1", None):  # bool is an int subclass, but not an integer N
+        doc["N"] = n
+        with pytest.raises(FormatError):
+            eio.dtn_from_dict(doc)
+    for bad in ("0.5", None, True, 10**400):
+        doc["N"], doc["cc"] = 1, [[bad]]
+        with pytest.raises(FormatError, match="block 'cc'"):
+            eio.dtn_from_dict(doc)
 
 
 def test_arc_data_dict_roundtrip():
@@ -163,6 +179,13 @@ def test_arc_data_from_dict_validates():
         eio.arc_data_from_dict({"N": 2, "data": [[1.0, 0.0]]})
     with pytest.raises(ShapeError):
         eio.arc_data_from_dict({"N": 3, "data": [[1.0, 0.0], [0.0, 1.0]]})
+    for n in (2.0, True, "2"):  # a JSON integer, as the matrix document's N
+        with pytest.raises(FormatError, match="declared 'N' must be an integer"):
+            eio.arc_data_from_dict({"N": n, "data": [[1.0, 0.0], [0.0, 1.0]]})
+    for alpha in ("0.5", True, [0.5], 10**400):
+        with pytest.raises(FormatError, match="'alpha'"):
+            eio.arc_data_from_dict({"alpha": alpha, "data": [[1.0, 0.0], [0.0, 1.0]]})
+    assert eio.arc_data_from_dict({"alpha": 1, "N": 1, "data": [[2]]})[1] == 1.0
 
 
 def test_grid_csv_layout():
@@ -182,6 +205,16 @@ def test_load_json_wraps_errors(tmp_path):
         eio.load_json(str(bad))
     with pytest.raises(FormatError):
         eio.load_json(str(tmp_path / "missing.json"))
+    for name, data in (("repeated", b'{"cos": {"0": [[0, 1.0]], "0": [[0, 2.0]]}}'),
+                       ("utf8", b'\xff\xfe{}'), ("deep", b"[" * 100000 + b"]" * 100000),
+                       ("digits", b"[1" + b"0" * 5000 + b"]")):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="appears twice" if name == "repeated" else "as JSON"):
+            eio.load_json(str(path))
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"a": {"b": 1, "c": [{"b": 2}]}, "b": 3}', encoding="utf-8")
+    assert eio.load_json(str(ok)) == {"a": {"b": 1, "c": [{"b": 2}]}, "b": 3}
 
 
 def test_grid_to_csv_matches_per_value_formatting():

@@ -17,7 +17,7 @@ from eitdisk.errors import DomainError, KindMismatchError
 from eitdisk.fields import FourierRadialField, RadialProfile
 from eitdisk.forward import BoundaryMode
 from eitdisk.inverse import MomentData, ValidationCheck, ValidationReport
-from eitdisk.muntz import MuntzPolynomial, TriangularMatrix, WeightedFamily
+from eitdisk.muntz import ExponentSequence, MuntzPolynomial, TriangularMatrix, WeightedFamily
 from eitdisk.quadrature import QuadratureSpec
 
 # (class, field names, positional arguments, repr of the instance)
@@ -43,11 +43,13 @@ CASES = [
      "TriangularMatrix(rows=((Fraction(1, 1),), (Fraction(1, 2), 2)))"),
     (QuadratureSpec, ("n_r", "n_phi"), (8, 16), "QuadratureSpec(n_r=8, n_phi=16)"),
     (ArcSpec, ("alpha",), (0.5,), "ArcSpec(alpha=0.5)"),
+    (ExponentSequence, ("lambdas",), ((F(1, 2), 2),), "ExponentSequence([Fraction(1, 2), Fraction(2, 1)])"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 # a valid last argument that differs from the one in CASES, where 0.75 is not
 OTHER_LAST = {RadialProfile: [(0, 1)], FourierRadialField: {3: [(0, 1)]}, BoundaryMode: 3, MomentData: 0,
-              TriangularMatrix: ((F(2),),), QuadratureSpec: 17, ArcSpec: 0.25}
+              TriangularMatrix: ((F(2),),), QuadratureSpec: 17, ArcSpec: 0.25,
+              ExponentSequence: (0, 1)}
 
 
 @pytest.mark.parametrize("cls, names, args, text", CASES, ids=IDS)
