@@ -40,14 +40,15 @@ __all__ = ["main"]
 # assembly and solve cost grows about as N^4.
 MAX_MODES = 64
 # Largest --quad-r/--quad-phi of forward and --nr/--nphi of eval, half-invert
-# and arc-invert: leggauss(n) diagonalizes an n x n matrix, and a grid holds
-# one node per pair.
+# and arc-invert: the Gauss-Legendre rule diagonalizes an n x n matrix, and a
+# grid holds one node per pair.
 MAX_GRID = 1024
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(_attach_seq_value(sys.argv[1:] if argv is None else argv))
+        argv = _attach_seq_value(sys.argv[1:] if argv is None else argv)
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         for flag in ("quad_r", "quad_phi", "nr", "nphi"):  # before any input is read
             if hasattr(args, flag):
                 _check_cap(getattr(args, flag), "--" + flag.replace("_", "-"), MAX_GRID)
@@ -83,69 +84,22 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(f"{self.prog}: {message}")
 
 
-@functools.cache  # built once per process: parse_args leaves the parser unchanged
-def _build_parser():
+@functools.cache  # once per process and command: parse_args leaves the parser unchanged
+def _build_parser(command):
+    """The parser with ``command``'s subparser only, or with all of ``_COMMANDS`` for None.
+
+    A process that runs one command builds one subparser; its help and error
+    texts are those of the full parser, which serves everything else (no
+    arguments, an unknown command, an option first).
+    """
     parser = _Parser(prog="eitdisk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, **flags):
-        p = sub.add_parser(name, help=help_text)
-        if flags.get("input", True):
-            p.add_argument("--input", required=True, help="input JSON path")
-        if flags.get("output"):
-            p.add_argument("--output", required=flags.get("output") == "required",
-                           help="output path")
-        if flags.get("nmax"):
-            p.add_argument("--nmax", type=int, default=None, help="max mode frequency")
-        if flags.get("tol"):
-            p.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
-        if flags.get("quad"):
-            p.add_argument("--quad-r", type=int, default=64, help="radial quadrature order")
-            p.add_argument("--quad-phi", type=int, default=512, help="angular quadrature order")
-        if flags.get("reg_cap"):
-            p.add_argument("--reg-cap", type=int, default=None,
-                           help="drop coefficients with index above this cap")
-        if flags.get("rational"):
-            p.add_argument("--rational", action="store_true",
-                           help="exact rational arithmetic internally")
-        if flags.get("grid"):
-            p.add_argument("--nr", type=int, default=24, help="radial grid levels")
-            p.add_argument("--nphi", type=int, default=64, help="angular grid count")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("forward", _cmd_forward, "assemble boundary-data matrices from a field",
-            output="required", nmax=True, quad=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="also write a quadrature-oracle comparison report")
-
-    add("invert", _cmd_invert, "reconstruct a field from boundary-data matrices",
-        output="required", nmax=True, tol=True, reg_cap=True, rational=True)
-
-    add("roundtrip", _cmd_roundtrip, "forward then invert; report coefficient error",
-        nmax=True, tol=True, rational=True)
-
-    add("validate", _cmd_validate, "check structural identities of a matrix set",
-        tol=True)
-
-    add("eval", _cmd_eval, "sample a field on a polar grid as CSV",
-        output="required", grid=True)
-
-    add("half-invert", _cmd_half_invert, "invert half-disk sine-mode data",
-        output="required", nmax=True, tol=True, reg_cap=True, grid=True)
-
-    p = add("arc-invert", _cmd_arc_invert, "invert arc data via conformal transplantation",
-            output="required", nmax=True, tol=True, reg_cap=True, grid=True)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="arc half-opening (overrides the value in the data file)")
-    p.add_argument("--map-debug", action="store_true",
-                   help="also write boundary images of the conformal map")
-
-    p = add("muntz", _cmd_muntz, "print exact basis coefficient tables", input=False)
-    p.add_argument("--k", type=int, default=0, help="angular order of the weighted family")
-    p.add_argument("--nmax", type=int, default=6, help="largest index to print")
-    p.add_argument("--seq", type=str, default=None,
-                   help="comma-separated rational exponents for a custom sequence")
+    for name, (func, help_text, options) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -289,7 +243,7 @@ def _map_debug_csv(cmap, count=64):
 def _cmd_muntz(args) -> int:
     _check_cap(args.nmax, "--nmax")
     _check_cap(args.k, "--k")
-    if args.seq:
+    if args.seq is not None:
         try:
             seq = ExponentSequence(Fraction(part.strip()) for part in args.seq.split(","))
         except (ValueError, ZeroDivisionError) as exc:
@@ -310,6 +264,42 @@ def _cmd_muntz(args) -> int:
         terms = " ".join(f"{c}*x^{2 * l + args.k}" for l, c in enumerate(row))
         print(f"LM^{args.k}_{n}: {terms}")
     return 0
+
+
+_INPUT = ("--input", dict(required=True, help="input JSON path"))
+_OUTPUT = ("--output", dict(required=True, help="output path"))
+_NMAX = ("--nmax", dict(type=int, default=None, help="max mode frequency"))
+_TOL = ("--tol", dict(type=float, default=1e-9, help="validation tolerance"))
+_REG_CAP = ("--reg-cap", dict(type=int, default=None, help="drop coefficients with index above this cap"))
+_RATIONAL = ("--rational", dict(action="store_true", help="exact rational arithmetic internally"))
+_GRID = (("--nr", dict(type=int, default=24, help="radial grid levels")),
+         ("--nphi", dict(type=int, default=64, help="angular grid count")))
+
+# name -> (handler, help text, options in help order), after the handlers it names
+_COMMANDS = {
+    "forward": (_cmd_forward, "assemble boundary-data matrices from a field", (
+        _INPUT, _OUTPUT, _NMAX,
+        ("--quad-r", dict(type=int, default=64, help="radial quadrature order")),
+        ("--quad-phi", dict(type=int, default=512, help="angular quadrature order")),
+        ("--oracle", dict(action="store_true", help="also write a quadrature-oracle comparison report")))),
+    "invert": (_cmd_invert, "reconstruct a field from boundary-data matrices",
+               (_INPUT, _OUTPUT, _NMAX, _TOL, _REG_CAP, _RATIONAL)),
+    "roundtrip": (_cmd_roundtrip, "forward then invert; report coefficient error",
+                  (_INPUT, _NMAX, _TOL, _RATIONAL)),
+    "validate": (_cmd_validate, "check structural identities of a matrix set", (_INPUT, _TOL)),
+    "eval": (_cmd_eval, "sample a field on a polar grid as CSV", (_INPUT, _OUTPUT, *_GRID)),
+    "half-invert": (_cmd_half_invert, "invert half-disk sine-mode data",
+                    (_INPUT, _OUTPUT, _NMAX, _TOL, _REG_CAP, *_GRID)),
+    "arc-invert": (_cmd_arc_invert, "invert arc data via conformal transplantation", (
+        _INPUT, _OUTPUT, _NMAX, _TOL, _REG_CAP, *_GRID,
+        ("--alpha", dict(type=float, default=None,
+                         help="arc half-opening (overrides the value in the data file)")),
+        ("--map-debug", dict(action="store_true", help="also write boundary images of the conformal map")))),
+    "muntz": (_cmd_muntz, "print exact basis coefficient tables", (
+        ("--k", dict(type=int, default=0, help="angular order of the weighted family")),
+        ("--nmax", dict(type=int, default=6, help="largest index to print")),
+        ("--seq", dict(type=str, default=None, help="comma-separated rational exponents for a custom sequence")))),
+}
 
 
 if __name__ == "__main__":

@@ -171,6 +171,9 @@ def dtn_from_dict(doc) -> DtnMatrixSet:
     n = _integer(doc.get("N"), "matrix document's 'N'")
     blocks = [_float_matrix(doc, name, f"block {name!r}") for name in BLOCK_NAMES]
     declared = doc.get("index_origin")
+    for name, origin in declared.items() if isinstance(declared, dict) else ():
+        for entry in origin if isinstance(origin, list) else ():
+            _integer(entry, f"index_origin entry of {name!r}")
     if declared is not None and declared != {k: list(v) for k, v in index_origins(kind).items()}:
         raise ShapeError(f"index_origin {declared!r} does not match kind {kind!r}")
     return DtnMatrixSet(kind, n, *blocks)

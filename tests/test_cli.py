@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import hashlib
 import json
@@ -315,6 +316,107 @@ def test_muntz_inadmissible_sequence_prints_nothing(capsys):
     assert "outside L^2" in err
 
 
+def test_muntz_empty_seq_is_a_bad_exponent_list(capsys):
+    assert main(["muntz", "--seq", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad exponent list") and err.count("\n") == 1
+
+
+_FULL_HELP = """\
+usage: eitdisk [-h]
+               {forward,invert,roundtrip,validate,eval,half-invert,arc-invert,muntz}
+               ...
+
+Command-line interface. Exit codes: 0 success, 1 tolerance failure in
+roundtrip, 2 parse/usage problems, 3 kind or shape mismatches, 4 structurally
+inconsistent data. All outputs are deterministic: fixed 17-significant-digit
+float formatting and fixed iteration orders.
+
+positional arguments:
+  {forward,invert,roundtrip,validate,eval,half-invert,arc-invert,muntz}
+    forward             assemble boundary-data matrices from a field
+    invert              reconstruct a field from boundary-data matrices
+    roundtrip           forward then invert; report coefficient error
+    validate            check structural identities of a matrix set
+    eval                sample a field on a polar grid as CSV
+    half-invert         invert half-disk sine-mode data
+    arc-invert          invert arc data via conformal transplantation
+    muntz               print exact basis coefficient tables
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_FORWARD_HELP = """\
+usage: eitdisk forward [-h] --input INPUT --output OUTPUT [--nmax NMAX]
+                       [--quad-r QUAD_R] [--quad-phi QUAD_PHI] [--oracle]
+
+options:
+  -h, --help           show this help message and exit
+  --input INPUT        input JSON path
+  --output OUTPUT      output path
+  --nmax NMAX          max mode frequency
+  --quad-r QUAD_R      radial quadrature order
+  --quad-phi QUAD_PHI  angular quadrature order
+  --oracle             also write a quadrature-oracle comparison report
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", "error: eitdisk: the following arguments are required: command\n"),
+    (["nosuch"], 2, "", "error: eitdisk: argument command: invalid choice: 'nosuch' (choose from "
+     "'forward', 'invert', 'roundtrip', 'validate', 'eval', 'half-invert', 'arc-invert', 'muntz')\n"),
+    (["--help"], 0, _FULL_HELP, ""),
+    (["forward", "--help"], 0, _FORWARD_HELP, ""),
+    (["forward"], 2, "", "error: eitdisk forward: the following arguments are required: --input, --output\n"),
+    (["forward", "--input", "a", "--output", "b", "--bogus"], 2, "",
+     "error: eitdisk: unrecognized arguments: --bogus\n"),
+], ids=["no-arguments", "unknown-command", "help", "forward-help", "forward-missing", "forward-bogus"])
+def test_help_and_usage_error_texts_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_each_command_parser_registers_only_its_command():
+    build = eitdisk.cli._build_parser
+
+    def subparsers(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    full = subparsers(build(None))
+    assert list(full) == list(eitdisk.cli._COMMANDS)
+    for name in full:
+        own = subparsers(build(name))
+        assert list(own) == [name]
+        assert own[name].format_help() == full[name].format_help()
+        assert own[name].get_default("func") is full[name].get_default("func")
+
+
+def _dtn_with_origin(tmp_path, field_file, origin):
+    dtn = tmp_path / "dtn.json"
+    assert main(["forward", "--input", str(field_file), "--output", str(dtn), "--nmax", "2"]) == 0
+    doc = json.loads(dtn.read_text(encoding="utf-8"))
+    doc["index_origin"]["cc"] = origin
+    dtn.write_text(json.dumps(doc), encoding="utf-8")
+    return str(dtn)
+
+
+@pytest.mark.parametrize("origin", [[True, 1.0], [1, 1.0], [1, "1"], [1, None]])
+def test_index_origin_entries_must_be_json_integers(tmp_path, field_file, capsys, origin):
+    dtn = _dtn_with_origin(tmp_path, field_file, origin)
+    capsys.readouterr()
+    out_path = tmp_path / "rec.json"
+    for argv in (["validate", "--input", dtn], ["invert", "--input", dtn, "--output", str(out_path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: index_origin entry of 'cc' must be an integer") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def _raw_field_file(tmp_path, value):
     path = tmp_path / "field.json"
     path.write_text('{"kind":"conductivity","cos":{"0":[[0,%s]]},"sin":{}}' % value, encoding="utf-8")
@@ -607,7 +709,9 @@ def test_one_process_runs_match_separate_processes(tmp_path, monkeypatch, capsys
     assert "arc.csv.mapdebug.csv" in names and "dtn.oracle.json" in names
     for name in names:
         assert (together / name).read_bytes() == (apart / name).read_bytes(), name
-    assert eitdisk.cli._build_parser() is eitdisk.cli._build_parser()
+    build = eitdisk.cli._build_parser  # one parser per command, built once and reused
+    assert all(build(argv[0]) is build(argv[0]) for argv in _ONE_PROCESS_RUNS)
+    assert build(None) is build(None) and build("forward") is not build(None)
 
 
 @pytest.mark.parametrize("command,flag", [
