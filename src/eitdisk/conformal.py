@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, Record, SingularPointError
+from .errors import DomainError, Record, SingularPointError, real
 
 __all__ = ["ArcSpec", "ConformalMap", "psi", "psi_inverse"]
 
@@ -37,14 +37,15 @@ _BOUNDARY_FUZZ = 1e-12
 
 
 class ArcSpec(Record):
-    """Boundary arc [pi/2 - alpha, pi/2 + alpha] with opening half-angle alpha."""
+    """Boundary arc [pi/2 - alpha, pi/2 + alpha] with opening half-angle alpha, a real stored as a float."""
 
     __slots__ = _fields = ("alpha",)
 
     def __init__(self, alpha):
+        alpha = real(alpha, "alpha")
         if not 0.0 < alpha < math.pi / 2.0:
             raise DomainError(f"alpha must lie in (0, pi/2), got {alpha}")
-        self._store(alpha)
+        self._store(float(alpha))
 
     @property
     def interval(self) -> tuple:
@@ -52,13 +53,13 @@ class ArcSpec(Record):
 
 
 class ConformalMap:
-    """The half-disk-to-disk map psi for one arc opening."""
+    """The half-disk-to-disk map psi for one arc opening, an ArcSpec or its alpha."""
 
     __slots__ = ("arc", "w")
 
     def __init__(self, arc):
         if not isinstance(arc, ArcSpec):
-            arc = ArcSpec(float(arc))
+            arc = ArcSpec(arc)
         self.arc = arc
         alpha = arc.alpha
         self.w = complex(0.0, -math.cos(alpha) / (1.0 + math.sin(alpha)))
@@ -109,12 +110,21 @@ def _psi_inverse_array(cmap, z):
     return (u - 1.0) / (u + 1.0)
 
 
+def _points(z):
+    """z as a complex array; a point with a NaN or infinite part is a DomainError."""
+    arr = np.asarray(z, dtype=complex)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DomainError(f"point {complex(arr[~finite].flat[0])} is not finite")
+    return arr
+
+
 def psi(cmap: ConformalMap, z):
     """Map points of the closed upper half disk into the closed unit disk.
 
     Accepts a complex scalar or array and returns the same shape.
     """
-    arr = np.asarray(z, dtype=complex)
+    arr = _points(z)
     if np.any(np.abs(arr) > 1.0 + _BOUNDARY_FUZZ) or np.any(arr.imag < -_BOUNDARY_FUZZ):
         raise DomainError("point outside the closed upper half disk")
     out = _psi_array(cmap, arr)
@@ -128,7 +138,7 @@ def psi_inverse(cmap: ConformalMap, z):
     endpoint the inverse is refused with ``SingularPointError``.  Accepts a
     complex scalar or array and returns the same shape.
     """
-    arr = np.asarray(z, dtype=complex)
+    arr = _points(z)
     if np.any(np.abs(arr) > 1.0 + _BOUNDARY_FUZZ):
         raise DomainError("point outside the closed unit disk")
     e_lo, e_hi = cmap.endpoints

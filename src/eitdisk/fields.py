@@ -56,12 +56,12 @@ class RadialProfile(Record):
         self._store(tuple(cleaned))
 
     def __call__(self, r: float) -> float:
-        return sum(float(v) * r**p for p, v in self.terms)
+        return sum(float(v) * r**_exponent(p) for p, v in self.terms)
 
     def values_at(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros_like(r, dtype=float)
         for p, v in self.terms:
-            out += float(v) * r**p
+            out += float(v) * r**_exponent(p)
         return out
 
     def moment_exact(self, m: int) -> Fraction:  # public; the benchmark's tracer counts it by name
@@ -85,6 +85,12 @@ class RadialProfile(Record):
 
 
 _ZERO_PROFILE = RadialProfile(())
+
+
+def _exponent(p):
+    """The power p for float evaluation: inf from 2**1023 on, where r**p is already its limit on [0, 1]
+    (0 below r = 1, 1 at r = 1), so a power beyond the double range evaluates too."""
+    return p if p < 2**1023 else math.inf
 
 
 def _common_denominator(values) -> tuple:

@@ -238,17 +238,16 @@ def _extract(mset, kind, k, parity):
     shift = 1 if kind == CONDUCTIVITY else 0
     if not least <= k <= mset.N - shift:
         raise RangeError(f"order k={k} outside {parity} range for N={mset.N}")
-    values, den = _moments(kind, _blocks(mset), mset._ints is not None, mset.N, k, parity)
-    if den is not None:
-        values = [Fraction(n, den) for n in values]
+    exact = mset._ints is not None
+    values = _exact_or_rounded(*_moments(kind, _blocks(mset), exact, mset.N, k, parity), exact)
     return MomentData(k=k, parity=parity, values=tuple(values), origin_shift=shift)
 
 
 def _moments(kind, blocks, exact, N, k, parity):
     """Order-k moments up to truncation N, each a block entry (or a sum of two) over divisor * pi.
 
-    From exact ``_blocks``: integer numerators over one denominator; else
-    entry / (divisor * pi) per moment, and None.  See the module docstring.
+    Integer numerators over one denominator: exact from exact ``_blocks``, else the lift of
+    each double entry / (divisor * pi), checked by ``errors.real``.  See the module docstring.
     """
     cc, ss, sc, cs, den = blocks
     tail = range(1, N - k + 1)
@@ -262,7 +261,7 @@ def _moments(kind, blocks, exact, N, k, parity):
         entries = [cs[0][k - 1] + sc[k - 1][0], *(cs[i][i + k - 1] - sc[i - 1][i + k] for i in tail)]
         divisors = [2, *(1 for _ in tail)]
     if not exact:
-        return [e / (d * math.pi) for e, d in zip(entries, divisors)], None
+        return _common_denominator([real(e / (d * math.pi), "moment value") for e, d in zip(entries, divisors)])
     scale = math.lcm(*divisors)
     return [e * (scale // d) for e, d in zip(entries, divisors)], den * scale
 
@@ -504,17 +503,13 @@ def reconstruct(
 
 
 def _invert(kind, N, cos_orders, sin_orders, moments, exact, reg_cap) -> Reconstruction:
-    """Solve each order's moments(k, parity): (numerators, denominator), or (doubles, None).
+    """Solve each order's moments(k, parity), integer numerators over one denominator.
 
-    Doubles are lifted to exact dyadic rationals; coefficients stay exact when ``exact``, else each
-    is rounded once and the view holds the lift of those doubles.
+    Coefficients stay exact when ``exact``, else each is rounded once and the
+    view holds the lift of those doubles.
     """
     def solve(k, parity):  # coefficient n reads moments 0..n only, so a cap drops the moments beyond it
         nums, den = moments(k, parity)
-        if den is None:
-            if not all(map(math.isfinite, nums)):
-                raise DomainError("moment values must be finite")
-            nums, den = _common_denominator(nums)
         nums = _solve(k, nums if reg_cap is None else nums[: reg_cap + 1])
         return (nums, den, True) if exact else _series(_exact_or_rounded(nums, den, False))
 

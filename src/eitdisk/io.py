@@ -216,11 +216,7 @@ def arc_data_from_dict(doc) -> tuple:
     """Returns (HalfDiskData, alpha-or-None)."""
     if not isinstance(doc, dict):
         raise FormatError("data document must be a JSON object")
-    values = _float_matrix(doc, "data", "matrix 'data'")
-    try:
-        data = HalfDiskData(values)
-    except ValueError as exc:
-        raise ShapeError(f"'data' is not a square numeric matrix: {exc}") from exc
+    data = HalfDiskData(_float_matrix(doc, "data", "matrix 'data'"))
     declared_n = doc.get("N")
     if declared_n is not None and _integer(declared_n, "declared 'N'") != data.N:
         raise ShapeError(f"declared N={declared_n} does not match data size {data.N}")

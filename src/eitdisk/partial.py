@@ -28,9 +28,9 @@ import math
 import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
-from .errors import DomainError, InconsistentDataError, RangeError, integer
+from .errors import DomainError, InconsistentDataError, RangeError, ShapeError, integer
 from .fields import CONDUCTIVITY, FourierRadialField, eval_field_grid
-from .forward import _mode_product
+from .forward import _mode_product, conductivity_dtn
 from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
     Reconstruction,
     ValidationCheck,
@@ -71,7 +71,7 @@ class HalfDiskData:
     def __init__(self, values):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise DomainError("half-disk data must be a square matrix")
+            raise ShapeError("half-disk data must be a square matrix")
         self.values = arr
 
     @property
@@ -87,26 +87,18 @@ def _samples(field, r, phi, cmap):
     return eval_field_grid(field, np.minimum(np.abs(w), 1.0), np.angle(w))
 
 
-def _levels(field, N, n_phi, cmap):
+def _levels(field, N, n_phi):
     """Angular levels, in intervals, of the closed trapezoid for ``field``.
 
-    A cosine-only FourierRadialField on the half disk is integrated exactly
-    once 2 * intervals >= its highest order + N: one level, the coarsest
-    halving of n_phi with at least that many and max(32, 4N) intervals.  Any
-    other is not even in phi (sine terms, or composed with psi) and takes
-    n_phi.  A callable takes the coarsest halving with at least max(32, 4N)
-    intervals, its double and n_phi.
+    A FourierRadialField takes n_phi.  A callable takes the coarsest halving
+    of n_phi with at least max(32, 4N) intervals, its double and n_phi.
     """
-    least = max(32, 4 * N)
-    fixed = isinstance(field, FourierRadialField)
-    if fixed:
-        if cmap is not None or field.sin:
-            return [n_phi]
-        least = max(least, (max(field.cos, default=0) + N + 1) // 2)
+    if isinstance(field, FourierRadialField):
+        return [n_phi]
     first = n_phi
-    while first % 2 == 0 and first // 2 >= least:
+    while first % 2 == 0 and first // 2 >= max(32, 4 * N):
         first //= 2
-    return [first] if fixed else sorted({first, min(2 * first, n_phi), n_phi})
+    return sorted({first, min(2 * first, n_phi), n_phi})
 
 
 def _sine_data(field, N, quad, cmap=None):
@@ -123,7 +115,7 @@ def _sine_data(field, N, quad, cmap=None):
     r, wr = gauss_legendre_01(quad.n_r)
     n = np.arange(1, N + 1)
     values = data = None
-    for size in _levels(field, N, quad.n_phi, cmap):
+    for size in _levels(field, N, quad.n_phi):
         phi, wphi = trapezoid_closed(size, 0.0, math.pi)
         if values is None:
             values = _samples(field, r, phi, cmap)
@@ -146,9 +138,9 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
     """Quadrature of the energy integral over the upper half disk.
 
     integral of field * grad(r^n sin(n phi)) . grad(r^k sin(k phi)), with
-    integers n, k >= 1.  ``field`` may be a FourierRadialField or a callable
-    (r, phi) acting on arrays.  Entry (n, k) of ``half_disk_data`` at
-    N = max(n, k), on the same angular levels.
+    integers n, k >= 1.  ``field`` may be a FourierRadialField, sampled at
+    ``quad.n_phi`` (for a cosine-only one, a check of the exact data), or a
+    callable (r, phi) acting on arrays, on the levels of ``half_disk_data``.
     """
     n, k = integer(n, 1, "sine mode frequencies"), integer(k, 1, "sine mode frequencies")
     return float(_sine_data(field, max(n, k), quad)[n - 1, k - 1])
@@ -157,15 +149,18 @@ def half_disk_forward_oracle(  # public; the tests and the benchmark's tracer ca
 def half_disk_data(field, N: int, quad: QuadratureSpec = HALF_DISK_QUAD) -> HalfDiskData:
     """Full N x N sine-mode data matrix.
 
-    A cosine-only FourierRadialField is sampled once, at the coarsest halving
-    of ``quad.n_phi`` where the closed trapezoid in phi is exact (else at
-    ``quad.n_phi``); one with sine terms at ``quad.n_phi``.  A callable is
-    sampled at the coarsest halving with at least max(32, 4N) intervals and
-    at its double; if no entry moves by more than 1e-13 of the largest, the
-    data stop there, else the remaining nodes of ``quad.n_phi`` are sampled
-    in one call.  No node is evaluated twice; features that fall between the
-    nodes sampled go unseen.  N must be an integer >= 1.
+    A cosine-only FourierRadialField, of either kind, is read on no grid: by
+    the reflection identity its data are half the cc block ``conductivity_dtn``
+    assembles exactly from its cosine profiles.  One with sine terms is sampled
+    at ``quad.n_phi``.  A callable is sampled at the coarsest halving with at
+    least max(32, 4N) intervals and at its double; if no entry moves by more
+    than 1e-13 of the largest, the data stop there, else the remaining nodes
+    of ``quad.n_phi`` are sampled in one call.  No node is evaluated twice;
+    features that fall between the nodes sampled go unseen.  N >= 1.
     """
+    N = integer(N, 1, "sine mode frequencies")
+    if isinstance(field, FourierRadialField) and not field.sin:
+        return HalfDiskData(conductivity_dtn(FourierRadialField(CONDUCTIVITY, field.cos), N).cc / 2)
     return HalfDiskData(_sine_data(field, N, quad))
 
 
@@ -177,10 +172,10 @@ def half_disk_invert(
 ) -> Reconstruction:
     """Cosine-profile reconstruction on the half disk from sine-mode data.
 
-    Reads the weighted moments off the data as the cosine moments of a
-    conductivity cc block, doubles them (undoing the even reflection) and
-    solves them as ``reconstruct`` does.  Asymmetry beyond ``tol`` raises
-    ``InconsistentDataError``; a NaN or negative ``tol`` is a DomainError.
+    Reads the moments off the data as those of a conductivity cc block, in
+    integers over one denominator, doubles the numerators (undoing the even
+    reflection) and solves them as ``reconstruct`` does.  Asymmetry beyond
+    ``tol`` is an ``InconsistentDataError``, a NaN or negative ``tol`` a DomainError.
     """
     _check_tol(tol)
     if not isinstance(data, HalfDiskData):
@@ -201,9 +196,9 @@ def half_disk_invert(
         raise InconsistentDataError(report)
     sym = (data.values / 2.0 + data.values.T / 2.0).tolist()  # (arr + arr.T) / 2 without overflow
 
-    def moments(k, parity):  # doubled after the division, so the doubling cannot overflow
-        values, _ = _moments(CONDUCTIVITY, (sym, None, None, None, 1), False, N, k, parity)
-        return [v * 2.0 for v in values], None
+    def moments(k, parity):
+        nums, den = _moments(CONDUCTIVITY, (sym, None, None, None, 1), False, N, k, parity)
+        return [2 * n for n in nums], den
 
     return _invert(CONDUCTIVITY, N, range(N), (), moments, False, reg_cap)
 
@@ -223,7 +218,7 @@ def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it 
     the same angular levels; n, k are integers >= 1.
     """
     n, k = integer(n, 1, "sine mode frequencies"), integer(k, 1, "sine mode frequencies")
-    return float(_sine_data(field, max(n, k), quad, cmap)[n - 1, k - 1])
+    return float(_sine_data(field, max(n, k), quad, _checked_map(cmap))[n - 1, k - 1])
 
 
 def arc_data(field, cmap: ConformalMap, N: int, quad: QuadratureSpec = ARC_QUAD) -> HalfDiskData:
@@ -234,7 +229,14 @@ def arc_data(field, cmap: ConformalMap, N: int, quad: QuadratureSpec = ARC_QUAD)
     A callable takes the same two levels and the cap as in
     ``half_disk_data``, psi and the callable evaluated once per node sampled.
     """
-    return HalfDiskData(_sine_data(field, N, quad, cmap))
+    return HalfDiskData(_sine_data(field, N, quad, _checked_map(cmap)))
+
+
+def _checked_map(cmap) -> ConformalMap:
+    """``cmap`` if it is a ConformalMap, else a DomainError."""
+    if not isinstance(cmap, ConformalMap):
+        raise DomainError(f"cmap must be a ConformalMap, not {type(cmap).__name__}")
+    return cmap
 
 
 class ArcReconstruction:
@@ -249,7 +251,7 @@ class ArcReconstruction:
 
     def __init__(self, base: Reconstruction, cmap: ConformalMap):
         self.base = base
-        self.cmap = cmap
+        self.cmap = _checked_map(cmap)
 
     def __call__(self, r, phi) -> np.ndarray:
         """Values at polar points (r, phi) in the unit disk, arrays of broadcastable shapes."""

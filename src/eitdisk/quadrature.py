@@ -38,7 +38,7 @@ def _read_only(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: an order equal to a cached one, 8.0 to 8, is still checked
 def gauss_legendre_01(n: int):
     """Gauss-Legendre nodes and weights mapped to [0, 1]; exact to degree 2n-1.
 
@@ -60,19 +60,21 @@ def gauss_legendre_01(n: int):
     return _read_only(((x - x[::-1]) / 2 + 1.0) / 2.0, w * (2.0 / w.sum()) / 2.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def trapezoid_periodic(n: int):
-    """n equispaced nodes on [0, 2pi) with uniform weights 2pi/n.
+    """n equispaced nodes on [0, 2pi) with uniform weights 2pi/n, n a positive integer.
 
     Exact for trigonometric polynomials of degree < n.
     """
+    n = integer(n, 1, "the trapezoid order")
     nodes = 2.0 * math.pi * np.arange(n) / n
     return _read_only(nodes, np.full(n, 2.0 * math.pi / n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def trapezoid_closed(n: int, a: float = 0.0, b: float = math.pi):
-    """Composite trapezoid on [a, b] with n subintervals (n+1 nodes)."""
+    """Composite trapezoid on [a, b] with n subintervals (n+1 nodes), n a positive integer."""
+    n = integer(n, 1, "the trapezoid order")
     nodes = np.linspace(a, b, n + 1)
     h = (b - a) / n
     weights = np.full(n + 1, h)

@@ -431,6 +431,20 @@ def test_forward_rejects_nan_field_value(tmp_path, capsys):
     assert "non-finite" in err and err.count("\n") == 1
 
 
+def test_radial_power_beyond_double_range_evaluates_at_its_limit(tmp_path, capsys):
+    # r**p at its limit: 0 below r = 1, 1 at r = 1; the exact forward map keeps the power
+    field = tmp_path / "field.json"
+    field.write_text('{"kind":"conductivity","cos":{"0":[[1%s,1.0]]},"sin":{}}' % ("0" * 400), encoding="utf-8")
+    grid = tmp_path / "grid.csv"
+    assert main(["eval", "--input", str(field), "--output", str(grid), "--nr", "2", "--nphi", "2"]) == 0
+    rows = [line.split(",") for line in grid.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [float(x) for x, _, _ in rows] == [0.5, -0.5, 1.0, -1.0]
+    assert [float(v) for _, _, v in rows] == [0.0, 0.0, 1.0, 1.0]
+    assert main(["forward", "--oracle", "--input", str(field), "--output", str(tmp_path / "dtn.json"),
+                 "--nmax", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["forward", "roundtrip"])
 def test_entry_beyond_double_range_exits_2(tmp_path, capsys, command):
     argv = [command, "--input", _raw_field_file(tmp_path, "1.7e308"), "--nmax", "3"]

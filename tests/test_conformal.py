@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,3 +118,27 @@ def test_wide_arc_approaches_identity_like_map():
     q = (1 - z) ** 2
     theta = (p - 1j * q) / (p + 1j * q)
     assert abs(psi(cmap, z) - theta) < 1e-8
+
+
+@pytest.mark.parametrize("point", [complex("nan"), complex(0.5, math.nan), complex(math.nan, 0.5),
+                                   complex(math.inf, 0.0), np.array([0.5j, complex("nan")])])
+def test_points_with_a_nan_or_infinite_part_are_a_domain_error(point):
+    cmap = ConformalMap(ArcSpec(math.pi / 4))
+    for inverse in (psi, psi_inverse):
+        with pytest.raises(DomainError, match="is not finite"):
+            inverse(cmap, point)
+
+
+def test_alpha_is_read_as_a_real_and_stored_as_a_float():
+    for alpha in (True, Fraction(1, 2), np.float32(0.5)):
+        spec = ArcSpec(alpha)
+        assert type(spec.alpha) is float and spec.alpha == float(alpha)
+        assert type(ConformalMap(alpha).alpha) is float
+    for bad in ("0.5", None, 0.5j):
+        for make in (ArcSpec, ConformalMap):
+            with pytest.raises(DomainError, match="is not a real number"):
+                make(bad)
+    with pytest.raises(DomainError, match="alpha nan is non-finite"):
+        ArcSpec(math.nan)
+    with pytest.raises(DomainError, match=r"alpha must lie in \(0, pi/2\), got 10{400}"):
+        ArcSpec(10**400)

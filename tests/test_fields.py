@@ -194,3 +194,12 @@ def test_sample_grid_layout():
     np.testing.assert_allclose(rows[:, 2], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(rows[0, :2], [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(rows[1, :2], [0.0, 1.0], atol=1e-15)
+
+
+def test_radial_powers_beyond_the_double_range_evaluate_at_their_limit():
+    # 0 below r = 1 and 1 at r = 1; the exact moments keep the power
+    profile = RadialProfile(((10**400, 2.0), (1, 0.5)))
+    r = np.array([0.0, 0.5, 1.0 - 2**-53, 1.0])
+    assert profile.values_at(r).tolist() == [0.0, 0.25, 0.5 * (1.0 - 2**-53), 2.5]
+    assert [profile(v) for v in r.tolist()] == profile.values_at(r).tolist()
+    assert profile.moment_exact(0) == Fraction(2, 10**400 + 1) + Fraction(1, 4)

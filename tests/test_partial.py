@@ -1,5 +1,6 @@
 """Half-disk data via reflection and arc data via conformal transplantation."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import eitdisk.inverse
 import eitdisk.partial
 from eitdisk import (
     CONDUCTIVITY,
+    POTENTIAL,
     ArcSpec,
     ConformalMap,
     DomainError,
@@ -18,6 +20,7 @@ from eitdisk import (
     InconsistentDataError,
     RadialProfile,
     RangeError,
+    ShapeError,
     arc_data,
     arc_forward_oracle,
     arc_invert,
@@ -34,7 +37,7 @@ from eitdisk import (
 )
 from eitdisk.conformal import _psi_array
 from eitdisk.muntz import _jacobi_constants, _jacobi_sum
-from eitdisk.partial import ARC_QUAD, HALF_DISK_QUAD
+from eitdisk.partial import ARC_QUAD, HALF_DISK_QUAD, ArcReconstruction
 from eitdisk.quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_closed
 
 CONST = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
@@ -331,6 +334,19 @@ def test_a_callable_aliased_on_its_first_level_takes_the_cap_bit_for_bit(monkeyp
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", [CONDUCTIVITY, POTENTIAL])
+def test_cosine_field_data_are_half_the_exact_cc_block_on_no_grid(monkeypatch, kind):
+    # the reflection identity, read off the exact assembly of the cosine profiles
+    angles = _counting_grid(monkeypatch)
+    for N in (1, 5, 8, 16):
+        field = FourierRadialField(kind, _random_half_disk_field(30 + N, N).cos, {})
+        want = conductivity_dtn(FourierRadialField(CONDUCTIVITY, field.cos), N).cc / 2
+        assert half_disk_data(field, N).values.tobytes() == want.tobytes()
+    assert angles == []
+    assert list(inspect.signature(eitdisk.partial._levels).parameters) == ["field", "N", "n_phi"]
+    assert eitdisk.partial._levels(COSINE_FIELD, 8, 512) == [512]
+
+
 @pytest.mark.parametrize("n_phi", [1, 2, 300, 512, 1024])
 @pytest.mark.parametrize("kind", ["cosine field", "sine field", "arc field", "callable", "arc callable"])
 def test_levels_are_at_most_three_nested_and_end_at_the_cap(n_phi, kind):
@@ -339,21 +355,18 @@ def test_levels_are_at_most_three_nested_and_end_at_the_cap(n_phi, kind):
         field = FourierRadialField(CONDUCTIVITY, COSINE_FIELD.cos, {1: RadialProfile(((1, 0.5),))})
     elif kind.endswith("callable"):
         field = _as_callable(COSINE_FIELD)
-    cmap = ConformalMap(ArcSpec(math.pi / 4)) if kind.startswith("arc") else None
-    for N in (1, 8, 40):
-        levels = eitdisk.partial._levels(field, N, n_phi, cmap)
+    for N in (1, 8, 40):  # the arc kinds reach the levels as the half-disk ones do
+        levels = eitdisk.partial._levels(field, N, n_phi)
         assert 1 <= len(levels) <= 3
         assert all(coarse < fine and fine % coarse == 0 for coarse, fine in zip(levels, levels[1:]))
-        assert levels[-1] <= n_phi and n_phi % levels[-1] == 0
-        if kind != "cosine field":
-            assert levels[-1] == n_phi
+        assert levels[-1] == n_phi
 
 
 @pytest.mark.parametrize("order", [121, 128, 135, 300])
 def test_high_cosine_orders_are_sampled_where_the_rule_is_exact(monkeypatch, order):
     # at N = 8 the cosine orders order - 7 .. order + 7 of the integrand
     # include 128, which every node of the 32- and 64-interval levels aliases
-    # to order 0: two such levels would agree on wrong data
+    # to order 0: a cosine field is read off the exact assembly instead
     field = FourierRadialField(
         CONDUCTIVITY,
         {0: RadialProfile(((0, 1.0),)), order: RadialProfile(((order, 1.0), (order + 2, -0.5)))},
@@ -362,7 +375,8 @@ def test_high_cosine_orders_are_sampled_where_the_rule_is_exact(monkeypatch, ord
     want = _one_grid_sine_data(field, 8, HALF_DISK_QUAD)
     angles = _counting_grid(monkeypatch)
     got = half_disk_data(field, 8).values
-    assert angles == [129 if order < 249 else 257]  # the coarsest halving with 2 * intervals >= order + 8
+    assert angles == []
+    assert got.tobytes() == (conductivity_dtn(field, 8).cc / 2).tobytes()
     _assert_close_to_reference(got, want)
 
 
@@ -372,8 +386,8 @@ def test_angular_orders_that_do_not_halve_to_a_power_of_two_still_work(n_phi):
     field = _random_half_disk_field(24, N=4)
     cmap = ConformalMap(ArcSpec(math.pi / 3))
     for N in (1, 4):
-        got = half_disk_data(field, N, quad).values
-        _assert_close_to_reference(got, _reference_sine_data(field, N, quad))
+        got = half_disk_data(field, N, quad).values  # quad is not read for a cosine field
+        assert got.tobytes() == (conductivity_dtn(field, N).cc / 2).tobytes()
         got = arc_data(field, cmap, N, quad).values
         _assert_close_to_reference(got, _reference_sine_data(field, N, quad, cmap))
 
@@ -588,3 +602,29 @@ def test_half_disk_invert_equals_reconstruct_of_the_doubled_cosine_set(N, reg_ca
     assert half.p == full.p
     assert half.condition == full.condition
     assert all(c == 0.0 for coeffs in full.q.values() for c in coeffs)
+
+
+# ------------------------------------------------------- inputs checked where taken
+
+
+@pytest.mark.parametrize("values", [[[1.0, 0.0]], [1.0, 2.0], [], [[[1.0]]]])
+def test_half_disk_data_that_is_not_a_square_matrix_is_a_shape_error(values):
+    with pytest.raises(ShapeError, match="half-disk data must be a square matrix"):
+        HalfDiskData(values)
+
+
+@pytest.mark.parametrize("cmap", [0.5, None, ArcSpec(math.pi / 4)])
+def test_a_map_that_is_not_a_conformal_map_is_a_domain_error(cmap):
+    data = half_disk_data(CONST, 2)
+    for call in (lambda: arc_data(CONST, cmap, 2), lambda: arc_forward_oracle(CONST, 1, 1, cmap),
+                 lambda: arc_invert(data, cmap), lambda: ArcReconstruction(half_disk_invert(data), cmap)):
+        with pytest.raises(DomainError, match="cmap must be a ConformalMap"):
+            call()
+
+
+def test_radial_powers_beyond_the_double_range_give_finite_data():
+    # r**p of a power beyond the double range is its limit: 0 below r = 1, 1 at r = 1
+    field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0), (10**400, 1.0)))}, {})
+    cmap = ConformalMap(ArcSpec(math.pi / 4))
+    for data in (arc_data(field, cmap, 3), half_disk_data(field, 3)):
+        assert np.all(np.isfinite(data.values))

@@ -1,5 +1,6 @@
 """The cached quadrature rules: numpy's Gauss-Legendre rule bit for bit, and read-only arrays."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -33,6 +34,17 @@ def test_gauss_legendre_01_rejects_non_positive_and_non_integer_orders():
     for n in (0, -3, 2.0, True, "8"):
         with pytest.raises(DomainError, match="Gauss-Legendre order"):
             gauss_legendre_01.__wrapped__(n)
+
+
+@pytest.mark.parametrize("rule, rest", [
+    (gauss_legendre_01, ()), (trapezoid_periodic, ()), (trapezoid_closed, (0.0, math.pi)),
+])
+def test_cached_rules_check_every_order_even_one_equal_to_a_cached_order(rule, rest):
+    rule(np.int64(8), *rest)  # cached under a key equal to 8.0's in an untyped cache
+    rule(1, *rest)
+    for n in (0, -2, 2.5, 8.0, 1.0, True, "8", None):
+        with pytest.raises(DomainError, match="order must be positive"):
+            rule(n, *rest)
 
 
 @pytest.mark.parametrize("rule, args", [
