@@ -4,6 +4,8 @@ import math
 import numbers
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "EitdiskError",
     "DomainError",
@@ -95,6 +97,27 @@ def real(value, what):
     if not math.isfinite(value):
         raise DomainError(f"{what} {value!r} is non-finite")
     return value
+
+
+def real_array(values, what) -> np.ndarray:
+    """``values`` as a float array; a DomainError unless every entry is a real number.
+
+    Bool, integer and float arrays pass on their dtype, with no loop over the
+    entries.  In any other array (Fractions, ints beyond 64 bits, None, strings,
+    complex numbers) each entry must be a ``numbers.Real``, as ``real`` asks.
+    Bools read as 0.0 and 1.0; NaN and infinities pass, for the caller to judge.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    arr = np.asarray(values, dtype=object)  # the entries as given: a string or complex dtype converts them all
+    for value in arr.ravel().tolist():
+        if not isinstance(value, numbers.Real):
+            raise DomainError(f"{what} {value!r} is not a real number")
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an int or Fraction beyond the double range
+        raise DomainError(f"{what} is beyond the range of a double") from None
 
 
 class Record:

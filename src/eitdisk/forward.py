@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, Record, ShapeError, integer, rational
+from .errors import DomainError, KindMismatchError, Record, ShapeError, integer, rational, real_array
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order,
                      eval_field_grid)
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
@@ -88,7 +88,8 @@ class DtnMatrixSet:
     """The four boundary-data blocks for one perturbation kind.
 
     ``cc``, ``ss``, ``sc``, ``cs`` are float arrays indexed from the origins in
-    ``index_origins(kind)``.  When the set was assembled analytically,
+    ``index_origins(kind)``; an entry passed in that is not a real number is a
+    DomainError (``errors.real_array``).  When the set was assembled analytically,
     ``exact`` holds the same blocks as lists of Fractions in units of pi
     (entry = fraction * pi); sets loaded from serialized floats have
     ``exact = None``.  Exact sets also carry one integer view, the four
@@ -105,7 +106,7 @@ class DtnMatrixSet:
         self.N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
         shapes = block_shapes(kind, self.N)
         for name, block in (("cc", cc), ("ss", ss), ("sc", sc), ("cs", cs)):
-            arr = np.asarray(block, dtype=float)
+            arr = real_array(block, f"block {name} entry")
             if arr.size == 0 and 0 in shapes[name]:
                 arr = arr.reshape(shapes[name])
             if arr.shape != shapes[name]:

@@ -30,12 +30,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (DomainError, InconsistentDataError, KindMismatchError, RangeError, Record, integer, rational,
-                     real)
+                     real, real_array)
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
                      _least_order)
 from .forward import SCHROEDINGER, DtnMatrixSet, _checked_kind
@@ -304,6 +305,13 @@ def condition_sums(k: int, count: int) -> list:  # public; the benchmark's trace
     return [row.condition for row in _integer_rows(k, count)]
 
 
+# Angles whose trigonometric rows one reconstruction keeps for ``evaluate``: the
+# most angles a command-line grid has (``cli.MAX_GRID``).  Rows are stored under
+# the lock, so threads sharing a reconstruction keep the cap.
+_ANGLE_ROWS = 1024
+_ANGLE_LOCK = threading.Lock()
+
+
 class Reconstruction:
     """Profile coefficients p (cosine) and q (sine) per angular order.
 
@@ -323,7 +331,7 @@ class Reconstruction:
     the first call; the exact LM families are built only for ``family``.
     """
 
-    __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius")
+    __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius", "_angles")
 
     def __init__(self, kind, N, p, q, condition):
         self.kind = _checked_kind(kind)
@@ -333,6 +341,7 @@ class Reconstruction:
         self._ints = [{integer(k, _least_order(parity), "angular order k"): _series(c) for k, c in t.items()}
                       for parity, t in zip(("cos", "sin"), self._pq)]
         self._table = self._last_radius = None
+        self._angles = {}  # angle phi -> its row of cos(k phi), then sin(k phi)
 
     p = property(lambda self: self._coefficients(0), doc="Cosine coefficients per order.")
     q = property(lambda self: self._coefficients(1), doc="Sine coefficients per order.")
@@ -371,11 +380,20 @@ class Reconstruction:
         return np.asarray((radial * (weight * trig)).sum(axis=-1))
 
     def evaluate(self, r: float, phi: float) -> float:
-        """Pointwise value at polar (r, phi); points on the last radius reuse its radial rows.
+        """Pointwise value at polar (r, phi), two real numbers.
 
-        One fresh row per point: cosines, then sines, times r**k, times the radial
-        sums, added by one ``np.add.reduce``; bit-identical to ``__call__``.
+        Points on the last radius reuse its radial rows, and points at an angle
+        seen before reuse that angle's row of cosines, then sines; the first
+        1024 distinct nonzero angles are kept (a polar grid has at most that
+        many), later ones are computed per point.  Each point multiplies a fresh
+        copy of its angle's row by r**k, then by the radial sums, and adds it up
+        by one ``np.add.reduce``; bit-identical to ``__call__``.
         """
+        if type(r) is not float or type(phi) is not float:  # plain floats skip the array checks
+            r, phi = _polar_points(r, phi)
+            if r.ndim or phi.ndim:
+                raise DomainError(f"a point is one radius and one angle, not arrays of shapes {r.shape}, {phi.shape}")
+            r, phi = float(r), float(phi)
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"radius {r} outside [0, 1]")
         if not math.isfinite(phi):
@@ -383,12 +401,17 @@ class Reconstruction:
         last = self._last_radius  # one tuple, so concurrent callers see a matching pair
         if last is None or last[0] != r or not r:  # 0.0 == -0.0, but odd powers differ in sign
             last = self._last_radius = (r, *self._radial(np.full(1, r, dtype=float)))
-        _, _, ks, ncos = self._table  # built by the first _radial call above
-        trig = phi * ks  # fresh, so the shared rows are only read
-        cos, sin = trig[:ncos], trig[ncos:]
-        np.cos(cos, out=cos)
-        np.sin(sin, out=sin)
-        trig *= last[2]
+        row = self._angles.get(phi) if phi else None  # ±0.0 are not kept: equal, but their sines differ in sign
+        if row is None:
+            _, _, ks, ncos = self._table  # built by the first _radial call above
+            row = phi * ks
+            np.cos(row[:ncos], out=row[:ncos])
+            np.sin(row[ncos:], out=row[ncos:])
+            if phi and len(self._angles) < _ANGLE_ROWS:
+                with _ANGLE_LOCK:  # counted again: another thread may have stored a row since
+                    if len(self._angles) < _ANGLE_ROWS:
+                        self._angles[phi] = row
+        trig = row * last[2]  # fresh, so the stored rows are only read
         trig *= last[1]
         return float(np.add.reduce(trig))
 
@@ -454,9 +477,10 @@ def _series(coeffs) -> tuple:
 def _polar_points(r, phi) -> tuple:
     """r and phi as float arrays, each of its own shape (callers broadcast them).
 
-    A radius outside [0, 1] or a NaN or infinite angle is a DomainError.
+    An entry that is not a real number (``errors.real_array``), a radius
+    outside [0, 1] or a NaN or infinite angle is a DomainError.
     """
-    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    r, phi = real_array(r, "radius"), real_array(phi, "angle")
     inside = (r >= 0.0) & (r <= 1.0)
     if not inside.all():
         raise DomainError(f"radius {float(r[~inside].flat[0])} outside [0, 1]")

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
-from .errors import DomainError, InconsistentDataError, RangeError, ShapeError, integer
+from .errors import DomainError, InconsistentDataError, RangeError, ShapeError, integer, real_array
 from .fields import CONDUCTIVITY, FourierRadialField, eval_field_grid
 from .forward import _mode_product, conductivity_dtn
 from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
@@ -69,7 +69,7 @@ class HalfDiskData:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
+        arr = real_array(values, "half-disk data entry")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ShapeError("half-disk data must be a square matrix")
         self.values = arr
@@ -266,8 +266,11 @@ class ArcReconstruction:
         return out
 
     def evaluate(self, r: float, phi: float) -> float:
-        """Value at polar (r, phi) in the unit disk; 0 inside the endpoint guard."""
-        return float(self(r, phi))
+        """Value at polar (r, phi), two real numbers, in the unit disk; 0 inside the endpoint guard."""
+        value = self(r, phi)  # its points are checked here once
+        if value.ndim:
+            raise DomainError(f"a point is one radius and one angle, not arrays of shape {value.shape}")
+        return float(value)
 
 
 def arc_invert(

@@ -1,6 +1,7 @@
 """Analytic assembly of the boundary-data blocks against the energy-form oracle."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,27 @@ def test_matrix_set_shape_checked():
         DtnMatrixSet(CONDUCTIVITY, 2, np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(KindMismatchError):
         DtnMatrixSet("other", 2, *(np.zeros((2, 2)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("entry", [None, "x", 1j, 1 + 0j])
+def test_block_entry_that_is_not_a_real_number_is_a_domain_error(entry):
+    blocks = [[[1.0, 0.0], [0.0, 1.0]] for _ in range(4)]
+    blocks[2][1][0] = entry
+    with pytest.raises(DomainError, match=re.escape(f"block sc entry {entry!r} is not a real number")):
+        DtnMatrixSet(CONDUCTIVITY, 2, *blocks)
+    with pytest.raises(DomainError, match="block cc entry is beyond the range of a double"):
+        DtnMatrixSet(CONDUCTIVITY, 1, [[10**400]], [[0.0]], [[0.0]], [[0.0]])
+
+
+def test_real_block_entries_read_as_floats():
+    # bools as 0.0 and 1.0 and NaN as itself, as before; a float array is kept as it is
+    cc = np.array([[0.5, 2.0], [-1.0, 3.0]])
+    mset = DtnMatrixSet(CONDUCTIVITY, 2, cc, [[True, False], [math.nan, 2]], [[Fraction(1, 4), 10**30], [0, 0]],
+                        np.arange(4).reshape(2, 2))
+    assert mset.cc is cc
+    assert mset.ss.tolist()[0] == [1.0, 0.0] and math.isnan(mset.ss[1, 0]) and mset.ss[1, 1] == 2.0
+    assert mset.sc.tolist() == [[0.25, 1e30], [0.0, 0.0]]
+    assert mset.cs.dtype == float and mset.cs.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 def test_kind_guards():

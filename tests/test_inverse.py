@@ -39,6 +39,7 @@ from eitdisk import (
 )
 from eitdisk import io as eio
 from eitdisk.forward import BLOCK_NAMES
+from eitdisk.inverse import _ANGLE_ROWS
 from eitdisk.muntz import ExponentSequence, _jacobi_constants, _jacobi_sum
 
 CONST_COND = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
@@ -515,7 +516,12 @@ def _point_orders(nr, nphi, seed):
     angle_outer = [(r, phi) for j in range(nphi) for r, phi in nodes[j::nphi]]
     rng = np.random.default_rng(seed)
     shuffled = [nodes[i] for i in rng.permutation(len(nodes))]
-    return {"radius-outer": nodes, "angle-outer": angle_outer, "shuffled": shuffled}
+    # every angle again, at other radii, once its row is stored; then the angles negated
+    # (-0.0 among them), each at its own radius
+    revisited = angle_outer + shuffled
+    signed = [(r, -phi if i % 2 else phi) for i, (r, phi) in enumerate(shuffled)]
+    return {"radius-outer": nodes, "angle-outer": angle_outer, "shuffled": shuffled, "revisited": revisited,
+            "signed": signed}
 
 
 @pytest.mark.parametrize("N", [12, 24])
@@ -585,16 +591,32 @@ def test_threads_sharing_a_reconstruction_read_matching_rows():
 
 
 def test_two_reconstructions_keep_their_own_rows():
-    a = reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6))
-    b = reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 5))
-    points = [(0.6, 0.4 * j) for j in range(8)]
-    got_a, got_b = [], []
-    for r, phi in points:
-        got_a.append(a.evaluate(r, phi))
-        got_b.append(b.evaluate(r, phi))
+    # different series sets, so a radial or angular row read from another reconstruction is of the wrong length
+    recs = [reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6)),
+            reconstruct(conductivity_dtn(_mixed_field(CONDUCTIVITY), 5)),
+            Reconstruction(CONDUCTIVITY, 3, {0: [1.0]}, {2: [0.5, 0.25]}, {})]
+    points = [(0.2 * i, 0.4 * j) for i in range(1, 6) for j in range(8)]
+    got = [[rec.evaluate(r, phi) for rec in recs] for r, phi in points]
     r, phi = np.array(points).T
-    assert np.array(got_a).tobytes() == _single_pass_values(a, r, phi).tobytes()
-    assert np.array(got_b).tobytes() == _single_pass_values(b, r, phi).tobytes()
+    for rec, values in zip(recs, zip(*got)):
+        assert np.array(values).tobytes() == _single_pass_values(rec, r, phi).tobytes()
+        assert np.array(values).tobytes() == rec(r, phi).tobytes()
+        assert {len(row) for row in rec._angles.values()} == {len(rec._table[2])}
+    rows = [id(row) for rec in recs for row in rec._angles.values()]
+    assert len(set(rows)) == len(rows) == 3 * 7
+
+
+def test_angle_rows_stop_at_the_cap():
+    rec = reconstruct(schroedinger_dtn(_mixed_field(POTENTIAL), 6))
+    # 1100 distinct angles on one circle, then in reverse on another: the first 1024 are stored,
+    # the rest computed each time
+    angles = [0.001 * j for j in range(1, 1101)]
+    points = [(0.3, phi) for phi in angles] + [(0.7, phi) for phi in reversed(angles)] + [(0.5, 0.0), (0.5, -0.0)]
+    r, phi = np.array(points).T
+    got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
+    assert got.tobytes() == rec(r, phi).tobytes()
+    assert got.tobytes() == _single_pass_values(rec, r, phi).tobytes()
+    assert _ANGLE_ROWS == 1024 and list(rec._angles) == angles[:1024]
 
 
 def test_array_path_on_repeated_radii_is_bit_equal_to_points():

@@ -403,3 +403,32 @@ def test_span_field_outputs_match_their_golden_digests(kind, N):
     for label, doc in docs.items():
         digest = hashlib.sha256(eio.dumps(doc).encode("utf-8")).hexdigest()
         assert digest == _SPAN_SHA256[kind, N, label], label
+
+
+def _wide_field(kind, N, seed):
+    """Seeded float field outside the span at truncation N: every order up to N, radial powers up to 3N."""
+    rng = random.Random(seed)
+
+    def profile():
+        return RadialProfile(tuple((p, rng.uniform(-1.0, 1.0)) for p in sorted(rng.sample(range(3 * N + 1), 4))))
+
+    return FourierRadialField(kind, {k: profile() for k in range(N + 1)}, {k: profile() for k in range(1, N + 1)})
+
+
+_POINTWISE_GRID_SHA256 = {
+    CONDUCTIVITY: "a7d610b774878227297cc3e8f6c60a68d03558d0b0fb2a039e306cfcc329098e",
+    POTENTIAL: "68b0eb24b4c35f61d30844bb87fd7b7ca21c20f29b8ce0039d578fb007b5f3e1",
+}
+
+
+@pytest.mark.parametrize("kind", [CONDUCTIVITY, POTENTIAL])
+def test_pointwise_grid_of_a_float_document_matches_its_golden_digest(kind):
+    # a float document read back and solved exactly, then sampled point by point
+    # on the command line's default 24 x 64 grid, radius outer
+    mset = (conductivity_dtn if kind == CONDUCTIVITY else schroedinger_dtn)(_wide_field(kind, 12, seed=12), 12)
+    loaded = eio.dtn_from_dict(json.loads(eio.dumps(eio.dtn_to_dict(mset))))
+    rec = reconstruct(loaded, arithmetic="rational")
+    points = [(i / 24, 2.0 * math.pi * j / 64) for i in range(1, 25) for j in range(64)]
+    rows = [(r * math.cos(phi), r * math.sin(phi), rec.evaluate(r, phi)) for r, phi in points]
+    digest = hashlib.sha256(eio.grid_to_csv(rows).encode("utf-8")).hexdigest()
+    assert digest == _POINTWISE_GRID_SHA256[kind]

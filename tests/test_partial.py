@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -574,6 +576,27 @@ def test_scalar_points_raise_the_array_message(r, phi):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("r,phi,text", [("0.5", "1", "radius '0.5'"), (0.5, 1j, "angle 1j"),
+                                        (None, 0.0, "radius None"), (0.5, [0.2, None], "angle None")])
+def test_coordinates_that_are_not_real_numbers_are_a_domain_error(r, phi, text):
+    rec, _ = _bump_reconstruction(N=3)
+    for call in (rec, rec.evaluate, rec.base, rec.base.evaluate):
+        with pytest.raises(DomainError, match=f"^{text} is not a real number$"):
+            call(r, phi)
+
+
+def test_evaluate_takes_one_point_of_real_numbers():
+    rec, _ = _bump_reconstruction(N=3)
+    for evaluate in (rec.evaluate, rec.base.evaluate):
+        with pytest.raises(DomainError, match="a point is one radius and one angle"):
+            evaluate(np.array([0.2, 0.5]), 0.0)
+        # other reals read as their floats
+        want = evaluate(0.5, 1.0).hex()
+        assert evaluate(Fraction(1, 2), 1).hex() == want
+        assert evaluate(np.float32(0.5), np.array(1.0)).hex() == want
+    assert rec.base.evaluate(0.5, True).hex() == rec.base.evaluate(0.5, 1.0).hex()
+
+
 def test_arc_call_checks_its_points_once(monkeypatch):
     rec, _ = _bump_reconstruction(N=3)
     calls = []
@@ -611,6 +634,20 @@ def test_half_disk_invert_equals_reconstruct_of_the_doubled_cosine_set(N, reg_ca
 def test_half_disk_data_that_is_not_a_square_matrix_is_a_shape_error(values):
     with pytest.raises(ShapeError, match="half-disk data must be a square matrix"):
         HalfDiskData(values)
+
+
+@pytest.mark.parametrize("entry", [None, "x", 1j])
+def test_half_disk_data_entry_that_is_not_a_real_number_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match=re.escape(f"half-disk data entry {entry!r} is not a real number")):
+        HalfDiskData([[1.0, 0.0], [entry, 1.0]])
+
+
+def test_real_half_disk_data_entries_read_as_floats():
+    values = HalfDiskData([[True, math.nan], [Fraction(1, 2), 3]]).values
+    assert values.dtype == float and values[0, 0] == 1.0 and math.isnan(values[0, 1])
+    assert values[1].tolist() == [0.5, 3.0]
+    floats = np.eye(3)
+    assert HalfDiskData(floats).values is floats
 
 
 @pytest.mark.parametrize("cmap", [0.5, None, ArcSpec(math.pi / 4)])
