@@ -390,11 +390,17 @@ _SPAN_SHA256 = {
     (POTENTIAL, 16, "dtn"): "2ad36d49338b129f2d1ab03607eeeb95c4fe97f25c2b7a0bedd7ed83f757d385",
     (POTENTIAL, 16, "reconstruction"): "229d8c6bfa3884b9f8d4b063fa102df11012d7bb8b75c0037fe03355098a6cc5",
     (POTENTIAL, 16, "field"): "5092c909a17c83001d67ce732adf0fec1c6513e4fc6f7a30f9f7a6233ee0358c",
+    (CONDUCTIVITY, 24, "dtn"): "37e9cf5c69da2683199e02055e5b8668f8a4790671953f5f9207a45700e74b33",
+    (CONDUCTIVITY, 24, "reconstruction"): "3bbd6a7be102b9e0868cb85b920960447eb141ff6f8f8c3737001fe18b5e4c04",
+    (CONDUCTIVITY, 24, "field"): "deee189e9a498909f7acf21228036989a6d03d33f8293366a235dbcf6533c6b6",
+    (POTENTIAL, 24, "dtn"): "31b7ba5672428cac0f32e62f5ec8c2904e56937d85190c4fa9d82d693221c531",
+    (POTENTIAL, 24, "reconstruction"): "2d3f1c3bb4bdcfa1f5bce546c36dd33c496cdaf18a42506d6b1bbf2f296dc43f",
+    (POTENTIAL, 24, "field"): "b6ecce4cf7d8b428015baaa4023d7c18002291983b616ecc2792a93e3b461eb1",
 }
 
 
 @pytest.mark.parametrize("kind", [CONDUCTIVITY, POTENTIAL])
-@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("N", [8, 16, 24])
 def test_span_field_outputs_match_their_golden_digests(kind, N):
     mset = (conductivity_dtn if kind == CONDUCTIVITY else schroedinger_dtn)(_span_field(kind, N, seed=N), N)
     rec = reconstruct(mset)
