@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -103,8 +104,10 @@ def _build_parser(command):
     return parser
 
 
-def _check_paths(args):
-    if getattr(args, "output", None) and args.output == getattr(args, "input", None):
+def _check_paths(args, *suffixes):
+    """A FormatError if the output, or a sibling written with one of ``suffixes``, is the input file."""
+    written = [args.output, *(_sibling(args.output, suffix) for suffix in suffixes if suffix)]
+    if os.path.realpath(args.input) in map(os.path.realpath, written):
         raise FormatError("input and output paths must differ")
 
 
@@ -119,7 +122,7 @@ def _sibling(path, suffix):
 
 
 def _cmd_forward(args) -> int:
-    _check_paths(args)
+    _check_paths(args, args.oracle and ".oracle.json")
     field = io.field_from_dict(io.load_json(args.input))
     mset = _assemble(field, args.nmax, "forward")
     _write(args.output, io.dumps(io.dtn_to_dict(mset)))
@@ -157,7 +160,7 @@ def _oracle_report(field, mset, quad):
 
 
 def _cmd_invert(args) -> int:
-    _check_paths(args)
+    _check_paths(args, ".field.json")
     mset = io.dtn_from_dict(io.load_json(args.input))
     arithmetic = "rational" if args.rational else "auto"
     rec = reconstruct(mset, N=args.nmax, tol=args.tol, reg_cap=args.reg_cap,
@@ -219,7 +222,7 @@ def _cmd_half_invert(args) -> int:
 
 
 def _cmd_arc_invert(args) -> int:
-    _check_paths(args)
+    _check_paths(args, args.map_debug and ".mapdebug.csv")
     data, alpha = io.arc_data_from_dict(io.load_json(args.input))
     if args.alpha is not None:
         alpha = args.alpha

@@ -106,8 +106,12 @@ def real_array(values, what) -> np.ndarray:
     entries.  In any other array (Fractions, ints beyond 64 bits, None, strings,
     complex numbers) each entry must be a ``numbers.Real``, as ``real`` asks.
     Bools read as 0.0 and 1.0; NaN and infinities pass, for the caller to judge.
+    Ragged rows, which form no array, are a ShapeError.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what} rows are not all of one length") from None
     if arr.dtype.kind in "biuf":
         return arr.astype(float, copy=False)
     arr = np.asarray(values, dtype=object)  # the entries as given: a string or complex dtype converts them all

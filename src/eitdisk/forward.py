@@ -191,52 +191,61 @@ def _set_from_integers(kind, N, blocks, den):
     return mset
 
 
-def _sign(d: int) -> int:
-    return (d > 0) - (d < 0)
+def _moment_vectors(field, powers):
+    """Integer numerators of the moments read, one {k: vector} table per parity, and their denominator.
 
-
-def _moment_tables(field, powers):
-    """Integer numerators of the moments read, one {(k, m): n} table per parity, and their denominator.
-
-    ``powers(k)`` is the range of the m of the moments integral r^m a_k dr
-    that the blocks read.  The values of those profiles go over one common
-    denominator D and the moments over the lcm L of the divisors m + p + 1
-    that occur, so moment (k, m) is sum_p n_p (L // (m + p + 1)) / (D L),
-    each quotient taken once and each term added along its whole range.
+    Entry t of order k's vector is the moment integral r^m a_k dr at the t-th
+    m of the range ``powers(k)``.  The values of those profiles go over one
+    common denominator D and the moments over the lcm L of the divisors
+    m + p + 1 that occur, so a moment is sum_p n_p (L // (m + p + 1)) / (D L).
+    The T terms of a profile whose powers step as the m do (every span field
+    and every ``to_field`` profile) read one Hankel row of quotients, and
+    moment t is the dot product of the scaled values with row[t:t + T]; any
+    other profile adds each term along its whole range.
     """
     used = [{k: prof for k, prof in table.items() if powers(k)} for table in (field.cos, field.sin)]
     den = math.lcm(*(prof._scaled[1] for table in used for prof in table.values()))
-    divisors = set()
-    for table in used:
-        for k, prof in table.items():
-            divisors.update(*(_shifted(powers(k), p + 1) for p, _ in prof.terms))
+    ranges = [{k: _divisor_ranges(powers(k), [p for p, _ in prof.terms]) for k, prof in table.items()}
+              for table in used]
+    divisors = set().union(*(r for table in ranges for spans in table.values() for r in spans))
     lcm = math.lcm(*divisors)
     quotient = {d: lcm // d for d in divisors}
     tables = []
-    for table in used:
-        moments = {}
+    for table, spans in zip(used, ranges):
+        tables.append(vectors := {})
         for k, prof in table.items():
-            ms = powers(k)
-            sums = [0] * len(ms)
             nums, d = prof._scaled
-            for (p, _), n in zip(prof.terms, nums):
-                column = map(quotient.__getitem__, _shifted(ms, p + 1))
-                sums = list(map(operator.add, sums, map((n * (den // d)).__mul__, column)))
-            moments.update(zip(((k, m) for m in ms), sums))
-        tables.append(moments)
+            scaled, count = [n * (den // d) for n in nums], len(powers(k))
+            columns = [map(quotient.__getitem__, r) for r in spans[k]]
+            if len(columns) == 1:  # a Hankel row, or one term
+                row, width = [*columns[0]], len(scaled)
+                vectors[k] = [sum(map(operator.mul, scaled, row[t:t + width])) for t in range(count)]
+            else:
+                vectors[k] = [0] * count
+                for n, column in zip(scaled, columns):
+                    vectors[k] = [*map(operator.add, vectors[k], map(n.__mul__, column))]
     return tables, den * lcm
 
 
-def _shifted(ms, s):
-    """The range ms shifted by s: the divisors m + p + 1 of one term, for s = p + 1."""
-    return range(ms.start + s, ms.stop + s, ms.step)
+def _divisor_ranges(ms, ps):
+    """The divisors m + p + 1 read: one Hankel row if the powers ps step as the m do, else a range per power."""
+    if ps and ps == [*range(ps[0], ps[0] + len(ps) * ms.step, ms.step)]:
+        return [range(ms.start + ps[0] + 1, ms.stop + ps[-1] + 1, ms.step)]
+    return [range(ms.start + p + 1, ms.stop + p + 1, ms.step) for p in ps]
 
 
-def _symmetric(entry, indices):
-    """Symmetric table of entry(i, j); the lower triangle shares the upper one's objects."""
-    table = []
-    for a, i in enumerate(indices):
-        table.append([table[b][a] if b < a else entry(i, j) for b, j in enumerate(indices)])
+def _diagonal_table(vectors, size, sign, weighted):
+    """A size x size table, counted from 0, with moment i of order k < size at (i, i + k) and sign
+    times it at (i + k, i): doubled on the diagonal (zeta, xi), times (i + 1)(i + k + 1) if weighted."""
+    table = [[0] * size for _ in range(size)]
+    for k, vec in vectors.items():
+        if k < size:
+            for i, v in enumerate(vec):
+                q = (i + 1) * (i + k + 1) * v if weighted else v
+                if k:
+                    table[i][i + k], table[i + k][i] = q, sign * q
+                else:
+                    table[i][i] = 2 * q
     return table
 
 
@@ -245,16 +254,10 @@ def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     if field.kind != CONDUCTIVITY:
         raise KindMismatchError(f"expected a conductivity field, got kind {field.kind!r}")
     N = integer(N, 1, "max frequency N")
-    # entry (i, j) reads the moment (|i - j|, i + j - 1)
-    (ma, mb), den = _moment_tables(field, lambda k: range(k + 1, 2 * N - k, 2))
-
-    def k_cos(i, j):
-        return (2 if i == j else 1) * i * j * ma.get((abs(i - j), i + j - 1), 0)
-
-    rng = range(1, N + 1)
-    qcc = _symmetric(k_cos, rng)
-    qcs = [[_sign(j - i) * i * j * mb.get((abs(i - j), i + j - 1), 0) for j in rng] for i in rng]
-    qsc = [[qcs[j - 1][i - 1] for j in rng] for i in rng]  # formula gives sc = cs^T
+    # entry (i, j) reads the moment (|i - j|, i + j - 1), moment min(i, j) - 1 of its order
+    (ma, mb), den = _moment_vectors(field, lambda k: range(k + 1, 2 * N - k, 2))
+    qcc, qcs = _diagonal_table(ma, N, 1, True), _diagonal_table(mb, N, -1, True)
+    qsc = [list(col) for col in zip(*qcs)]  # formula gives sc = cs^T
     return _set_from_integers(CONDUCTIVITY, N, {"cc": qcc, "ss": qcc, "sc": qsc, "cs": qcs}, den)
 
 
@@ -267,23 +270,16 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     def powers(k):  # entry (i, j) reads the moments (i + j, i + j + 1) and (|i - j|, i + j + 1)
         return range(k + 1, 2 * N - k + 2, 2) if k <= N else range(k + 1, k + 2 if k <= 2 * N else 0)
 
-    (ma, mb), den = _moment_tables(field, powers)
-
-    def j_cc(i, j):
-        eta = 3 if i == j == 0 else (2 if i == j else 1)
-        return ma.get((i + j, i + j + 1), 0) + eta * ma.get((abs(i - j), i + j + 1), 0)
-
-    def j_ss(i, j):
-        xi = 2 if i == j else 1
-        return -ma.get((i + j, i + j + 1), 0) + xi * ma.get((abs(i - j), i + j + 1), 0)
-
-    def j_cs(i, j):
-        return mb.get((i + j, i + j + 1), 0) - _sign(i - j) * mb.get((abs(i - j), i + j + 1), 0)
-
-    qcc = _symmetric(j_cc, range(N + 1))
-    qss = _symmetric(j_ss, range(1, N + 1))
-    qcs = [[j_cs(i, j) for j in range(1, N + 1)] for i in range(N + 1)]
-    qsc = [[qcs[j][i - 1] for j in range(N + 1)] for i in range(1, N + 1)]  # formula gives sc = cs^T
+    (ma, mb), den = _moment_vectors(field, powers)
+    # the |i - j| moment is moment min(i, j) of its order, the i + j one moment 0 of its order
+    da, db = _diagonal_table(ma, N + 1, 1, False), _diagonal_table(mb, N + 1, -1, False)
+    ha, hb = ([m[s][0] if s in m else 0 for s in range(2 * N + 1)] for m in (ma, mb))
+    full, tail = range(N + 1), range(1, N + 1)
+    qcc = [[ha[i + j] + da[i][j] for j in full] for i in full]
+    qcc[0][0] += ha[0]  # eta = 3 at (0, 0)
+    qss = [[da[i][j] - ha[i + j] for j in tail] for i in tail]
+    qcs = [[hb[i + j] + db[i][j] for j in tail] for i in full]
+    qsc = [list(col) for col in zip(*qcs)]  # formula gives sc = cs^T
     # every entry is half a sum of two moments
     return _set_from_integers(SCHROEDINGER, N, {"cc": qcc, "ss": qss, "sc": qsc, "cs": qcs}, 2 * den)
 

@@ -104,6 +104,32 @@ def test_same_input_output_rejected(tmp_path, field_file, capsys):
     assert "differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source, output, options", [
+    ("forward", "./d.json", "d.json", ["--nmax", "3"]),
+    ("forward", "d.oracle.json", "./d.json", ["--nmax", "3", "--oracle"]),
+    ("invert", "r.field.json", "r.json", []),
+    ("arc-invert", "a.csv.mapdebug.csv", "a.csv", ["--nr", "2", "--nphi", "4", "--map-debug"]),
+])
+def test_an_output_or_sibling_that_resolves_to_the_input_is_rejected(
+        tmp_path, monkeypatch, field_file, capsys, command, source, output, options):
+    field = eio.field_from_dict(json.loads(field_file.read_text(encoding="utf-8")))
+    documents = {"forward": eio.field_to_dict(field), "invert": eio.dtn_to_dict(conductivity_dtn(field, 3)),
+                 "arc-invert": eio.arc_data_to_dict(half_disk_data(field, 3), alpha=0.5)}
+    monkeypatch.chdir(tmp_path)
+    text = eio.dumps(documents[command])
+    pathlib.Path(source).write_text(text, encoding="utf-8")
+    assert main([command, "--input", source, "--output", output, *options]) == 2
+    assert capsys.readouterr().err == "error: input and output paths must differ\n"
+    assert pathlib.Path(source).read_text(encoding="utf-8") == text
+    assert sorted(os.listdir()) == sorted({"field.json", os.path.basename(source)})  # nothing written
+
+
+def test_a_sibling_that_is_not_written_may_be_the_input(tmp_path, monkeypatch, field_file):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("d.oracle.json").write_bytes(field_file.read_bytes())
+    assert main(["forward", "--input", "d.oracle.json", "--output", "d.json", "--nmax", "3"]) == 0
+
+
 def test_shape_error_exits_3(tmp_path, field_file, capsys):
     dtn = tmp_path / "dtn.json"
     main(["forward", "--input", str(field_file), "--output", str(dtn), "--nmax", "3"])

@@ -203,15 +203,46 @@ def _reference_j(field, N):
             "cs": [[cs(i, j) for j in tail] for i in full]}
 
 
-@pytest.mark.parametrize("values", ["fraction", "float"])
+def _branch_field(kind, N):
+    """One profile form per order, cycled, so that every N from 4 on takes both assembly branches.
+
+    A profile whose powers step as the moments it feeds do (by 2, or by 1 at
+    the potential orders N + 1..2N, which feed one moment each) takes the
+    Hankel row: the forms with a zero value, with one term and with one power
+    of 10**400.  A gap, a step of 4, consecutive powers at the orders up to N,
+    powers k, k + 3, k + 4 (the span of a lattice, off it), a 10**400 power
+    after a small one and no terms at all take per-term sums.
+    """
+    forms = (lambda k: ((k, Fraction(1, 3)), (k + 2, 0), (k + 4, Fraction(-5, 7))),
+             lambda k: ((k, 2), (k + 2, Fraction(1, 5)), (k + 6, -1)),
+             lambda k: (),
+             lambda k: ((k + 2, Fraction(3, 7)),),
+             lambda k: ((k, 1), (k + 4, -0.5), (k + 8, Fraction(2, 9))),
+             lambda k: ((k, 0.25), (k + 1, -3), (k + 2, Fraction(5, 6))),
+             lambda k: ((k, Fraction(1, 6)), (k + 3, -2), (k + 4, 0.75)),
+             lambda k: ((k, 1), (10**400, Fraction(-2, 3))),
+             lambda k: ((10**400, Fraction(1, 3)),))
+
+    def table(least, shift):
+        return {k: RadialProfile(forms[(k + shift) % len(forms)](k)) for k in range(least, 2 * N + 2)}
+
+    return FourierRadialField(kind, table(0, 0), table(1, 3))
+
+
+@pytest.mark.parametrize("values", ["fraction", "float", "branches"])
 @pytest.mark.parametrize("N", [1, 4, 9])
 def test_assembled_entries_equal_the_fraction_formulas(N, values):
     for kind, forward, reference in ((CONDUCTIVITY, conductivity_dtn, _reference_k),
                                      (POTENTIAL, schroedinger_dtn, _reference_j)):
-        field = _random_field(kind, N, seed=N, values=values)
+        if values == "branches":
+            field = _branch_field(kind, N)
+        else:
+            field = _random_field(kind, N, seed=N, values=values)
         mset = forward(field, N)
         expected = reference(field, N)
+        blocks, den = mset._ints
         for name in BLOCK_NAMES:
+            assert [[Fraction(n, den) for n in row] for row in blocks[name]] == expected[name]
             assert mset.exact[name] == expected[name]
             assert all(type(q) is Fraction for row in mset.exact[name] for q in row)
             want = np.array([[float(q) * math.pi for q in row] for row in expected[name]])

@@ -87,6 +87,13 @@ def test_block_entry_that_is_not_a_real_number_is_a_domain_error(entry):
         DtnMatrixSet(CONDUCTIVITY, 1, [[10**400]], [[0.0]], [[0.0]], [[0.0]])
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], [[Fraction(1), 2], [3]], [[1.0, [2.0]], [3.0, 4.0]]])
+def test_ragged_block_rows_are_a_shape_error(rows):
+    # numpy cannot make an array of them; ShapeError, as the readers give, and still a ValueError
+    with pytest.raises(ShapeError, match="block cs entry rows are not all of one length"):
+        DtnMatrixSet(CONDUCTIVITY, 2, *[[[0.0, 0.0], [0.0, 0.0]]] * 3, rows)
+
+
 def test_real_block_entries_read_as_floats():
     # bools as 0.0 and 1.0 and NaN as itself, as before; a float array is kept as it is
     cc = np.array([[0.5, 2.0], [-1.0, 3.0]])

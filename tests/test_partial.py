@@ -642,6 +642,12 @@ def test_half_disk_data_entry_that_is_not_a_real_number_is_a_domain_error(entry)
         HalfDiskData([[1.0, 0.0], [entry, 1.0]])
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], [[Fraction(1), 2], [3]], [[1.0, [2.0]], [3.0, 4.0]]])
+def test_ragged_half_disk_data_rows_are_a_shape_error(rows):
+    with pytest.raises(ShapeError, match="half-disk data entry rows are not all of one length"):
+        HalfDiskData(rows)
+
+
 def test_real_half_disk_data_entries_read_as_floats():
     values = HalfDiskData([[True, math.nan], [Fraction(1, 2), 3]]).values
     assert values.dtype == float and values[0, 0] == 1.0 and math.isnan(values[0, 1])
