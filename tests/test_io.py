@@ -11,16 +11,21 @@ import pytest
 
 from eitdisk import (
     CONDUCTIVITY,
+    ArcSpec,
+    ConformalMap,
     FormatError,
     FourierRadialField,
+    HalfDiskData,
     RadialProfile,
     ShapeError,
+    arc_data,
     conductivity_dtn,
     half_disk_data,
     reconstruct,
     schroedinger_dtn,
 )
 from eitdisk import io as eio
+from eitdisk.cli import main
 from eitdisk.fields import POTENTIAL
 
 
@@ -438,3 +443,53 @@ def test_pointwise_grid_of_a_float_document_matches_its_golden_digest(kind):
     rows = [(r * math.cos(phi), r * math.sin(phi), rec.evaluate(r, phi)) for r, phi in points]
     digest = hashlib.sha256(eio.grid_to_csv(rows).encode("utf-8")).hexdigest()
     assert digest == _POINTWISE_GRID_SHA256[kind]
+
+
+def _half_disk_document(seed, N, alpha=None):
+    """Seeded float data document: the half-disk data of a cosine field, or its arc data at ``alpha``.
+
+    Entries above the diagonal are moved by up to 1e-12 of the largest, so the
+    inversion symmetrizes data that are not exactly symmetric.
+    """
+    rng = random.Random(seed)
+    field = FourierRadialField(CONDUCTIVITY, {k: RadialProfile(tuple(
+        (p, rng.uniform(-1.0, 1.0)) for p in sorted(rng.sample(range(k, k + 7), 2)))) for k in range(N)}, {})
+    data = (half_disk_data(field, N) if alpha is None else arc_data(field, ConformalMap(ArcSpec(alpha)), N)).values
+    scale = float(np.max(np.abs(data)))
+    for i in range(N):
+        for j in range(i + 1, N):
+            data[i, j] += rng.uniform(-1e-12, 1e-12) * scale
+    return eio.dumps(eio.arc_data_to_dict(HalfDiskData(data), alpha=alpha))
+
+
+_HALF_ARC_SHA256 = {
+    "half": "0b46427bcb1a8583f8d19ae2b7163832d778c3c6477e5c8239ae4c2b5162b443",
+    "half --reg-cap 2": "2550c3ec652c53a9cced1977f9d828c06f4b12ebe7615c69d0ab02d6e4830744",
+    "half --nmax 4": "a6606c429c8955871efbddf0ad2937fdeca7ce1a8b28b0fb74e3ce42ee760c01",
+    "arc": "2f76b058a7b8fe036ef11bb8f8ea8df2aa77c061a502e791f42ac22f86291c00",
+    "arc --reg-cap 1": "4f0d7b492fbbc7ee9ca0abc0330a391e678ea4aa38c2b63ee64e05f694edf0b5",
+    "asymmetric": "c3e328d71b64b148420498c3f90e31e0dde3e8bdf1dfbbfcdc1b952f1121ee52",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HALF_ARC_SHA256))
+def test_half_disk_and_arc_cli_outputs_match_their_golden_digests(tmp_path, capsys, case):
+    # the half-invert and arc-invert CSVs of seeded documents, and the report of
+    # a document whose asymmetry fails the default tolerance
+    label, *flags = case.split()
+    text = _half_disk_document(seed=6, N=6, alpha=0.7 if label == "arc" else None)
+    if label == "asymmetric":
+        doc = json.loads(text)
+        doc["data"][1][3] += 1e-6
+        text = json.dumps(doc)
+    src, out = tmp_path / "in.json", tmp_path / "out.csv"
+    src.write_text(text, encoding="utf-8")
+    command = "arc-invert" if label == "arc" else "half-invert"
+    code = main([command, "--input", str(src), "--output", str(out), "--nr", "5", "--nphi", "12", *flags])
+    if label == "asymmetric":
+        assert code == 4
+        produced = capsys.readouterr().err.encode("utf-8")
+    else:
+        assert code == 0
+        produced = out.read_bytes()
+    assert hashlib.sha256(produced).hexdigest() == _HALF_ARC_SHA256[case]
