@@ -27,7 +27,6 @@ reported in the package's plain-series convention.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
@@ -507,12 +506,7 @@ def reconstruct(
     """
     if arithmetic not in ("auto", "rational", "float"):
         raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
-    if reg_cap is not None:
-        reg_cap = integer(reg_cap, 0, "reg_cap")
-    N = integer(mset.N if N is None else N, 0, "truncation N")
-    least = 1 if mset.kind == CONDUCTIVITY else 0
-    if not least <= N <= mset.N:
-        raise RangeError(f"truncation N={N} outside stored range {least}..{mset.N}")
+    N, reg_cap = _truncation(mset.N, N, 1 if mset.kind == CONDUCTIVITY else 0, reg_cap)
     report = validate(mset, tol)
     if not report.passed:
         raise InconsistentDataError(report)
@@ -520,24 +514,32 @@ def reconstruct(
     # the float blocks, which symmetrized rebuilds from the exact tables
     exact = arithmetic != "float" and mset._ints is not None
     sym = mset if exact and report.max_deviation == 0 else mset.symmetrized()
-    moments = functools.partial(_moments, mset.kind, _blocks(sym, floats=not exact), exact, N)
-    top = N if mset.kind == CONDUCTIVITY else N + 1
-    return _invert(mset.kind, N, range(top), range(1, top), moments, exact or arithmetic == "rational",
-                   reg_cap)
+    return _invert(mset.kind, N, _blocks(sym, floats=not exact), exact, exact or arithmetic == "rational", reg_cap)
 
 
-def _invert(kind, N, cos_orders, sin_orders, moments, exact, reg_cap) -> Reconstruction:
-    """Solve each order's moments(k, parity), integer numerators over one denominator.
+def _truncation(stored, N, least, reg_cap) -> tuple:
+    """(N, reg_cap) checked, reg_cap first: None or an integer >= 0, then N (``stored`` if None) in least..stored."""
+    reg_cap = None if reg_cap is None else integer(reg_cap, 0, "reg_cap")
+    N = integer(stored if N is None else N, 0, "truncation N")
+    if not least <= N <= stored:
+        raise RangeError(f"truncation N={N} outside stored range {least}..{stored}")
+    return N, reg_cap
 
-    Coefficients stay exact when ``exact``, else each is rounded once and the
-    view holds the lift of those doubles.
+
+def _invert(kind, N, blocks, exact, rational, reg_cap, scale=1) -> Reconstruction:
+    """Solve each order's ``_moments`` of ``_blocks``-form blocks (integers if ``exact``), numerators times ``scale``.
+
+    A cs block of None carries no sine orders.  Coefficients stay exact when
+    ``rational``, else each is rounded once and the view holds their lift.
     """
     def solve(k, parity):  # coefficient n reads moments 0..n only, so a cap drops the moments beyond it
-        nums, den = moments(k, parity)
-        nums = _solve(k, nums if reg_cap is None else nums[: reg_cap + 1])
-        return (nums, den, True) if exact else _series(_exact_or_rounded(nums, den, False))
+        nums, den = _moments(kind, blocks, exact, N, k, parity)
+        nums = _solve(k, [scale * n for n in (nums if reg_cap is None else nums[: reg_cap + 1])])
+        return (nums, den, True) if rational else _series(_exact_or_rounded(nums, den, False))
 
-    series = [{k: solve(k, "cos") for k in cos_orders}, {k: solve(k, "sin") for k in sin_orders}]
+    top = N if kind == CONDUCTIVITY else N + 1
+    series = [{k: solve(k, "cos") for k in range(top)},
+              {k: solve(k, "sin") for k in range(1, top if blocks[3] is not None else 1)}]
     condition = {k: condition_sums(k, len(nums)) for k, (nums, _, _) in series[0].items() if nums}
     rec = Reconstruction(kind, N, {}, {}, condition)
     rec._pq, rec._ints = [None, None], series

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
-from .errors import DomainError, InconsistentDataError, RangeError, ShapeError, integer, real_array
+from .errors import DomainError, InconsistentDataError, ShapeError, integer, real_array
 from .fields import CONDUCTIVITY, FourierRadialField, eval_field_grid
 from .forward import _mode_product, conductivity_dtn
 from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
@@ -38,8 +38,8 @@ from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tra
     _check_tol,
     _dev,
     _invert,
-    _moments,
     _polar_points,
+    _truncation,
     solve_moment_problem,
 )
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_closed
@@ -180,27 +180,14 @@ def half_disk_invert(
     _check_tol(tol)
     if not isinstance(data, HalfDiskData):
         data = HalfDiskData(data)
-    N = integer(data.N if N is None else N, 0, "truncation N")
-    if not 1 <= N <= data.N:
-        raise RangeError(f"truncation N={N} outside data range 1..{data.N}")
-    if reg_cap is not None:
-        reg_cap = integer(reg_cap, 0, "reg_cap")
+    N, reg_cap = _truncation(data.N, N, 1, reg_cap)
     rows = data.values.tolist()
     dev = _dev(rows, zip(*rows))
-    report = ValidationReport(
-        kind="half-disk",
-        tol=tol,
-        checks=(ValidationCheck(name="data_symmetric", deviation=dev, passed=dev <= tol),),
-    )
-    if not report.passed:
-        raise InconsistentDataError(report)
+    if not dev <= tol:  # NaN included
+        check = ValidationCheck(name="data_symmetric", deviation=dev, passed=False)
+        raise InconsistentDataError(ValidationReport(kind="half-disk", tol=tol, checks=(check,)))
     sym = (data.values / 2.0 + data.values.T / 2.0).tolist()  # (arr + arr.T) / 2 without overflow
-
-    def moments(k, parity):
-        nums, den = _moments(CONDUCTIVITY, (sym, None, None, None, 1), False, N, k, parity)
-        return [2 * n for n in nums], den
-
-    return _invert(CONDUCTIVITY, N, range(N), (), moments, False, reg_cap)
+    return _invert(CONDUCTIVITY, N, (sym, None, None, None, 1), False, False, reg_cap, scale=2)
 
 
 def arc_forward_oracle(  # public; the tests and the benchmark's tracer call it by name

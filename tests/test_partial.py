@@ -105,6 +105,20 @@ def test_half_disk_invert_range_guard():
             half_disk_invert(data, N=N)
 
 
+@pytest.mark.parametrize("N, reg_cap, error, message", [
+    (4, None, RangeError, "truncation N=4 outside stored range 1..3"),
+    (0, None, RangeError, "truncation N=0 outside stored range 1..3"),
+    (2.5, None, DomainError, "truncation N"),
+    (4, -1, DomainError, "reg_cap"),  # reg_cap is checked first
+    (None, 1.5, DomainError, "reg_cap"),
+])
+def test_half_disk_invert_checks_truncation_as_reconstruct_does(N, reg_cap, error, message):
+    for invert, target in ((half_disk_invert, half_disk_data(CONST, 3)), (reconstruct, conductivity_dtn(CONST, 3))):
+        with pytest.raises(error) as err:
+            invert(target, N=N, reg_cap=reg_cap)
+        assert message in str(err.value)
+
+
 def test_half_disk_quadrature_consistency():
     # two resolutions agree: the default rule already resolves the integrand
     coarse = half_disk_forward_oracle(COSINE_FIELD, 2, 3, QuadratureSpec(32, 256))
