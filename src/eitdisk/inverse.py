@@ -131,16 +131,18 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     Sets assembled analytically carry exact rational blocks and report
     deviation exactly 0; float-loaded data is checked in floating point.
     Exact blocks are checked on the set's integer numerators over one common
-    denominator, and each deviation is divided by it once: the double nearest
-    the exact value.  A NaN or negative ``tol`` is a DomainError.
+    denominator, and each deviation is divided by it once (the double nearest
+    the exact value, in units of pi) and multiplied by pi, so an exact set and
+    its float document deviate alike.  A NaN or negative ``tol`` is a DomainError.
     """
     _check_tol(tol)
     cc, ss, sc, cs, den = _blocks(mset)
+    unit = 1.0 if mset._ints is None else math.pi
     checks = []
 
     def add(name, dev):
         try:
-            dev = dev / den  # int / int rounds once, as float(Fraction) does
+            dev = dev / den * unit  # int / int rounds once, as float(Fraction) does
         except OverflowError:  # beyond the double range: a failed check
             dev = math.inf
         checks.append(ValidationCheck(name=name, deviation=dev, passed=dev <= tol))

@@ -6,6 +6,7 @@ below recomputes the same quantity entry by entry with Fraction arithmetic
 and asks for equality, Fraction for Fraction or bit for bit.
 """
 
+import json
 import math
 import random
 import sys
@@ -33,6 +34,7 @@ from eitdisk import (
     solve_moment_problem,
     validate,
 )
+from eitdisk import io as eio
 from eitdisk.errors import DomainError, InconsistentDataError
 from eitdisk.forward import BLOCK_NAMES
 from eitdisk.muntz import _INT_ROWS, ExponentSequence, _integer_rows, _muntz_rows
@@ -345,7 +347,8 @@ def _reference_deviations(mset):
         out["ss_minus_cc_hankel"] = _reference_groups(ssmcc, {l: -cc[0][l] for l in range(2, N + 1)})
         scpcs = combine(sc_ov, cs_ov, lambda a, b: a + b)
         out["sc_plus_cs_hankel"] = _reference_groups(scpcs, {l: sc[l - 1][0] for l in range(2, N + 1)})
-    return {name: float(dev) for name, dev in out.items()}
+    unit = 1.0 if mset.exact is None else math.pi  # exact entries are in units of pi
+    return {name: float(dev) * unit for name, dev in out.items()}
 
 
 def _reference_symmetrized(mset):
@@ -373,6 +376,25 @@ def _assert_matches_reference(mset):
     for check in report.checks:
         assert _same(check.deviation, expected[check.name]), check.name
         assert check.passed == (check.deviation <= 0.0)
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_an_exact_set_and_its_float_document_deviate_alike(kind, forward):
+    # exact entries are in units of pi, float entries carry pi: both deviations are absolute
+    mset = forward(_random_field(kind, 5, seed=3), 5)
+    exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
+    exact["cc"][0][1] += Fraction(1, 10**6)
+    floats = {n: [[float(q) * math.pi for q in row] for row in exact[n]] for n in BLOCK_NAMES}
+    bumped = DtnMatrixSet(mset.kind, mset.N, **floats, exact=exact)
+    document = eio.dtn_from_dict(json.loads(eio.dumps(eio.dtn_to_dict(bumped))))
+    assert document.exact is None
+    want = {c.name: c.deviation for c in validate(bumped).checks}
+    got = {c.name: c.deviation for c in validate(document).checks}
+    assert want["cc_symmetric"] == pytest.approx(1e-6 * math.pi, rel=1e-12)
+    # the document's deviations are differences of rounded entries: a few ulps of the largest
+    largest = max(float(np.max(np.abs(document.block(n)))) for n in BLOCK_NAMES)
+    assert got == pytest.approx(want, rel=0.0, abs=4 * np.finfo(float).eps * largest)
 
 
 def _bumped_positions(mset):
@@ -642,7 +664,7 @@ def test_hand_built_sets_give_the_fraction_reference_coefficients(kind, forward)
     ints = _with_exact(mset, {n: [[int(q * den) for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES})
     cases = [(mset, 1e-9), (_bumped(mset, "cs", 2, 1, Fraction(1, 10**6)), 1e-3),
              (_bumped(mset, "cc", 1, 3, Fraction(-3, 1000003)), 1e-3), (ints, 1e-9),
-             (_bumped(ints, "sc", 3, 2, 1), 1.0), (_bumped(ints, "ss", 0, 4, Fraction(2, 3)), 1.0)]
+             (_bumped(ints, "sc", 3, 2, 1), math.pi), (_bumped(ints, "ss", 0, 4, Fraction(2, 3)), math.pi)]
     for data, tol in cases:
         want_p, want_q = _reference_reconstruction(_reference_symmetrized(data), kind, 5)
         for arithmetic in ("auto", "rational"):
