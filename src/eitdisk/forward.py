@@ -161,9 +161,7 @@ class DtnMatrixSet:
             ecs = [[e["cs"][i][j] + e["sc"][j][i] for j in range(cols)] for i in range(rows)]
             if twice == 2:
                 ecs = [[ecs[i][j] - ecs[j][i] for j in range(rows)] for i in range(rows)]
-            esc = [[ecs[j][i] for j in range(rows)] for i in range(cols)]
-            blocks = {"cc": ecc, "ss": ess, "sc": esc, "cs": ecs}
-            return _set_from_integers(self.kind, self.N, blocks, 2 * twice * den)
+            return _set_from_integers(self.kind, self.N, ecc, ess, ecs, 2 * twice * den)
         # a/2 + b/2 rounds as (a + b)/2 does, but cannot overflow
         cc = self.cc / 2.0 + self.cc.T / 2.0
         ss = self.ss / 2.0 + self.ss.T / 2.0
@@ -174,20 +172,25 @@ class DtnMatrixSet:
         return DtnMatrixSet(self.kind, self.N, cc, ss, sc, cs, exact=None)
 
 
-def _set_from_integers(kind, N, blocks, den):
-    """An exact set from integer numerators over ``den`` in units of pi."""
-    floats = {}
-    for name in BLOCK_NAMES:
+def _set_from_integers(kind, N, cc, ss, cs, den):
+    """An exact set from integer numerators over ``den`` in units of pi, with sc = cs^T.
+
+    Each distinct table becomes doubles once: sc's are cs's transposed, an ss that is cc copies cc's.
+    """
+    def floats(name, rows):
         try:
             # int / int is the double nearest n / den, as float(Fraction(n, den)) is
-            arr = np.array([[n / den * math.pi for n in row] for row in blocks[name]])
+            arr = np.array([[n / den * math.pi for n in row] for row in rows])
         except OverflowError:
             arr = np.array([math.inf])
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"block {name} has an entry beyond the range of a double")
-        floats[name] = arr.reshape(block_shapes(kind, N)[name])
-    mset = DtnMatrixSet(kind, N, **floats)
-    mset._ints = blocks, den
+        return arr.reshape(block_shapes(kind, N)[name])
+
+    fcc = floats("cc", cc)
+    fss, fcs = fcc.copy() if ss is cc else floats("ss", ss), floats("cs", cs)
+    mset = DtnMatrixSet(kind, N, fcc, fss, fcs.T.copy(), fcs)
+    mset._ints = {"cc": cc, "ss": ss, "sc": [list(col) for col in zip(*cs)], "cs": cs}, den
     return mset
 
 
@@ -256,9 +259,8 @@ def conductivity_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     N = integer(N, 1, "max frequency N")
     # entry (i, j) reads the moment (|i - j|, i + j - 1), moment min(i, j) - 1 of its order
     (ma, mb), den = _moment_vectors(field, lambda k: range(k + 1, 2 * N - k, 2))
-    qcc, qcs = _diagonal_table(ma, N, 1, True), _diagonal_table(mb, N, -1, True)
-    qsc = [list(col) for col in zip(*qcs)]  # formula gives sc = cs^T
-    return _set_from_integers(CONDUCTIVITY, N, {"cc": qcc, "ss": qcc, "sc": qsc, "cs": qcs}, den)
+    qcc = _diagonal_table(ma, N, 1, True)
+    return _set_from_integers(CONDUCTIVITY, N, qcc, qcc, _diagonal_table(mb, N, -1, True), den)
 
 
 def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
@@ -279,9 +281,8 @@ def schroedinger_dtn(field: FourierRadialField, N: int) -> DtnMatrixSet:
     qcc[0][0] += ha[0]  # eta = 3 at (0, 0)
     qss = [[da[i][j] - ha[i + j] for j in tail] for i in tail]
     qcs = [[hb[i + j] + db[i][j] for j in tail] for i in full]
-    qsc = [list(col) for col in zip(*qcs)]  # formula gives sc = cs^T
     # every entry is half a sum of two moments
-    return _set_from_integers(SCHROEDINGER, N, {"cc": qcc, "ss": qss, "sc": qsc, "cs": qcs}, 2 * den)
+    return _set_from_integers(SCHROEDINGER, N, qcc, qss, qcs, 2 * den)
 
 
 def energy_oracle(  # public; the tests and the benchmark's tracer call it by name
