@@ -56,13 +56,18 @@ class RadialProfile(Record):
         self._store(tuple(cleaned))
 
     def __call__(self, r: float) -> float:
-        return sum(float(v) * r**_exponent(p) for p, v in self.terms)
+        return sum(v * r**p for p, v in self._floats)
 
     def values_at(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros_like(r, dtype=float)
-        for p, v in self.terms:
-            out += float(v) * r**_exponent(p)
+        for p, v in self._floats:
+            out += v * r**p
         return out
+
+    @functools.cached_property
+    def _floats(self):
+        """(``_exponent`` of the power, ``_double`` of the value) per term, computed once per profile."""
+        return [(_exponent(p), _double(v, "radial profile value")) for p, v in self.terms]
 
     def moment_exact(self, m: int) -> Fraction:  # public; the benchmark's tracer counts it by name
         """integral_0^1 r**m * profile(r) dr, exact: one integer sum over the lcm of the m + p + 1."""
@@ -137,7 +142,8 @@ def _least_order(parity) -> int:
 
 
 def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
-    """Pointwise value at polar (r, phi); requires 0 <= r <= 1 and a finite phi."""
+    """Pointwise value at polar (r, phi), two real numbers; requires 0 <= r <= 1 and a finite phi."""
+    r, phi = _double(r, "radius"), _double(phi, "angle")
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"radius {r} outside [0, 1]")
     if not math.isfinite(phi):
@@ -147,6 +153,17 @@ def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
         for k, prof in table.items():
             total += prof(r) * trig(k * phi)
     return total
+
+
+def _double(value, what) -> float:
+    """A float as given; any other real number (``errors.real``) as the nearest double, beyond whose range
+    it is a DomainError."""
+    if isinstance(value, float):
+        return value
+    try:
+        return float(real(value, what))
+    except OverflowError:
+        raise DomainError(f"{what} is beyond the range of a double") from None
 
 
 def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -178,7 +195,7 @@ def moment(field: FourierRadialField, parity: str, k: int, m: int) -> float:
     Exact rational arithmetic internally; a single rounding on return.
     """
     prof = _parity_profile(field, parity, k)
-    return float(prof.moment_exact(integer(m, 0, "moment powers m")))
+    return _double(prof.moment_exact(integer(m, 0, "moment powers m")), "the moment")
 
 
 def l2_norm_squared(field: FourierRadialField) -> float:
@@ -192,7 +209,7 @@ def l2_norm_squared(field: FourierRadialField) -> float:
         for k, prof in table.items():
             if k >= 1:
                 total += prof.pair_moment_exact(prof)
-    return math.pi * float(total)
+    return math.pi * _double(total, "the squared L^2 norm")
 
 
 def sample_grid(field, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.ndarray:

@@ -8,17 +8,22 @@ import pytest
 from eitdisk import (
     CONDUCTIVITY,
     POTENTIAL,
+    ArcSpec,
+    ConformalMap,
     DomainError,
     FourierRadialField,
     KindMismatchError,
     RadialProfile,
+    arc_data,
     conductivity_dtn,
     eval_field,
     eval_field_grid,
     l2_norm_squared,
+    half_disk_data,
     moment,
     sample_grid,
 )
+from eitdisk.forward import BoundaryMode, energy_oracle, oracle_dtn
 from eitdisk.quadrature import QuadratureSpec, gauss_legendre_01, trapezoid_periodic
 
 
@@ -203,3 +208,35 @@ def test_radial_powers_beyond_the_double_range_evaluate_at_their_limit():
     assert profile.values_at(r).tolist() == [0.0, 0.25, 0.5 * (1.0 - 2**-53), 2.5]
     assert [profile(v) for v in r.tolist()] == profile.values_at(r).tolist()
     assert profile.moment_exact(0) == Fraction(2, 10**400 + 1) + Fraction(1, 4)
+
+
+_HUGE = {0: [[0, 10**400]]}  # a value beyond the double range; the exact moments keep it
+_SMALL_QUAD = QuadratureSpec(8, 16)
+
+
+@pytest.mark.parametrize("kind", [CONDUCTIVITY, POTENTIAL])
+@pytest.mark.parametrize("call, message", [
+    (lambda f: eval_field(f, 0.5, 0.0), "radial profile value is beyond the range of a double"),
+    (lambda f: eval_field_grid(f, np.array([0.5]), np.array([0.0])), "radial profile value is beyond"),
+    (lambda f: sample_grid(f, 2, 3), "radial profile value is beyond"),
+    (lambda f: energy_oracle(f, BoundaryMode("cos", 1), BoundaryMode("sin", 1), _SMALL_QUAD), "radial profile"),
+    (lambda f: oracle_dtn(f, 2, _SMALL_QUAD), "radial profile value is beyond"),
+    (lambda f: half_disk_data(f, 2), "radial profile value is beyond"),  # sine terms: sampled on a grid
+    (lambda f: arc_data(f, ConformalMap(ArcSpec(0.5)), 2), "radial profile value is beyond"),
+    (lambda f: moment(f, "cos", 0, 0), "the moment is beyond the range of a double"),
+    (lambda f: l2_norm_squared(f), "the squared L\\^2 norm is beyond the range of a double"),
+    (lambda f: eval_field(f, "0.5", 0.0), "radius '0.5' is not a real number"),
+    (lambda f: eval_field(f, 0.5, None), "angle None is not a real number"),
+    (lambda f: eval_field(f, 0.5, 10**400), "angle is beyond the range of a double"),
+], ids=["eval_field", "eval_field_grid", "sample_grid", "energy_oracle", "oracle_dtn", "half_disk_data",
+        "arc_data", "moment", "l2_norm_squared", "radius_string", "angle_none", "angle_huge"])
+def test_values_beyond_the_double_range_and_points_that_are_not_real_are_domain_errors(kind, call, message):
+    field = FourierRadialField(kind, _HUGE, {1: [[1, 0.5]]})
+    with pytest.raises(DomainError, match=message):
+        call(field)
+
+
+def test_exact_coordinates_evaluate_as_their_nearest_doubles():
+    field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 0.5]]}, {1: [[1, -0.25]]})
+    assert eval_field(field, Fraction(1, 2), 1) == eval_field(field, 0.5, 1.0)
+    assert eval_field(field, np.float32(0.5), np.int64(1)) == eval_field(field, 0.5, 1.0)
