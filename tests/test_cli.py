@@ -264,6 +264,33 @@ def test_map_debug_csv_bytes_are_pinned(tmp_path, alpha, digest):
     assert hashlib.sha256(text).hexdigest() == digest
 
 
+def test_invert_of_a_potential_document_prints_its_extra_moments(tmp_path, capsys):
+    field = FourierRadialField(POTENTIAL, {0: RadialProfile(((0, 1.0), (6, 0.5))), 5: RadialProfile(((5, 0.25),))},
+                               {4: RadialProfile(((4, -0.75),))})
+    mset = schroedinger_dtn(field, 3)
+    src = tmp_path / "dtn.json"
+    src.write_text(eio.dumps(eio.dtn_to_dict(mset)), encoding="utf-8")
+    assert main(["invert", "--input", str(src), "--output", str(tmp_path / "rec.json")]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("extra ")]
+    extra = eitdisk.extra_hankel_moments(eio.dtn_from_dict(json.loads(src.read_text(encoding="utf-8"))))
+    assert printed == [f"extra {parity} moment l={l}: {eio.format_float(extra[parity][l])}"
+                       for parity in ("cos", "sin") for l in range(4, 7)]
+    assert any(extra[parity][l] != 0.0 for parity in ("cos", "sin") for l in range(4, 7))
+
+
+def test_arc_invert_alpha_flag_overrides_the_document(tmp_path):
+    data = half_disk_data(FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0), (2, 0.5)))}, {}), 4)
+    outputs = []
+    for alpha_in_document, flags in ((0.3, ["--alpha", "0.9"]), (0.9, []), (0.3, [])):
+        src = tmp_path / f"arc{len(outputs)}.json"
+        src.write_text(eio.dumps(eio.arc_data_to_dict(data, alpha=alpha_in_document)), encoding="utf-8")
+        out = tmp_path / f"arc{len(outputs)}.csv"
+        assert main(["arc-invert", "--input", str(src), "--output", str(out), "--nr", "3", "--nphi", "8",
+                     *flags]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_arc_invert_requires_alpha(tmp_path, capsys):
     field = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
     data = half_disk_data(field, 3)
