@@ -174,8 +174,9 @@ def half_disk_invert(
 
     Reads the moments off the data as those of a conductivity cc block, in
     integers over one denominator, doubles the numerators (undoing the even
-    reflection) and solves them as ``reconstruct`` does.  Asymmetry beyond
-    ``tol`` is an ``InconsistentDataError``, a NaN or negative ``tol`` a DomainError.
+    reflection) and solves them as ``reconstruct`` does, after the same checks
+    of ``reg_cap`` and N.  Asymmetry beyond ``tol`` is an
+    ``InconsistentDataError``, a NaN or negative ``tol`` a DomainError.
     """
     _check_tol(tol)
     if not isinstance(data, HalfDiskData):
