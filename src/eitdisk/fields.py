@@ -209,7 +209,13 @@ def l2_norm_squared(field: FourierRadialField) -> float:
         for k, prof in table.items():
             if k >= 1:
                 total += prof.pair_moment_exact(prof)
-    return math.pi * _double(total, "the squared L^2 norm")
+    try:
+        norm = math.pi * float(total)
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:  # the sum itself, or pi times it, beyond the range of a double
+        raise DomainError("the squared L^2 norm is beyond the range of a double")
+    return norm
 
 
 def sample_grid(field, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.ndarray:

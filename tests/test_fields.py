@@ -236,6 +236,12 @@ def test_values_beyond_the_double_range_and_points_that_are_not_real_are_domain_
         call(field)
 
 
+def test_a_squared_norm_that_overflows_only_times_pi_is_a_domain_error():
+    field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.2e154]]})  # the exact sum is 1.44e308, times pi inf
+    with pytest.raises(DomainError, match="the squared L\\^2 norm is beyond the range of a double"):
+        l2_norm_squared(field)
+
+
 def test_exact_coordinates_evaluate_as_their_nearest_doubles():
     field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 0.5]]}, {1: [[1, -0.25]]})
     assert eval_field(field, Fraction(1, 2), 1) == eval_field(field, 0.5, 1.0)
