@@ -179,8 +179,8 @@ def _cmd_invert(args) -> int:
 
 
 def _field_coefficients(field):
-    return {(parity, k, p): float(v) for parity, table in (("cos", field.cos), ("sin", field.sin))
-            for k, prof in table.items() for p, v in prof.terms}
+    return {(parity, k, p): v for parity, table in (("cos", field.cos), ("sin", field.sin))
+            for k, prof in table.items() for p, v in prof._doubles()}
 
 
 def _cmd_roundtrip(args) -> int:

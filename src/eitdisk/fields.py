@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, Record, integer, real
+from .errors import DomainError, KindMismatchError, Record, integer, real, real_array
 
 __all__ = [
     "CONDUCTIVITY",
@@ -37,10 +37,11 @@ class RadialProfile(Record):
 
     Values follow ``errors.real``: exact rationals, or finite reals taken as
     floats.  Moments are computed exactly either way (every float is a
-    dyadic rational).  ``terms`` holds (power, value) pairs in increasing power.
+    dyadic rational).  ``terms`` holds (power, value) pairs in increasing power;
+    an exact ``Reconstruction.to_field`` profile builds them on first read.
     """
 
-    _fields = ("terms",)  # no __slots__: the instance dict holds the cached _scaled
+    _fields = ("terms",)  # no __slots__: the instance dict holds terms and the cached views
 
     def __init__(self, terms):
         cleaned = []
@@ -55,24 +56,46 @@ class RadialProfile(Record):
         cleaned.sort(key=lambda t: t[0])
         self._store(tuple(cleaned))
 
+    @classmethod
+    def _from_integers(cls, powers, nums, den):
+        """Checked values nums[i] / den at increasing powers[i], reduced by one gcd as ``_common_denominator`` is."""
+        self = object.__new__(cls)
+        g = math.gcd(den, *nums)
+        vars(self).update(_powers=[*powers], _scaled=([n // g for n in nums], den // g))
+        return self
+
+    @functools.cached_property
+    def terms(self):
+        """(power, value) pairs; a profile built by ``_from_integers`` builds its Fractions here, once."""
+        nums, den = self._scaled
+        return tuple((p, Fraction(n, den)) for p, n in zip(self._powers, nums))
+
     def __call__(self, r: float) -> float:
-        return sum(v * r**p for p, v in self._floats)
+        return sum(v * r**_exponent(p) for p, v in self._floats)
 
     def values_at(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros_like(r, dtype=float)
         for p, v in self._floats:
-            out += v * r**p
+            out += v * r**_exponent(p)
         return out
 
+    def _doubles(self) -> list:
+        """(power, value as a double) per term; a profile built by ``_from_integers`` reads n / D,
+        the double float(Fraction(n, D)) is, and builds no Fraction.  Writers read them once, uncached."""
+        if "terms" in vars(self):
+            return [(p, _double(v, "radial profile value")) for p, v in self.terms]
+        return [*zip(self._powers, _quotients(*self._scaled, "radial profile value"))]
+
+    _floats = functools.cached_property(_doubles)  # evaluation reads them at every call
+
     @functools.cached_property
-    def _floats(self):
-        """(``_exponent`` of the power, ``_double`` of the value) per term, computed once per profile."""
-        return [(_exponent(p), _double(v, "radial profile value")) for p, v in self.terms]
+    def _powers(self):
+        return [p for p, _ in self.terms]
 
     def moment_exact(self, m: int) -> Fraction:  # public; the benchmark's tracer counts it by name
         """integral_0^1 r**m * profile(r) dr, exact: one integer sum over the lcm of the m + p + 1."""
         nums, den = self._scaled
-        divisors = [m + p + 1 for p, _ in self.terms]
+        divisors = [m + p + 1 for p in self._powers]
         common = math.lcm(*divisors)
         return Fraction(sum(n * (common // d) for n, d in zip(nums, divisors)), den * common)
 
@@ -166,15 +189,23 @@ def _double(value, what) -> float:
         raise DomainError(f"{what} is beyond the range of a double") from None
 
 
+def _quotients(nums, den, what) -> list:
+    """The doubles n / den, each float(Fraction(n, den)); one beyond the double range is a DomainError."""
+    try:
+        return [n / den for n in nums]
+    except OverflowError:
+        raise DomainError(f"{what} is beyond the range of a double") from None
+
+
 def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Values on the tensor grid r x phi, shape (len(r), len(phi)).
 
     Two-dimensional r and phi of one shape are a matched grid instead.  A plain
     callable field(r, phi) acting on arrays is called with r and phi as they
     broadcast (a column of radii and a row of angles for a tensor grid).
+    The points follow ``_polar_points``.
     """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    r, phi = _polar_points(r, phi)
     if r.ndim < 2 and phi.ndim < 2:
         r, phi = r.reshape(-1, 1), phi.reshape(1, -1)
     shape = np.broadcast_shapes(r.shape, phi.shape)
@@ -187,6 +218,21 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
         for k, prof in table.items():
             out += prof.values_at(r) * trig(k * phi)
     return out
+
+
+def _polar_points(r, phi) -> tuple:
+    """r and phi as float arrays, each of its own shape (callers broadcast them).
+
+    An entry that is not a real number (``errors.real_array``), a radius
+    outside [0, 1] or a NaN or infinite angle is a DomainError.
+    """
+    r, phi = real_array(r, "radius"), real_array(phi, "angle")
+    inside = (r >= 0.0) & (r <= 1.0)
+    if not inside.all():
+        raise DomainError(f"radius {float(r[~inside].flat[0])} outside [0, 1]")
+    if not np.isfinite(phi).all():
+        raise DomainError(f"angle {float(phi[~np.isfinite(phi)].flat[0])} is not finite")
+    return r, phi
 
 
 def moment(field: FourierRadialField, parity: str, k: int, m: int) -> float:

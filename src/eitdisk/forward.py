@@ -99,7 +99,7 @@ class DtnMatrixSet:
     assembled set builds its ``exact`` Fractions from the view on first read.
     """
 
-    __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints")
+    __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints", "_deviations")
 
     def __init__(self, kind, N, cc, ss, sc, cs, exact=None):
         self.kind = _checked_kind(kind)
@@ -114,7 +114,7 @@ class DtnMatrixSet:
                     f"block {name} has shape {arr.shape}, expected {shapes[name]}"
                 )
             setattr(self, name, arr)
-        self._exact, self._ints = exact, None
+        self._exact, self._ints, self._deviations = exact, None, None  # _deviations: validate's, if exact
         if exact is not None:
             for name in BLOCK_NAMES:
                 rows, cols = shapes[name]
@@ -208,7 +208,7 @@ def _moment_vectors(field, powers):
     """
     used = [{k: prof for k, prof in table.items() if powers(k)} for table in (field.cos, field.sin)]
     den = math.lcm(*(prof._scaled[1] for table in used for prof in table.values()))
-    ranges = [{k: _divisor_ranges(powers(k), [p for p, _ in prof.terms]) for k, prof in table.items()}
+    ranges = [{k: _divisor_ranges(powers(k), prof._powers) for k, prof in table.items()}
               for table in used]
     divisors = set().union(*(r for table in ranges for spans in table.values() for r in spans))
     lcm = math.lcm(*divisors)

@@ -35,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (DomainError, InconsistentDataError, KindMismatchError, RangeError, Record, integer, rational,
-                     real, real_array)
+                     real)
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
-                     _least_order)
+                     _least_order, _polar_points, _quotients)
 from .forward import SCHROEDINGER, DtnMatrixSet, _checked_kind
 from .muntz import (  # inverse_matrix: re-exported, the benchmark's tracer patches it here
     WeightedFamily,
@@ -134,8 +134,19 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     denominator, and each deviation is divided by it once (the double nearest
     the exact value, in units of pi) and multiplied by pi, so an exact set and
     its float document deviate alike.  A NaN or negative ``tol`` is a DomainError.
+    An exact set keeps its deviations, which depend on no tolerance, and is
+    scanned once; a float set, whose blocks are writable arrays, every time.
     """
     _check_tol(tol)
+    devs = mset._deviations or _deviations(mset)
+    if mset._ints is not None:  # read from the integer view, which nothing changes
+        mset._deviations = devs
+    checks = tuple(ValidationCheck(name=name, deviation=dev, passed=dev <= tol) for name, dev in devs)
+    return ValidationReport(kind=mset.kind, tol=tol, checks=checks)
+
+
+def _deviations(mset) -> tuple:
+    """(name, deviation) of each check of ``validate``, as doubles; an exact set's are multiplied by pi."""
     cc, ss, sc, cs, den = _blocks(mset)
     unit = 1.0 if mset._ints is None else math.pi
     checks = []
@@ -145,7 +156,7 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
             dev = dev / den * unit  # int / int rounds once, as float(Fraction) does
         except OverflowError:  # beyond the double range: a failed check
             dev = math.inf
-        checks.append(ValidationCheck(name=name, deviation=dev, passed=dev <= tol))
+        checks.append((name, dev))
 
     add("cc_symmetric", _dev(cc, zip(*cc)))
     add("ss_symmetric", _dev(ss, zip(*ss)))
@@ -160,7 +171,7 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
         groups = _hankel_groups(cc, ss, sc, cs, mset.N).values()
         add("ss_minus_cc_hankel", _group_spread(g for g, _ in groups))  # same spread as cc - ss
         add("sc_plus_cs_hankel", _group_spread(g for _, g in groups))
-    return ValidationReport(kind=mset.kind, tol=tol, checks=tuple(checks))
+    return tuple(checks)
 
 
 def _blocks(mset, floats=False):
@@ -290,10 +301,7 @@ def _exact_or_rounded(nums, den, exact) -> list:
     """Fractions n / den, or doubles each rounded once; a value beyond the double range is a DomainError."""
     if exact:
         return [Fraction(n, den) for n in nums]
-    try:
-        return [n / den for n in nums]
-    except OverflowError:
-        raise DomainError("a reconstructed coefficient is beyond the range of a double") from None
+    return _quotients(nums, den, "a reconstructed coefficient")
 
 
 def condition_sums(k: int, count: int) -> list:  # public; the benchmark's tracer spans it by name
@@ -447,8 +455,9 @@ class Reconstruction:
 
         The k = 0 profile is halved so the result follows the plain-series
         convention used by the field type.  Each series expands from its
-        view's numerators, exact when the series is, else rounded once per
-        monomial coefficient.  The view's keys and values were checked when it was
+        view's numerators, exact when the series is (its profile builds Fractions
+        only when its terms are read), else rounded once per monomial
+        coefficient.  The view's keys and values were checked when it was
         built, so the profiles and the field are built without checking them again.
         """
         cos, sin = ({k: _monomial_profile(k, nums, 2 * den if parity == k == 0 else den, exact)
@@ -466,28 +475,16 @@ def _monomial_profile(k, nums, den, exact) -> RadialProfile:
     sums = [0] * len(nums)
     for n, (c, row) in enumerate(zip(nums, _integer_rows(k, len(nums)))):
         sums[: n + 1] = map(operator.add, sums, map(c.__mul__, row.coeffs))
-    return RadialProfile._trusted(tuple((2 * l + k, v) for l, v in enumerate(_exact_or_rounded(sums, den, exact))))
+    powers = range(k, k + 2 * len(sums), 2)
+    if exact:  # its Fractions are built only if its terms are read
+        return RadialProfile._from_integers(powers, sums, den)
+    return RadialProfile._trusted(tuple(zip(powers, _exact_or_rounded(sums, den, False))))
 
 
 def _series(coeffs) -> tuple:
     """(numerators, D, exact) of one series of coefficients, each checked by ``errors.real``."""
     coeffs = [real(c, "coefficient") for c in coeffs]
     return (*_common_denominator(coeffs), all(map(rational, coeffs)))
-
-
-def _polar_points(r, phi) -> tuple:
-    """r and phi as float arrays, each of its own shape (callers broadcast them).
-
-    An entry that is not a real number (``errors.real_array``), a radius
-    outside [0, 1] or a NaN or infinite angle is a DomainError.
-    """
-    r, phi = real_array(r, "radius"), real_array(phi, "angle")
-    inside = (r >= 0.0) & (r <= 1.0)
-    if not inside.all():
-        raise DomainError(f"radius {float(r[~inside].flat[0])} outside [0, 1]")
-    if not np.isfinite(phi).all():
-        raise DomainError(f"angle {float(phi[~np.isfinite(phi)].flat[0])} is not finite")
-    return r, phi
 
 
 def reconstruct(
@@ -543,8 +540,8 @@ def _invert(kind, N, blocks, exact, rational, reg_cap, scale=1) -> Reconstructio
     series = [{k: solve(k, "cos") for k in range(top)},
               {k: solve(k, "sin") for k in range(1, top if blocks[3] is not None else 1)}]
     condition = {k: condition_sums(k, len(nums)) for k, (nums, _, _) in series[0].items() if nums}
-    rec = Reconstruction(kind, N, {}, {}, condition)
-    rec._pq, rec._ints = [None, None], series
+    rec = Reconstruction(kind, N, {}, {}, {})  # the solved view and rows are stored unchecked, as _trusted stores
+    rec._pq, rec._ints, rec.condition = [None, None], series, condition
     return rec
 
 
@@ -588,10 +585,7 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
     def mean(values):  # exact: one rounding of the exact mean; floats: each over pi first
         if not exact:
             return sum(v / math.pi for v in values) / len(values)
-        try:
-            return sum(values) / (den * len(values))
-        except OverflowError:
-            raise DomainError("an extra moment is beyond the range of a double") from None
+        return _quotients([sum(values)], den * len(values), "an extra moment")[0]
 
     groups = _hankel_groups(cc, ss, sc, cs, mset.N, first=mset.N + 1)
     return {parity: {l: mean(g[s]) for l, g in groups.items()} for s, parity in enumerate(("cos", "sin"))}

@@ -118,7 +118,7 @@ def _integer(value, what) -> int:
 def field_to_dict(field: FourierRadialField) -> dict:
     def table(profiles):
         return {
-            str(k): [[p, float(v)] for p, v in prof.terms]
+            str(k): [[p, v] for p, v in prof._doubles()]  # to_field's exact profiles build no Fraction
             for k, prof in profiles.items()
         }
 

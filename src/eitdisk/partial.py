@@ -29,7 +29,7 @@ import numpy as np
 
 from .conformal import ConformalMap, _psi_array, psi_inverse
 from .errors import DomainError, InconsistentDataError, ShapeError, integer, real_array
-from .fields import CONDUCTIVITY, FourierRadialField, eval_field_grid
+from .fields import CONDUCTIVITY, FourierRadialField, _polar_points, eval_field_grid
 from .forward import _mode_product, conductivity_dtn
 from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tracer patches this binding
     Reconstruction,
@@ -38,7 +38,6 @@ from .inverse import (  # solve_moment_problem: re-exported, the benchmark's tra
     _check_tol,
     _dev,
     _invert,
-    _polar_points,
     _truncation,
     solve_moment_problem,
 )

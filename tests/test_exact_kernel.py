@@ -6,8 +6,10 @@ below recomputes the same quantity entry by entry with Fraction arithmetic
 and asks for equality, Fraction for Fraction or bit for bit.
 """
 
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 import threading
@@ -724,3 +726,136 @@ def test_extra_hankel_moments_beyond_the_double_range_are_a_domain_error(scale):
     assert validate(huge, tol=0.0).max_deviation == 0
     with pytest.raises(DomainError, match="an extra moment is beyond the range of a double"):
         extra_hankel_moments(huge)
+
+
+# profiles built from integers, and the memo of exact validation ----------------------
+
+def _span_field(kind, N, seed):
+    """Random small rationals on every LM span power of truncation N: an exact round trip."""
+    rng = random.Random(seed)
+    top = N if kind == CONDUCTIVITY else N + 1
+
+    def profile(k):
+        return RadialProfile(tuple((2 * l + k, Fraction(rng.randint(-8, 8), rng.randint(1, 8)))
+                                   for l in range(top - k)))
+
+    return FourierRadialField(kind, {k: profile(k) for k in range(top)}, {k: profile(k) for k in range(1, top)})
+
+
+def _profiles(field):
+    return [*field.cos.values(), *field.sin.values()]
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_an_exact_round_trip_builds_its_fractions_only_when_its_terms_are_read(kind, forward):
+    source = _span_field(kind, 8, seed=81)
+    mset = forward(source, 8)
+    back = reconstruct(mset).to_field()
+    again = forward(back, 8)
+    assert again._ints == mset._ints  # the same numerators over the same denominator
+    document = eio.dumps(eio.field_to_dict(back))
+    assert document == eio.dumps(eio.field_to_dict(source))  # n / D is each double float(Fraction) is
+    assert not any("_floats" in vars(prof) for prof in _profiles(back))  # a writer keeps no doubles
+    r = np.linspace(0.0, 1.0, 7)
+    for prof, twin in zip(_profiles(back), _profiles(source)):
+        assert prof.values_at(r).tolist() == twin.values_at(r).tolist() and prof(0.3) == twin(0.3)
+    assert all("terms" not in vars(prof) for prof in _profiles(back))
+    for prof, twin in zip(_profiles(back), _profiles(source)):
+        assert prof.terms == twin.terms and all(type(v) is Fraction for _, v in prof.terms)
+        assert prof._scaled == twin._scaled and prof._powers == twin._powers
+        assert prof == twin and hash(prof) == hash(twin) and repr(prof) == repr(twin)
+    assert back == source and repr(back) == repr(source)
+    assert pickle.loads(pickle.dumps(back)) == source and copy.deepcopy(back) == source
+
+
+def test_a_profile_from_integers_is_reduced_as_its_fractions_are():
+    for powers, nums, den in (([1, 3], [4, -6], 8), ([0, 2], [0, 0], 6), ([5], [-9], 3), ([2, 4], [7, 1], 5)):
+        prof = RadialProfile._from_integers(powers, nums, den)
+        twin = RadialProfile(zip(powers, (Fraction(n, den) for n in nums)))
+        assert prof._scaled == twin._scaled and "terms" not in vars(prof)
+        assert prof == twin and hash(prof) == hash(twin) and repr(prof) == repr(twin)
+        assert copy.copy(prof) == twin and pickle.loads(pickle.dumps(prof)).terms == twin.terms
+
+
+def test_a_profile_from_integers_beyond_the_double_range_is_a_domain_error():
+    prof = RadialProfile._from_integers([0, 2], [10**400, 1], 3)
+    with pytest.raises(DomainError, match="radial profile value is beyond the range of a double"):
+        eio.field_to_dict(FourierRadialField(CONDUCTIVITY, {0: prof}))
+    assert prof.moment_exact(0) == Fraction(10**400, 3) + Fraction(1, 9)
+
+
+def test_to_field_and_its_document_build_no_fraction(monkeypatch):
+    rec = reconstruct(conductivity_dtn(_span_field(CONDUCTIVITY, 8, seed=8), 8))
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    field = rec.to_field()
+    eio.dumps(eio.field_to_dict(field))
+    assert made == []
+    field.cos[0].terms  # the counter counts: reading the terms builds them
+    assert len(made) == len(field.cos[0]._powers)
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_a_solved_reconstruction_equals_one_built_by_the_public_constructor(kind, forward):
+    rec = reconstruct(forward(_span_field(kind, 6, seed=6), 6))
+    twin = Reconstruction(rec.kind, 6, rec.p, rec.q, rec.condition)
+    assert twin.p == rec.p and twin.q == rec.q and twin.condition == rec.condition
+    assert rec.condition == {k: condition_sums(k, len(c)) for k, c in rec.p.items() if c}
+    for row in ([math.nan], [math.inf], ["1"], [None]):
+        with pytest.raises(DomainError, match="condition sum"):
+            Reconstruction(rec.kind, 6, rec.p, rec.q, {0: row})
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_an_exact_set_keeps_its_deviations_and_each_call_applies_its_tolerance(kind, forward):
+    mset = forward(_random_field(kind, 5, seed=5), 5)
+    bumped = _bumped(mset, "cc", 0, 1, Fraction(1, 10**6))
+    loose = validate(bumped, tol=1e-3)
+    strict = validate(bumped, tol=1e-9)
+    assert [(c.name, c.deviation) for c in loose.checks] == [(c.name, c.deviation) for c in strict.checks]
+    assert (loose.tol, strict.tol) == (1e-3, 1e-9)
+    assert loose.passed and not strict.passed
+    assert [c.passed for c in strict.checks] == [c.deviation <= 1e-9 for c in strict.checks]
+    fresh = _bumped(mset, "cc", 0, 1, Fraction(1, 10**6))  # the same set, validated for the first time
+    assert validate(fresh, tol=1e-9) == strict
+    with pytest.raises(DomainError, match="tolerance"):
+        validate(bumped, tol=math.nan)
+
+
+def test_reconstruct_after_validate_scans_an_exact_set_once(monkeypatch):
+    import eitdisk.inverse
+    scans = []
+    dev = eitdisk.inverse._dev
+    monkeypatch.setattr(eitdisk.inverse, "_dev", lambda *args: scans.append(1) or dev(*args))
+    mset = conductivity_dtn(_random_field(CONDUCTIVITY, 5, seed=9), 5)
+    assert validate(mset).passed
+    once = len(scans)
+    assert once
+    reconstruct(mset)
+    validate(mset, tol=0.0)
+    assert len(scans) == once
+    document = eio.dtn_from_dict(json.loads(eio.dumps(eio.dtn_to_dict(mset))))
+    validate(document)
+    reconstruct(document)  # a float set is scanned on every call
+    assert len(scans) == 3 * once
+
+
+def test_a_float_set_changed_in_place_is_checked_again():
+    mset = conductivity_dtn(_random_field(CONDUCTIVITY, 4, seed=4, values="float"), 4)
+    document = eio.dtn_from_dict(json.loads(eio.dumps(eio.dtn_to_dict(mset))))
+    assert validate(document).passed
+    document.cc[0, 1] += 0.5
+    report = validate(document)
+    check = {c.name: c for c in report.checks}["cc_symmetric"]
+    assert check.deviation == pytest.approx(0.5) and not report.passed
+    with pytest.raises(InconsistentDataError):
+        reconstruct(document)

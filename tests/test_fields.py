@@ -14,6 +14,7 @@ from eitdisk import (
     FourierRadialField,
     KindMismatchError,
     RadialProfile,
+    ShapeError,
     arc_data,
     conductivity_dtn,
     eval_field,
@@ -24,6 +25,7 @@ from eitdisk import (
     sample_grid,
 )
 from eitdisk.forward import BoundaryMode, energy_oracle, oracle_dtn
+from eitdisk.io import field_to_dict
 from eitdisk.quadrature import QuadratureSpec, gauss_legendre_01, trapezoid_periodic
 
 
@@ -228,8 +230,9 @@ _SMALL_QUAD = QuadratureSpec(8, 16)
     (lambda f: eval_field(f, "0.5", 0.0), "radius '0.5' is not a real number"),
     (lambda f: eval_field(f, 0.5, None), "angle None is not a real number"),
     (lambda f: eval_field(f, 0.5, 10**400), "angle is beyond the range of a double"),
+    (lambda f: field_to_dict(f), "radial profile value is beyond the range of a double"),
 ], ids=["eval_field", "eval_field_grid", "sample_grid", "energy_oracle", "oracle_dtn", "half_disk_data",
-        "arc_data", "moment", "l2_norm_squared", "radius_string", "angle_none", "angle_huge"])
+        "arc_data", "moment", "l2_norm_squared", "radius_string", "angle_none", "angle_huge", "field_to_dict"])
 def test_values_beyond_the_double_range_and_points_that_are_not_real_are_domain_errors(kind, call, message):
     field = FourierRadialField(kind, _HUGE, {1: [[1, 0.5]]})
     with pytest.raises(DomainError, match=message):
@@ -246,3 +249,27 @@ def test_exact_coordinates_evaluate_as_their_nearest_doubles():
     field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 0.5]]}, {1: [[1, -0.25]]})
     assert eval_field(field, Fraction(1, 2), 1) == eval_field(field, 0.5, 1.0)
     assert eval_field(field, np.float32(0.5), np.int64(1)) == eval_field(field, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("r, phi, error, message", [
+    (["0.5"], [0.0], DomainError, "radius '0.5' is not a real number"),
+    ([None], [0.0], DomainError, "radius None is not a real number"),
+    (["x"], [0.0], DomainError, "radius 'x' is not a real number"),
+    ([2.0], [0.0], DomainError, "radius 2.0 outside \\[0, 1\\]"),
+    ([-0.25], [0.0], DomainError, "radius -0.25 outside \\[0, 1\\]"),
+    ([math.nan], [0.0], DomainError, "radius nan outside \\[0, 1\\]"),
+    ([0.5], [math.inf], DomainError, "angle inf is not finite"),
+    ([0.5], [1j], DomainError, "angle 1j is not a real number"),
+    ([[0.5, 0.25], [0.5]], [0.0], ShapeError, "radius rows are not all of one length"),
+], ids=["string", "none", "word", "outside", "negative", "nan", "inf_angle", "complex", "ragged"])
+@pytest.mark.parametrize("field", [FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 1.0]]}),
+                                   lambda r, phi: r + 0 * phi], ids=["series", "callable"])
+def test_grid_points_follow_the_rule_of_a_reconstruction(field, r, phi, error, message):
+    with pytest.raises(error, match=message):
+        eval_field_grid(field, r, phi)
+
+
+def test_grid_points_of_exact_reals_evaluate_as_their_nearest_doubles():
+    field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 1.0]]}, {1: [[1, -0.25]]})
+    want = eval_field_grid(field, np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
+    assert eval_field_grid(field, [0, Fraction(1, 2), True], [False, 1]).tolist() == want.tolist()
