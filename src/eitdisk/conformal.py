@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, Record, SingularPointError, real
+from .errors import DomainError, Record, SingularPointError, real, real_array
 
 __all__ = ["ArcSpec", "ConformalMap", "psi", "psi_inverse"]
 
@@ -111,8 +111,8 @@ def _psi_inverse_array(cmap, z):
 
 
 def _points(z):
-    """z as a complex array; a point with a NaN or infinite part is a DomainError."""
-    arr = np.asarray(z, dtype=complex)
+    """z as a complex array by ``errors.real_array``'s rule; a point with a NaN or infinite part is a DomainError."""
+    arr = real_array(z, "point", complex)
     finite = np.isfinite(arr)
     if not finite.all():
         raise DomainError(f"point {complex(arr[~finite].flat[0])} is not finite")

@@ -99,27 +99,43 @@ def real(value, what):
     return value
 
 
-def real_array(values, what) -> np.ndarray:
+def double(value, what) -> float:
+    """A float as given; any other real number (``real``) as the nearest double, beyond whose range it is a
+    DomainError.  Every scalar real argument read as a double, and every exact value rounded to one, passes here."""
+    return value if isinstance(value, float) else quotients([real(value, what)], 1, what)[0]
+
+
+def quotients(nums, den, what) -> list:
+    """The doubles nearest n / den, for exact n and an int den; one beyond the double range is a DomainError."""
+    try:
+        return [float(n / den) for n in nums]  # one rounding: int / int is a double, Fraction / int exact
+    except OverflowError:
+        raise DomainError(f"{what} is beyond the range of a double") from None
+
+
+def real_array(values, what, dtype=float) -> np.ndarray:
     """``values`` as a float array; a DomainError unless every entry is a real number.
 
     Bool, integer and float arrays pass on their dtype, with no loop over the
     entries.  In any other array (Fractions, ints beyond 64 bits, None, strings,
-    complex numbers) each entry must be a ``numbers.Real``, as ``real`` asks.
-    Bools read as 0.0 and 1.0; NaN and infinities pass, for the caller to judge.
-    Ragged rows, which form no array, are a ShapeError.
+    complex numbers) each entry must be a ``numbers.Real``, as ``real`` asks;
+    with ``dtype`` complex, a ``numbers.Complex``.  Bools read as 0 and 1;
+    NaN and infinities pass, for the caller to judge.  Ragged rows, which form
+    no array, are a ShapeError.
     """
+    number, kinds = (numbers.Real, "biuf") if dtype is float else (numbers.Complex, "biufc")
     try:
         arr = np.asarray(values)
     except ValueError:  # numpy's "inhomogeneous shape"
         raise ShapeError(f"{what} rows are not all of one length") from None
-    if arr.dtype.kind in "biuf":
-        return arr.astype(float, copy=False)
+    if arr.dtype.kind in kinds:
+        return arr.astype(dtype, copy=False)
     arr = np.asarray(values, dtype=object)  # the entries as given: a string or complex dtype converts them all
     for value in arr.ravel().tolist():
-        if not isinstance(value, numbers.Real):
-            raise DomainError(f"{what} {value!r} is not a real number")
+        if not isinstance(value, number):
+            raise DomainError(f"{what} {value!r} is not a {number.__name__.lower()} number")
     try:
-        return arr.astype(float)
+        return arr.astype(dtype)
     except OverflowError:  # an int or Fraction beyond the double range
         raise DomainError(f"{what} is beyond the range of a double") from None
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, Record, integer, real, real_array
+from .errors import DomainError, KindMismatchError, Record, ShapeError, double, integer, quotients, real, real_array
 
 __all__ = [
     "CONDUCTIVITY",
@@ -80,11 +80,9 @@ class RadialProfile(Record):
         return out
 
     def _doubles(self) -> list:
-        """(power, value as a double) per term; a profile built by ``_from_integers`` reads n / D,
-        the double float(Fraction(n, D)) is, and builds no Fraction.  Writers read them once, uncached."""
-        if "terms" in vars(self):
-            return [(p, _double(v, "radial profile value")) for p, v in self.terms]
-        return [*zip(self._powers, _quotients(*self._scaled, "radial profile value"))]
+        """(power, value as a double) per term: n / D over ``_scaled``, the double float(value) is, so a profile
+        built by ``_from_integers`` builds no Fraction.  Writers read them once, uncached."""
+        return [*zip(self._powers, quotients(*self._scaled, "radial profile value"))]
 
     _floats = functools.cached_property(_doubles)  # evaluation reads them at every call
 
@@ -164,37 +162,9 @@ def _least_order(parity) -> int:
     return 0 if parity == "cos" else 1
 
 
-def eval_field(field: FourierRadialField, r: float, phi: float) -> float:
-    """Pointwise value at polar (r, phi), two real numbers; requires 0 <= r <= 1 and a finite phi."""
-    r, phi = _double(r, "radius"), _double(phi, "angle")
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"radius {r} outside [0, 1]")
-    if not math.isfinite(phi):
-        raise DomainError(f"angle {phi} is not finite")
-    total = 0.0
-    for trig, table in ((math.cos, field.cos), (math.sin, field.sin)):
-        for k, prof in table.items():
-            total += prof(r) * trig(k * phi)
-    return total
-
-
-def _double(value, what) -> float:
-    """A float as given; any other real number (``errors.real``) as the nearest double, beyond whose range
-    it is a DomainError."""
-    if isinstance(value, float):
-        return value
-    try:
-        return float(real(value, what))
-    except OverflowError:
-        raise DomainError(f"{what} is beyond the range of a double") from None
-
-
-def _quotients(nums, den, what) -> list:
-    """The doubles n / den, each float(Fraction(n, den)); one beyond the double range is a DomainError."""
-    try:
-        return [n / den for n in nums]
-    except OverflowError:
-        raise DomainError(f"{what} is beyond the range of a double") from None
+def eval_field(field, r: float, phi: float) -> float:
+    """Value at one polar point (r, phi), read by ``_polar_point``: ``eval_field_grid`` there, field or callable."""
+    return float(eval_field_grid(field, *_polar_point(r, phi))[0, 0])
 
 
 def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -205,9 +175,7 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     broadcast (a column of radii and a row of angles for a tensor grid).
     The points follow ``_polar_points``.
     """
-    r, phi = _polar_points(r, phi)
-    if r.ndim < 2 and phi.ndim < 2:
-        r, phi = r.reshape(-1, 1), phi.reshape(1, -1)
+    r, phi = _polar_points(r, phi, grid=True)
     shape = np.broadcast_shapes(r.shape, phi.shape)
     if not isinstance(field, FourierRadialField):
         if not callable(field):
@@ -220,11 +188,12 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polar_points(r, phi) -> tuple:
-    """r and phi as float arrays, each of its own shape (callers broadcast them).
+def _polar_points(r, phi, grid=False) -> tuple:
+    """r and phi as float arrays of shapes that broadcast (callers broadcast them), else a ShapeError.
 
-    An entry that is not a real number (``errors.real_array``), a radius
-    outside [0, 1] or a NaN or infinite angle is a DomainError.
+    With ``grid``, two of at most one axis are a column of radii and a row of
+    angles.  An entry that is not a real number (``errors.real_array``), a
+    radius outside [0, 1] or a NaN or infinite angle is a DomainError.
     """
     r, phi = real_array(r, "radius"), real_array(phi, "angle")
     inside = (r >= 0.0) & (r <= 1.0)
@@ -232,7 +201,21 @@ def _polar_points(r, phi) -> tuple:
         raise DomainError(f"radius {float(r[~inside].flat[0])} outside [0, 1]")
     if not np.isfinite(phi).all():
         raise DomainError(f"angle {float(phi[~np.isfinite(phi)].flat[0])} is not finite")
+    if grid and r.ndim < 2 and phi.ndim < 2:
+        r, phi = r.reshape(-1, 1), phi.reshape(1, -1)
+    try:
+        np.broadcast_shapes(r.shape, phi.shape)
+    except ValueError:
+        raise ShapeError(f"radius shape {r.shape} and angle shape {phi.shape} do not broadcast") from None
     return r, phi
+
+
+def _polar_point(r, phi) -> tuple:
+    """One point of ``_polar_points`` as two floats; arrays of any other shape than () are a DomainError."""
+    r, phi = _polar_points(r, phi)
+    if r.ndim or phi.ndim:
+        raise DomainError(f"a point is one radius and one angle, not arrays of shapes {r.shape}, {phi.shape}")
+    return float(r), float(phi)
 
 
 def moment(field: FourierRadialField, parity: str, k: int, m: int) -> float:
@@ -241,7 +224,7 @@ def moment(field: FourierRadialField, parity: str, k: int, m: int) -> float:
     Exact rational arithmetic internally; a single rounding on return.
     """
     prof = _parity_profile(field, parity, k)
-    return _double(prof.moment_exact(integer(m, 0, "moment powers m")), "the moment")
+    return double(prof.moment_exact(integer(m, 0, "moment powers m")), "the moment")
 
 
 def l2_norm_squared(field: FourierRadialField) -> float:
@@ -255,11 +238,8 @@ def l2_norm_squared(field: FourierRadialField) -> float:
         for k, prof in table.items():
             if k >= 1:
                 total += prof.pair_moment_exact(prof)
-    try:
-        norm = math.pi * float(total)
-    except OverflowError:
-        norm = math.inf
-    if norm == math.inf:  # the sum itself, or pi times it, beyond the range of a double
+    norm = math.pi * double(total, "the squared L^2 norm")
+    if norm == math.inf:  # a sum within the double range that pi carries beyond it
         raise DomainError("the squared L^2 norm is beyond the range of a double")
     return norm
 
@@ -276,7 +256,7 @@ def sample_grid(field, nr: int, nphi: int, span: float = 2.0 * math.pi) -> np.nd
     """
     nr, nphi = integer(nr, 1, "grid sizes"), integer(nphi, 1, "grid sizes")
     r = np.arange(1, nr + 1) / nr
-    phi = span * np.arange(nphi) / nphi
+    phi = double(span, "span") * np.arange(nphi) / nphi
     with np.errstate(over="ignore", invalid="ignore"):
         values = eval_field_grid(field, r, phi)
     if not np.all(np.isfinite(values)):

@@ -34,10 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DomainError, InconsistentDataError, KindMismatchError, RangeError, Record, integer, rational,
-                     real)
+from .errors import (DomainError, InconsistentDataError, KindMismatchError, RangeError, Record, double, integer,
+                     quotients, rational, real)
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
-                     _least_order, _polar_points, _quotients)
+                     _least_order, _polar_point, _polar_points)
 from .forward import SCHROEDINGER, DtnMatrixSet, _checked_kind
 from .muntz import (  # inverse_matrix: re-exported, the benchmark's tracer patches it here
     WeightedFamily,
@@ -184,7 +184,7 @@ def _blocks(mset, floats=False):
 
 
 def _check_tol(tol):
-    if not tol >= 0:
+    if not double(tol, "tolerance") >= 0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
 
 
@@ -301,7 +301,7 @@ def _exact_or_rounded(nums, den, exact) -> list:
     """Fractions n / den, or doubles each rounded once; a value beyond the double range is a DomainError."""
     if exact:
         return [Fraction(n, den) for n in nums]
-    return _quotients(nums, den, "a reconstructed coefficient")
+    return quotients(nums, den, "a reconstructed coefficient")
 
 
 def condition_sums(k: int, count: int) -> list:  # public; the benchmark's tracer spans it by name
@@ -389,7 +389,7 @@ class Reconstruction:
         return np.asarray((radial * (weight * trig)).sum(axis=-1))
 
     def evaluate(self, r: float, phi: float) -> float:
-        """Pointwise value at polar (r, phi), two real numbers.
+        """Pointwise value at one polar point (r, phi), read as ``fields._polar_point`` reads it.
 
         Points on the last radius reuse its radial rows, and points at an angle
         seen before reuse that angle's row of cosines, then sines; the first
@@ -398,15 +398,8 @@ class Reconstruction:
         copy of its angle's row by r**k, then by the radial sums, and adds it up
         by one ``np.add.reduce``; bit-identical to ``__call__``.
         """
-        if type(r) is not float or type(phi) is not float:  # plain floats skip the array checks
-            r, phi = _polar_points(r, phi)
-            if r.ndim or phi.ndim:
-                raise DomainError(f"a point is one radius and one angle, not arrays of shapes {r.shape}, {phi.shape}")
-            r, phi = float(r), float(phi)
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"radius {r} outside [0, 1]")
-        if not math.isfinite(phi):
-            raise DomainError(f"angle {phi} is not finite")
+        if not (type(r) is type(phi) is float and 0.0 <= r <= 1.0 and math.isfinite(phi)):
+            r, phi = _polar_point(r, phi)  # plain floats in range skip the array checks
         last = self._last_radius  # one tuple, so concurrent callers see a matching pair
         if last is None or last[0] != r or not r:  # 0.0 == -0.0, but odd powers differ in sign
             last = self._last_radius = (r, *self._radial(np.full(1, r, dtype=float)))
@@ -585,7 +578,7 @@ def extra_hankel_moments(mset: DtnMatrixSet) -> dict:
     def mean(values):  # exact: one rounding of the exact mean; floats: each over pi first
         if not exact:
             return sum(v / math.pi for v in values) / len(values)
-        return _quotients([sum(values)], den * len(values), "an extra moment")[0]
+        return quotients([sum(values)], den * len(values), "an extra moment")[0]
 
     groups = _hankel_groups(cc, ss, sc, cs, mset.N, first=mset.N + 1)
     return {parity: {l: mean(g[s]) for l, g in groups.items()} for s, parity in enumerate(("cos", "sin"))}

@@ -28,7 +28,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .errors import DegenerateSequenceError, DomainError, RangeError, Record, integer
+from .errors import DegenerateSequenceError, DomainError, RangeError, Record, double, integer
 
 __all__ = [
     "ExponentSequence",
@@ -86,7 +86,7 @@ class ExponentSequence(Record):
 
 
 class MuntzPolynomial(Record):
-    """A combination sum_k coefficients[k] * x**exponents[k] on [0, 1]."""
+    """A combination sum_k coefficients[k] * x**exponents[k], called at a real x in [0, 1] read as a double."""
 
     __slots__ = _fields = ("exponents", "coefficients")
 
@@ -94,6 +94,7 @@ class MuntzPolynomial(Record):
         self._store(exponents, coefficients)
 
     def __call__(self, x: float) -> float:
+        x = double(x, "argument")
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"argument {x} outside [0, 1]")
         if x == 0.0 and any(e < 0 for e, c in zip(self.exponents, self.coefficients) if c):
@@ -169,7 +170,8 @@ def build_weighted_family(k: int, nmax: int) -> WeightedFamily:
 
 
 def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
-    """Evaluate LM^k_n at x in [0, 1] as x^k P_n^{(0,k)}(2x^2 - 1) by the recurrence."""
+    """Evaluate LM^k_n at a real x in [0, 1], read as a double, as x^k P_n^{(0,k)}(2x^2 - 1) by the recurrence."""
+    x = double(x, "argument")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument {x} outside [0, 1]")
     if integer(n, 0, "index n") > family.nmax:
