@@ -71,7 +71,8 @@ class RadialProfile(Record):
         return tuple((p, Fraction(n, den)) for p, n in zip(self._powers, nums))
 
     def __call__(self, r: float) -> float:
-        return sum(v * r**_exponent(p) for p, v in self._floats)
+        """The value at one radius r, as ``values_at`` computes it."""
+        return float(self.values_at(np.array([r], dtype=float))[0])
 
     def values_at(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros_like(r, dtype=float)
@@ -120,10 +121,15 @@ def _exponent(p):
 
 
 def _common_denominator(values) -> tuple:
-    """Python ints n_i and the lcm D of the denominators, with values[i] == n_i / D exactly."""
-    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    den = math.lcm(*(q.denominator for q in fracs))
-    return [int(q.numerator) * (den // q.denominator) for q in fracs], den  # a numpy int would wrap
+    """Python ints n_i and the lcm D of the denominators, with values[i] == n_i / D exactly.
+
+    An int, float or Fraction gives its own ratio; another rational (a numpy integer has no
+    ``as_integer_ratio``) goes through Fraction, and its parts are made Python ints, which do not wrap.
+    """
+    ratios = [v.as_integer_ratio() if isinstance(v, (int, float, Fraction))
+              else tuple(map(int, Fraction(v).as_integer_ratio())) for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 class FourierRadialField(Record):
@@ -164,7 +170,8 @@ def _least_order(parity) -> int:
 
 def eval_field(field, r: float, phi: float) -> float:
     """Value at one polar point (r, phi), read by ``_polar_point``: ``eval_field_grid`` there, field or callable."""
-    return float(eval_field_grid(field, *_polar_point(r, phi))[0, 0])
+    r, phi = _polar_point(r, phi)
+    return float(_grid_values(field, np.full((1, 1), r), np.full((1, 1), phi))[0, 0])
 
 
 def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -175,7 +182,11 @@ def eval_field_grid(field, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     broadcast (a column of radii and a row of angles for a tensor grid).
     The points follow ``_polar_points``.
     """
-    r, phi = _polar_points(r, phi, grid=True)
+    return _grid_values(field, *_polar_points(r, phi, grid=True))
+
+
+def _grid_values(field, r, phi):
+    """``eval_field_grid`` on float arrays r and phi that are already checked and broadcastable."""
     shape = np.broadcast_shapes(r.shape, phi.shape)
     if not isinstance(field, FourierRadialField):
         if not callable(field):

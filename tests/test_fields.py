@@ -273,3 +273,57 @@ def test_grid_points_of_exact_reals_evaluate_as_their_nearest_doubles():
     field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 1.0]]}, {1: [[1, -0.25]]})
     want = eval_field_grid(field, np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
     assert eval_field_grid(field, [0, Fraction(1, 2), True], [False, 1]).tolist() == want.tolist()
+
+
+def test_common_denominator_equals_the_fraction_reference():
+    from eitdisk.fields import _common_denominator
+
+    def reference(values):
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(*(q.denominator for q in fracs))
+        return [int(q.numerator) * (den // q.denominator) for q in fracs], den
+
+    cases = [[], [0], [3, -7, 2**80], [Fraction(1, 3), Fraction(-5, 12), 2], [-0.0, 0.0, 1.5],
+             [5e-324, 2.0**1023, -0.1], [np.int64(-3), np.int64(2**62), Fraction(2, 7), 0.25],
+             [True, np.float64(0.375), -(2.0**-1074)]]
+    for values in cases:
+        nums, den = _common_denominator(values)
+        assert (nums, den) == reference(values)
+        assert type(den) is int and all(type(n) is int for n in nums)
+        assert all(Fraction(n, den) == Fraction(v) for n, v in zip(nums, values))
+
+
+def test_profile_call_is_values_at_at_seeded_radii():
+    rng = np.random.default_rng(67)
+    profiles = [RadialProfile(tuple((2 * j, float(rng.normal())) for j in range(6))),
+                RadialProfile(tuple((5 * j + 1, Fraction(int(rng.integers(-9, 10)), 7)) for j in range(5))),
+                RadialProfile(())]
+    r = rng.random(10000)
+    for prof in profiles:
+        values = [prof(x) for x in r]
+        assert all(type(v) is float for v in values)
+        assert np.array(values).tobytes() == prof.values_at(r).tobytes()
+        assert all(v.hex() == prof.values_at(np.array([x]))[0].hex() for v, x in zip(values, r))
+
+
+def test_eval_field_checks_its_point_once(monkeypatch):
+    import eitdisk.fields
+
+    calls = []
+    check = eitdisk.fields._polar_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(eitdisk.fields, "_polar_points", counted)
+    field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.0], [2, 1.0]]}, {1: [[1, -0.25]]})
+    for f in (field, lambda r, phi: r * np.cos(phi)):
+        calls.clear()
+        value = eval_field(f, 0.5, 1.0)
+        assert len(calls) == 1
+        assert value.hex() == float(eval_field_grid(f, [0.5], [1.0])[0, 0]).hex()
+    with pytest.raises(DomainError, match="cannot evaluate field of type"):
+        eval_field(3.0, 0.5, 1.0)
+    with pytest.raises(DomainError, match="radius 2.0 outside"):
+        eval_field(3.0, 2.0, 1.0)
