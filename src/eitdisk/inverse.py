@@ -316,7 +316,7 @@ def condition_sums(k: int, count: int) -> list:  # public; the benchmark's trace
 
 # Angles whose trigonometric rows one reconstruction keeps for ``evaluate``: the
 # most angles a command-line grid has (``cli.MAX_GRID``).  Rows are stored under
-# the lock, so threads sharing a reconstruction keep the cap.
+# the lock, so threads sharing a reconstruction keep the cap; readers take none.
 _ANGLE_ROWS = 1024
 _ANGLE_LOCK = threading.Lock()
 
@@ -340,8 +340,7 @@ class Reconstruction:
     the first call; the exact LM families are built only for ``family``.
     """
 
-    __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius", "_angles", "_angle_index",
-                 "_rows")
+    __slots__ = ("kind", "N", "_pq", "_ints", "condition", "_table", "_last_radius", "_angle_index", "_rows")
 
     def __init__(self, kind, N, p, q, condition):
         self.kind = _checked_kind(kind)
@@ -351,8 +350,7 @@ class Reconstruction:
         self._ints = [{integer(k, _least_order(parity), "angular order k"): _series(c) for k, c in t.items()}
                       for parity, t in zip(("cos", "sin"), self._pq)]
         self._table = self._last_radius = self._rows = None
-        self._angles = {}  # angle phi -> its row of cos(k phi), then sin(k phi): a row of _rows
-        self._angle_index = {}  # angle phi -> the index of its row in _rows
+        self._angle_index = {}  # angle phi -> the index of its row of cos(k phi), then sin(k phi), in _rows
 
     p = property(lambda self: self._coefficients(0), doc="Cosine coefficients per order.")
     q = property(lambda self: self._coefficients(1), doc="Sine coefficients per order.")
@@ -384,11 +382,7 @@ class Reconstruction:
     def _values(self, r, phi):
         """``__call__`` on float arrays r and phi that are already checked."""
         radial, weight = self._radial(r[..., None])
-        _, _, ks, ncos = self._table  # built by _radial
-        trig = phi[..., None] * ks  # cos(k phi), then sin(k phi), one per series
-        np.cos(trig[..., :ncos], out=trig[..., :ncos])
-        np.sin(trig[..., ncos:], out=trig[..., ncos:])
-        return np.asarray((radial * (weight * trig)).sum(axis=-1))
+        return np.asarray((radial * (weight * self._trig(phi[..., None]))).sum(axis=-1))
 
     def evaluate(self, r: float, phi: float) -> float:
         """Pointwise value at one polar point (r, phi), read as ``fields._polar_point`` reads it.
@@ -396,15 +390,17 @@ class Reconstruction:
         Points on the last radius reuse its radial rows, and points at an angle
         seen before reuse that angle's row of cosines, then sines; the first
         1024 distinct nonzero angles are kept (a polar grid has at most that
-        many), later ones are computed per point.  A point multiplies a fresh
-        copy of its angle's row by r**k, then by the radial sums, and adds it up
-        by one ``np.add.reduce``.  Once a radius has had points at stored
-        angles, two and one per four stored angles, one pass does this for every
-        stored row and one row reduce sums each row as the 1-D reduce does, so
-        values stay bit-identical to ``__call__``; later points there read it.
-        A pass costs 50-130 ns per angle at N = 8-24, a point 1.3 us (2-vCPU
-        VM): waiting for a quarter of the angles keeps a circle that ends at its
-        pass within about 1.3x, and a grid's later circles compute a quarter.
+        many) in one table read by index, later ones are computed per point.
+        A row is stored under a lock; readers and the pass take none.  A point
+        multiplies a fresh copy of its angle's row by r**k, then by the radial
+        sums, and adds it up by one ``np.add.reduce``.  Once a radius has had
+        points at stored angles, two and one per four stored angles, one pass
+        does this for every stored row and one row reduce sums each row as the
+        1-D reduce does, so values stay bit-identical to ``__call__``; later
+        points there read it.  A pass costs 50-130 ns per angle at N = 8-24, a
+        point 1.3 us (2-vCPU VM): waiting for a quarter of the angles keeps a
+        circle that ends at its pass within about 1.3x, and a grid's later
+        circles compute a quarter.
         """
         if not (type(r) is type(phi) is float and 0.0 <= r <= 1.0 and math.isfinite(phi)):
             r, phi = _polar_point(r, phi)  # plain floats in range skip the array checks
@@ -423,36 +419,38 @@ class Reconstruction:
             batch[0] += 1  # not under the lock: a count lost to another thread only delays the pass
             if batch[0] > 1 and batch[0] >= len(self._angle_index) >> 2:
                 return self._batch(last)[index]
-            row = self._angles[phi]
+            row = self._rows[index]  # every table published since the index holds its row there
         trig = row * last[2]  # fresh, so the stored rows are only read
         trig *= last[1]
         return float(np.add.reduce(trig))
 
-    def _angle_row(self, phi):
-        """The row of cos(k phi), then sin(k phi), of a new angle; kept while fewer than 1024 are."""
+    def _trig(self, phi):
+        """cos(k phi), then sin(k phi), one per series, along the last axis of phi * k."""
         _, _, ks, ncos = self._table  # built by the first _radial call
-        row = phi * ks
-        np.cos(row[:ncos], out=row[:ncos])
-        np.sin(row[ncos:], out=row[ncos:])
+        trig = phi * ks
+        np.cos(trig[..., :ncos], out=trig[..., :ncos])
+        np.sin(trig[..., ncos:], out=trig[..., ncos:])
+        return trig
+
+    def _angle_row(self, phi):
+        """The trigonometric row of a new angle; kept while fewer than 1024 are."""
+        row = self._trig(phi)
         if phi and len(self._angle_index) < _ANGLE_ROWS:
             with _ANGLE_LOCK:  # checked again: another thread may have stored a row since
                 n = len(self._angle_index)
                 if n < _ANGLE_ROWS and phi not in self._angle_index:
-                    if self._rows is None or n == len(self._rows):  # double, and point the kept rows at the copy
-                        rows = np.empty((min(max(2 * n, 64), _ANGLE_ROWS), ks.size))
+                    if self._rows is None or n == len(self._rows):  # double: rows [:n] are copied before publishing
+                        rows = np.empty((min(max(2 * n, 64), _ANGLE_ROWS), row.size))
                         if n:
                             rows[:n] = self._rows
                         self._rows = rows
-                        self._angles.update((angle, rows[i]) for angle, i in self._angle_index.items())
                     self._rows[n] = row
-                    self._angles[phi] = self._rows[n]
                     self._angle_index[phi] = n  # last: an index is read only once its row is stored
         return row
 
     def _batch(self, last):
         """The values at radius ``last[0]`` of every stored angle, in storage order, kept in ``last``."""
-        with _ANGLE_LOCK:
-            rows = self._rows[: len(self._angle_index)]
+        rows = self._rows[: len(self._angle_index)]  # table, then count: an older table is shorter, all written
         values = rows * last[2]
         values *= last[1]
         values = np.add.reduce(values, axis=1).tolist()

@@ -140,11 +140,9 @@ class TriangularMatrix(Record):
         n = self.size
         if other.size != n:
             raise DomainError("size mismatch in triangular product")
-        return [
-            [sum((self.entry(i, s) * other.entry(s, j) for s in range(n)), Fraction(0))
-             for j in range(n)]
-            for i in range(n)
-        ]
+        b = other.rows  # entries beyond either diagonal are zero, so s runs over j..i only
+        return [[sum((a[s] * b[s][j] for s in range(j, i + 1)), Fraction(0)) for j in range(n)]
+                for i, a in enumerate(self.rows)]
 
     def row_abs_sums(self) -> list:
         """sum_l |entry(n, l)| per row; growth measures inversion conditioning."""
@@ -228,19 +226,19 @@ def _jacobi_sum(coeffs, constants, t):
 def gram_matrix(seq: ExponentSequence, size: int) -> TriangularMatrix:
     """A[l][n] = <L_n, x^{lambda_l}> on L^2([0,1]); zero above the diagonal.
 
-    Closed form: prod_{j<n}(lambda_l - lambda_j) / prod_{j<=n}(1 + lambda_l + lambda_j).
+    Closed form: prod_{j<n}(lambda_l - lambda_j) / prod_{j<=n}(1 + lambda_l + lambda_j),
+    built along each row: A[l][0] = 1 / (1 + lambda_l + lambda_0) and
+    A[l][n] = A[l][n-1] (lambda_l - lambda_{n-1}) / (1 + lambda_l + lambda_n).
     """
     lam = _checked_prefix(seq, size)
     for l in lam:
         if 1 + 2 * l == 0:
             raise DomainError("exponent -1/2 makes x^lambda fall outside L^2([0,1])")
     rows = []
-    for l in range(size):
-        row = []
-        for n in range(l + 1):
-            num = prod((lam[l] - lam[j] for j in range(n)), start=Fraction(1))
-            den = prod((1 + lam[l] + lam[j] for j in range(n + 1)), start=Fraction(1))
-            row.append(num / den)
+    for l, x in enumerate(lam):
+        row = [1 / (1 + x + lam[0])]
+        for n in range(1, l + 1):
+            row.append(row[-1] * (x - lam[n - 1]) / (1 + x + lam[n]))
         rows.append(tuple(row))
     return TriangularMatrix(rows=tuple(rows))
 

@@ -239,6 +239,17 @@ def test_values_beyond_the_double_range_and_points_that_are_not_real_are_domain_
         call(field)
 
 
+@pytest.mark.parametrize("kind", [CONDUCTIVITY, POTENTIAL])
+@pytest.mark.parametrize("call, message", [
+    (lambda f: sample_grid(f, 2, 3), "field values beyond the range of a double on the grid"),
+    (lambda f: oracle_dtn(f, 2, _SMALL_QUAD), "quadrature oracle has an entry beyond the range of a double"),
+], ids=["sample_grid", "oracle_dtn"])
+def test_sums_beyond_the_double_range_of_terms_within_it_are_domain_errors(kind, call, message):
+    field = FourierRadialField(kind, {0: [[0, 1e308], [2, 1e308]]})  # each term a double, their sum at r = 1 not
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(field)
+
+
 def test_a_squared_norm_that_overflows_only_times_pi_is_a_domain_error():
     field = FourierRadialField(CONDUCTIVITY, {0: [[0, 1.2e154]]})  # the exact sum is 1.44e308, times pi inf
     with pytest.raises(DomainError, match="the squared L\\^2 norm is beyond the range of a double"):

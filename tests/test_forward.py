@@ -77,6 +77,17 @@ def test_matrix_set_shape_checked():
         DtnMatrixSet("other", 2, *(np.zeros((2, 2)) for _ in range(4)))
 
 
+@pytest.mark.parametrize("name, table", [("sc", lambda t: t[:1]), ("cs", lambda t: [row[:1] for row in t])],
+                         ids=["rows", "columns"])
+def test_an_exact_table_of_the_wrong_shape_is_a_shape_error(name, table):
+    mset = conductivity_dtn(CONST_COND, 2)
+    exact = {**mset.exact, name: table(mset.exact[name])}
+    with pytest.raises(ShapeError, match=f"^exact block {name} shape mismatch$"):
+        DtnMatrixSet(CONDUCTIVITY, 2, mset.cc, mset.ss, mset.sc, mset.cs, exact=exact)
+    with pytest.raises(ShapeError, match="^unknown block 'xx'$"):
+        mset.block("xx")
+
+
 @pytest.mark.parametrize("entry", [None, "x", 1j, 1 + 0j])
 def test_block_entry_that_is_not_a_real_number_is_a_domain_error(entry):
     blocks = [[[1.0, 0.0], [0.0, 1.0]] for _ in range(4)]

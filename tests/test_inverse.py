@@ -144,6 +144,13 @@ def test_extract_range_errors():
         extract_conductivity_moments(mset, 0, "sin")
 
 
+def test_extract_from_a_set_of_the_other_kind_is_a_kind_mismatch():
+    with pytest.raises(KindMismatchError, match="^expected a schroedinger set, got 'conductivity'$"):
+        extract_schroedinger_moments(conductivity_dtn(CONST_COND, 3), 0)
+    with pytest.raises(KindMismatchError, match="^expected a conductivity set, got 'schroedinger'$"):
+        extract_conductivity_moments(schroedinger_dtn(CONST_POT, 3), 0)
+
+
 def test_extract_constant_potential():
     mset = schroedinger_dtn(CONST_POT, 4)
     data = extract_schroedinger_moments(mset, 0)
@@ -601,9 +608,10 @@ def test_two_reconstructions_keep_their_own_rows():
     for rec, values in zip(recs, zip(*got)):
         assert np.array(values).tobytes() == _single_pass_values(rec, r, phi).tobytes()
         assert np.array(values).tobytes() == rec(r, phi).tobytes()
-        assert {len(row) for row in rec._angles.values()} == {len(rec._table[2])}
-    rows = [id(row) for rec in recs for row in rec._angles.values()]
-    assert len(set(rows)) == len(rows) == 3 * 7
+        assert rec._rows.shape[1] == len(rec._table[2])
+    assert [len(rec._angle_index) for rec in recs] == [7] * 3
+    tables = [rec._rows for rec in recs]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(tables) for b in tables[:i])
 
 
 def test_angle_rows_stop_at_the_cap():
@@ -616,7 +624,8 @@ def test_angle_rows_stop_at_the_cap():
     got = np.array([rec.evaluate(ri, pj) for ri, pj in points])
     assert got.tobytes() == rec(r, phi).tobytes()
     assert got.tobytes() == _single_pass_values(rec, r, phi).tobytes()
-    assert _ANGLE_ROWS == 1024 and list(rec._angles) == angles[:1024]
+    assert _ANGLE_ROWS == 1024 and list(rec._angle_index.items()) == list(zip(angles, range(1024)))
+    assert rec._rows.shape[0] == 1024
 
 
 def test_array_path_on_repeated_radii_is_bit_equal_to_points():

@@ -203,6 +203,16 @@ def test_grid_csv_layout():
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: eio.dtn_from_dict([]), "matrix document must be a JSON object"),
+    (lambda: eio.arc_data_from_dict([]), "data document must be a JSON object"),
+    (lambda: eio.grid_to_csv([[1.0, 2.0]]), "grid must be an array of \\(x, y, value\\) rows"),
+], ids=["dtn_from_dict", "arc_data_from_dict", "grid_to_csv"])
+def test_documents_and_grids_of_the_wrong_form_are_format_errors(call, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        call()
+
+
 def test_load_json_wraps_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{truncated", encoding="utf-8")

@@ -112,6 +112,41 @@ def test_inverse_pair_exact(k, size):
             assert product[i][j] == (1 if i == j else 0)
 
 
+_PAIR = ExponentSequence([HALF, FIVE_HALVES])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_muntz(ExponentSequence([Fraction(-1, 4), 1]), 1)(0.0), DomainError, "negative exponent at x = 0"),
+    (lambda: gram_matrix(_PAIR, 2).multiply(gram_matrix(_PAIR, 1)), DomainError, "size mismatch in triangular product"),
+    (lambda: build_muntz(_PAIR, 2), RangeError, "degree 2 outside sequence of length 2"),
+    (lambda: gram_matrix(_PAIR, 3), RangeError, "size 3 outside sequence of length 2"),
+], ids=["negative_exponent_at_0", "multiply_sizes", "build_muntz_degree", "gram_matrix_size"])
+def test_arguments_outside_a_sequence_or_matrix_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def _dense(m):
+    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+
+
+@pytest.mark.parametrize("lams", [
+    [Fraction(1, 3), Fraction(2), Fraction(9, 4), Fraction(5), Fraction(0)],
+    [Fraction(7, 2), Fraction(1, 5), Fraction(11, 3), Fraction(0), Fraction(3), Fraction(13, 2)],
+])
+def test_gram_matrix_and_products_match_their_defining_sums(lams):
+    seq, size = ExponentSequence(lams), len(lams)
+    gram, inverse = gram_matrix(seq, size), inverse_matrix(seq, size)
+    assert gram.rows == tuple(
+        tuple(prod((lam - lams[j] for j in range(n)), start=Fraction(1))
+              / prod((1 + lam + lams[j] for j in range(n + 1)), start=Fraction(1)) for n in range(l + 1))
+        for l, lam in enumerate(lams))
+    for a, b in ((inverse, gram), (gram, gram), (gram, inverse)):
+        expected = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*_dense(b))]
+                    for row in _dense(a)]
+        assert a.multiply(b) == expected
+
+
 def test_gram_rejects_borderline_exponent():
     # x^{-1/2} is not square integrable, the moment 1/(1+2*lambda) blows up
     seq = ExponentSequence([Fraction(-1, 2), HALF])
