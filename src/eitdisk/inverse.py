@@ -394,29 +394,31 @@ class Reconstruction:
         A row is stored under a lock; readers and the pass take none.  A point
         multiplies a fresh copy of its angle's row by r**k, then by the radial
         sums, and adds it up by one ``np.add.reduce``.  Once a radius has had
-        points at stored angles, two and one per four stored angles, one pass
-        does this for every stored row and one row reduce sums each row as the
-        1-D reduce does, so values stay bit-identical to ``__call__``; later
-        points there read it.  A pass costs 50-130 ns per angle at N = 8-24, a
-        point 1.3 us (2-vCPU VM): waiting for a quarter of the angles keeps a
-        circle that ends at its pass within about 1.3x, and a grid's later
-        circles compute a quarter.
+        two points and one per four stored angles, the next at a stored angle
+        makes one pass: every stored row at once, each summed as the 1-D reduce
+        sums it, so values stay bit-identical to ``__call__``; later points
+        there read it.  A new radius passes at its first stored angle if the
+        radius before had points at half the stored angles since its pass (or
+        in all), so a grid's later circles compute no point on their own and
+        only one point after a full circle wastes its pass.  A pass costs 50-130
+        ns per angle at N = 8-24, a point 1.3 us (2-vCPU VM).
         """
         if not (type(r) is type(phi) is float and 0.0 <= r <= 1.0 and math.isfinite(phi)):
             r, phi = _polar_point(r, phi)  # plain floats in range skip the array checks
         last = self._last_radius  # one tuple, so concurrent callers see a matching set
         if last is None or last[0] != r or not r:  # 0.0 == -0.0, but odd powers differ in sign
-            # the radius, its radial sums and powers, and [points at stored angles, values at them]
-            last = self._last_radius = (r, *self._radial(np.full(1, r, dtype=float)), [0, ()])
+            due = last is not None and 0 < len(self._angle_index) <= 2 * last[3][0]
+            # the radius, its radial sums and powers, and [points since its pass, values at stored angles]
+            last = self._last_radius = (r, *self._radial(r), [_ANGLE_ROWS if due else 0, ()])
+        batch = last[3]
+        batch[0] += 1  # not under the lock: a count lost to another thread only moves a pass
         index = self._angle_index.get(phi) if phi else None  # ±0.0 are not kept: equal, but their sines differ
         if index is None:
             row = self._angle_row(phi)
         else:
-            batch = last[3]
             values = batch[1]  # read once: a pass of another thread may replace it by a shorter one
             if index < len(values):
                 return values[index]
-            batch[0] += 1  # not under the lock: a count lost to another thread only delays the pass
             if batch[0] > 1 and batch[0] >= len(self._angle_index) >> 2:
                 return self._batch(last)[index]
             row = self._rows[index]  # every table published since the index holds its row there
@@ -458,7 +460,7 @@ class Reconstruction:
         return values
 
     def _radial(self, r):
-        """Radial sums and powers r**k, one per series, at radii r (with a trailing axis)."""
+        """Radial sums and powers r**k, one per series, at a float radius r or at radii r with a trailing axis."""
         coeffs, constants, ks, _ = self._series_table()
         return _jacobi_sum(coeffs, constants, 2.0 * r * r - 1.0), r**ks
 

@@ -176,8 +176,7 @@ def eval_weighted(family: WeightedFamily, n: int, x: float) -> float:
         raise RangeError(f"index {n} outside family range 0..{family.nmax}")
     coeffs = np.zeros((n + 1, 1))
     coeffs[n] = 1.0
-    t = np.array([[2.0 * x * x - 1.0]])
-    return float(_jacobi_sum(coeffs, _jacobi_constants([family.k], n + 1), t)[0, 0]) * x**family.k
+    return float(_jacobi_sum(coeffs, _jacobi_constants([family.k], n + 1), 2.0 * x * x - 1.0)[0]) * x**family.k
 
 
 def _jacobi_constants(ks, depth: int) -> tuple:
@@ -207,20 +206,37 @@ def _jacobi_constants(ks, depth: int) -> tuple:
     return a, b, c
 
 
-def _jacobi_sum(coeffs, constants, t):
+def _jacobi_sum(coeffs, constants, t, out=None):
     """sum_n coeffs[n] * P_n^{(0,k)}(t) by the three-term recurrence.
 
-    ``coeffs`` has shape (depth, orders) and ``constants`` comes from
-    ``_jacobi_constants`` for the same orders and depth; ``t`` has shape
-    (points, 1).  Returns shape (points, orders): one sum per point and order.
+    ``coeffs`` (depth, orders) and ``constants`` (from ``_jacobi_constants``) share orders and depth.
+    A float ``t`` gives shape (orders,), an array (..., 1) gives (..., orders), in equal blocks of at
+    most ``_TABLE_ENTRIES`` entries.  One table of every a_n t + b_n becomes P_n row by row in place,
+    then is scaled by coeffs and summed down the rows: the streaming recurrence's steps, in its order.
     """
     a, b, c = constants
-    total = coeffs[0] * np.ones_like(t)
-    prev, cur = 0.0, 1.0
-    for n in range(1, len(coeffs)):
-        prev, cur = cur, (a[n] * t + b[n]) * cur - c[n] * prev
-        total += coeffs[n] * cur
-    return total
+    if out is None and not isinstance(t, float):
+        flat = t.reshape(-1, 1)
+        out = np.empty((len(flat), coeffs.shape[1]))
+        blocks = max(1, -(-len(flat) * coeffs.size // _TABLE_ENTRIES))  # as few as fit, of equal size
+        step = max(1, -(-len(flat) // blocks))
+        for i in range(0, len(flat), step):
+            _jacobi_sum(coeffs[:, None], (a[:, None], b[:, None], c), flat[i : i + step], out[i : i + step])
+        return out.reshape(t.shape[:-1] + out.shape[1:])
+    table = a * t
+    table += b
+    rows = list(table)
+    rows[0][...] = 1.0
+    for n in range(2, len(rows)):
+        rows[n] *= rows[n - 1]
+        rows[n] -= c[n] * rows[n - 2]
+    table *= coeffs
+    if table[0].size == 1:  # a reduce down rows of one entry would sum pairwise
+        table = np.add.accumulate(table, axis=0)[-1:]
+    return np.add.reduce(table, axis=0, out=out)
+
+
+_TABLE_ENTRIES = 1 << 16  # 512 KB
 
 
 def gram_matrix(seq: ExponentSequence, size: int) -> TriangularMatrix:

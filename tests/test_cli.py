@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import copy
 import hashlib
 import json
 import math
@@ -620,7 +621,7 @@ def _mutate(doc, rng):
             table[str(rng.choice(_ODD_SIZES))] = table.pop(rng.choice(sorted(table)))
             return doc
     path, _ = rng.choice(nodes)
-    return _set(doc, path, rng.choice(_ODD_VALUES))
+    return _set(doc, path, copy.deepcopy(rng.choice(_ODD_VALUES)))  # a later damage may change it in place
 
 
 def test_fuzzed_documents_exit_with_a_documented_code(tmp_path, capsys):
@@ -628,6 +629,7 @@ def test_fuzzed_documents_exit_with_a_documented_code(tmp_path, capsys):
     bases = _fuzz_documents()
     src, out = tmp_path / "in.json", tmp_path / "out.dat"
     failures = []
+    odd_values = repr(_ODD_VALUES)
     for case in range(210):
         command, doc_type, extra = rng.choice(_FUZZ_COMMANDS)
         doc = json.loads(json.dumps(rng.choice(bases[doc_type])))
@@ -650,6 +652,7 @@ def test_fuzzed_documents_exit_with_a_documented_code(tmp_path, capsys):
             failures.append(f"case {case}: {command} {text[:160]} -> {code!r}, stderr {lines[:2]}, "
                             f"warnings {[str(w.message) for w in caught][:2]}")
     assert not failures, "\n".join(failures)
+    assert repr(_ODD_VALUES) == odd_values  # damaged documents hold copies of the atoms, never the atoms
 
 
 @pytest.mark.parametrize("flag", ["--nr", "--nphi"])

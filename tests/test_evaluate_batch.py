@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,8 +74,9 @@ def test_sparse_circles_after_a_dense_circle(monkeypatch):
     for count, r in ((3, 0.4), (16, 0.5), (300, 0.6), (255, 0.7), (1100, 0.8)):
         points += [(r, angles[(37 * j) % 1100]) for j in range(count)]
     _assert_bit_equal(rec, points, _walk(rec, points))
-    # circles of fewer points than a quarter of the stored angles make no pass
-    assert passes == [0.6, 0.8]
+    # the circle after the dense one passes at once, and only then; later circles of fewer
+    # points than a quarter of the stored angles make no pass
+    assert passes == [0.4, 0.6, 0.8]
 
 
 def test_signed_zero_radii_and_angles_in_the_middle_of_a_grid(monkeypatch):
@@ -126,3 +128,72 @@ def test_threads_walking_grids_out_of_step():
     for index, got in results.items():
         assert got == expected, index
     assert sorted(rec._angle_index.values()) == list(range(63))
+
+
+class _WatchedRows(np.ndarray):
+    """A table of stored rows that records every row read by index, as a point computed on its own reads it."""
+
+    reads = []
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.reads.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind,forward", FORWARDS)
+def test_later_circles_of_the_cli_grid_pass_at_their_first_stored_angle(monkeypatch, kind, forward):
+    rec = reconstruct(forward(_span_field(kind, 12, seed=21), 12))
+    passes = _passes(monkeypatch)
+    points = _grid(24, 64)
+    got, at = [], []
+    for n, (r, phi) in enumerate(points):
+        if n == 64:  # the first circle has stored its 63 nonzero angles
+            rec._rows = rec._rows.view(_WatchedRows)
+            monkeypatch.setattr(_WatchedRows, "reads", [])
+        before = len(passes)
+        got.append(rec.evaluate(r, phi))
+        at += [n] * (len(passes) - before)
+    _assert_bit_equal(rec, points, np.array(got))
+    # angle 0.0 is never stored, so each circle's first stored angle is its second point
+    assert passes == [i / 24 for i in range(2, 25)]
+    assert at == [64 * i + 1 for i in range(1, 24)]
+    assert _WatchedRows.reads == []
+
+
+def test_sparse_radius_rays_and_scattered_points_after_a_dense_circle(monkeypatch):
+    rec = reconstruct(schroedinger_dtn(_span_field(POTENTIAL, 12, seed=8), 12))
+    passes = _passes(monkeypatch)
+    angles = [2.0 * math.pi * j / 64 for j in range(1, 65)]
+    rng = np.random.default_rng(8)
+    dense = [(0.5, phi) for phi in angles]
+    sparse = [(0.25, angles[j]) for j in (5, 40, 17)]
+    rays = [(i / 40, angles[j]) for j in (3, 30) for i in range(1, 41)]
+    scattered = [(float(rng.random()), angles[int(rng.integers(64))]) for _ in range(200)]
+    walked = []
+    for points, most in ((dense, 0), (sparse, 1), (rays, 0), (scattered, 0)):
+        walked += points
+        got = _walk(rec, points)
+        _assert_bit_equal(rec, points, got)
+        assert len(passes) <= most, points[0]
+        del passes[:]
+    _assert_bit_equal(rec, walked, _walk(rec, walked))
+
+
+# tracemalloc peak of rec(r, phi) below, at 20 000 scattered points and N = 24, under the
+# streaming recurrence this stacked form replaced (numpy 2.4.6)
+_STREAMING_PEAK = 39_427_448
+
+
+def test_array_path_peak_memory_stays_within_the_streaming_figure():
+    rec = reconstruct(schroedinger_dtn(_span_field(POTENTIAL, 24, seed=3), 24))
+    rng = np.random.default_rng(0)
+    r, phi = rng.random(20_000), 2.0 * math.pi * rng.random(20_000)
+    rec(r[:10], phi[:10])  # builds the float table
+    tracemalloc.start()
+    try:
+        rec(r, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * _STREAMING_PEAK

@@ -40,7 +40,8 @@ from eitdisk import (
 from eitdisk import io as eio
 from eitdisk.forward import BLOCK_NAMES
 from eitdisk.inverse import _ANGLE_ROWS
-from eitdisk.muntz import ExponentSequence, _jacobi_constants, _jacobi_sum
+from eitdisk.muntz import ExponentSequence, _jacobi_constants
+from jacobi_reference import streaming_jacobi_sum
 
 CONST_COND = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
 CONST_POT = FourierRadialField(POTENTIAL, {0: RadialProfile(((0, 1.0),))}, {})
@@ -514,7 +515,7 @@ def _single_pass_values(rec, r, phi):
     weight = r**ks
     weight[:, :ncos] *= np.cos(angle[:, :ncos])
     weight[:, ncos:] *= np.sin(angle[:, ncos:])
-    radial = _jacobi_sum(coeffs, _jacobi_constants(ks, depth), 2.0 * r * r - 1.0)
+    radial = streaming_jacobi_sum(coeffs, _jacobi_constants(ks, depth), 2.0 * r * r - 1.0)
     return (radial * weight).sum(axis=1)
 
 

@@ -38,9 +38,10 @@ from eitdisk import (
     sample_grid,
 )
 from eitdisk.conformal import _psi_array
-from eitdisk.muntz import _jacobi_constants, _jacobi_sum
+from eitdisk.muntz import _jacobi_constants
 from eitdisk.partial import ARC_QUAD, HALF_DISK_QUAD, ArcReconstruction
 from eitdisk.quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_closed
+from jacobi_reference import streaming_jacobi_sum
 
 CONST = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.0),))}, {})
 COSINE_FIELD = FourierRadialField(
@@ -521,7 +522,7 @@ def _single_pass_base_values(base, rho, theta):
     rho, theta = rho.reshape(-1, 1), theta.reshape(-1, 1)
     weight = rho**ks
     weight *= np.cos(theta * ks)
-    radial = _jacobi_sum(table, _jacobi_constants(ks, depth), 2.0 * rho * rho - 1.0)
+    radial = streaming_jacobi_sum(table, _jacobi_constants(ks, depth), 2.0 * rho * rho - 1.0)
     return (radial * weight).sum(axis=1)
 
 
