@@ -89,14 +89,13 @@ class DtnMatrixSet:
 
     ``cc``, ``ss``, ``sc``, ``cs`` are float arrays indexed from the origins in
     ``index_origins(kind)``; an entry passed in that is not a real number is a
-    DomainError (``errors.real_array``).  When the set was assembled analytically,
-    ``exact`` holds the same blocks as lists of Fractions in units of pi
-    (entry = fraction * pi); sets loaded from serialized floats have
-    ``exact = None``.  Exact sets also carry one integer view, the four
-    blocks as integer numerators over one common denominator, which the
-    validation, projection and inversion read.  ``exact=`` tables, whose
-    entries must be rationals (not bools), become that view here; an
-    assembled set builds its ``exact`` Fractions from the view on first read.
+    DomainError (``errors.real_array``).  An exact set, assembled analytically
+    or given ``exact=`` tables of rationals (not bools) in units of pi
+    (entry = fraction * pi), keeps one integer view, the four blocks as
+    integer numerators over one common denominator, which the validation,
+    projection and inversion read; ``exact`` is built from it on first read,
+    as lists of Fractions.  Sets loaded from serialized floats have
+    ``exact = None``.
     """
 
     __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints", "_deviations")
@@ -114,7 +113,7 @@ class DtnMatrixSet:
                     f"block {name} has shape {arr.shape}, expected {shapes[name]}"
                 )
             setattr(self, name, arr)
-        self._exact, self._ints, self._deviations = exact, None, None  # _deviations: validate's, if exact
+        self._exact = self._ints = self._deviations = None  # _deviations: validate's, if exact
         if exact is not None:
             for name in BLOCK_NAMES:
                 rows, cols = shapes[name]

@@ -327,13 +327,13 @@ class Reconstruction:
     p[k][n] multiplies LM^k_n; the k = 0 series carries a conventional 1/2.
     ``condition[k]`` holds the solver row sums used for diagnostics.  Each
     parity's series are kept as one view {k: (numerators, D, exact)}, which
-    every reader but p and q reads.  ``kind`` is a matrix-set kind, ``N`` is
-    checked by ``errors.integer`` with the kind's least value (as in
-    ``DtnMatrixSet``) and each condition row by ``errors.real``; tables
-    passed in are checked (keys by ``errors.integer``, least 0 for p and 1 for
-    q, coefficients by ``errors.real``) and lifted into it;
-    p and q are those tables, or for a solve are built from the view on first
-    read (n / D is each double itself; -0.0 reads as 0.0).
+    every reader reads.  ``kind`` is a matrix-set kind, ``N`` is checked by
+    ``errors.integer`` with the kind's least value (as in ``DtnMatrixSet``)
+    and each condition row by ``errors.real``; tables passed in are checked
+    (keys by ``errors.integer``, least 0 for p and 1 for q, coefficients by
+    ``errors.real``) and lifted into it.  p and q are built from the view on
+    first read, with int keys: Fractions for a series whose entries are all
+    rational, else doubles (n / D is each double itself; -0.0 reads as 0.0).
 
     Calling the reconstruction on arrays r, phi evaluates it there through the
     Jacobi recurrence (see ``muntz._jacobi_sum``), from a float table built on
@@ -346,9 +346,9 @@ class Reconstruction:
         self.kind = _checked_kind(kind)
         self.N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
         self.condition = {k: [real(c, "condition sum") for c in row] for k, row in condition.items()}
-        self._pq = [p, q]  # the caller's tables, or None where a solve's p or q is not built yet
+        self._pq = [None, None]  # p and q, once read
         self._ints = [{integer(k, _least_order(parity), "angular order k"): _series(c) for k, c in t.items()}
-                      for parity, t in zip(("cos", "sin"), self._pq)]
+                      for parity, t in zip(("cos", "sin"), (p, q))]
         self._table = self._last_radius = self._rows = None
         self._angle_index = {}  # angle phi -> the index of its row of cos(k phi), then sin(k phi), in _rows
 
@@ -576,7 +576,7 @@ def _invert(kind, N, blocks, exact, rational, reg_cap, scale=1) -> Reconstructio
               {k: solve(k, "sin") for k in range(1, top if blocks[3] is not None else 1)}]
     condition = {k: condition_sums(k, len(nums)) for k, (nums, _, _) in series[0].items() if nums}
     rec = Reconstruction(kind, N, {}, {}, {})  # the solved view and rows are stored unchecked, as _trusted stores
-    rec._pq, rec._ints, rec.condition = [None, None], series, condition
+    rec._ints, rec.condition = series, condition
     return rec
 
 

@@ -118,12 +118,12 @@ def _sine_data(field, N, quad, cmap=None):
         phi, wphi = trapezoid_closed(size, 0.0, math.pi)
         if values is None:
             values = _samples(field, r, phi, cmap)
-        else:  # every step-th node is the coarser level's, bit for bit; masks fill in row-major order
-            new = np.ones((r.size, size + 1), dtype=bool)
-            new[:, ::size // (values.shape[1] - 1)] = False
-            coarse, values = values, np.empty(new.shape)
-            values[~new] = coarse.ravel()
-            values[new] = _samples(field, r, phi[new[0]], cmap).ravel()
+        else:  # every step-th node is the coarser level's, bit for bit
+            new = np.ones(size + 1, dtype=bool)
+            new[:: size // (values.shape[1] - 1)] = False
+            coarse, values = values, np.empty((r.size, size + 1))
+            values[:, ~new] = coarse
+            values[:, new] = _samples(field, r, phi[new], cmap)
         mc, _ = polar_moments(values, r, wr, phi, wphi, 2 * N - 1, N - 1)
         finer = _mode_product(CONDUCTIVITY, mc, None, "sin", n[:, None], "sin", n)
         if data is not None and np.max(np.abs(finer - data)) <= 1e-13 * np.max(np.abs(finer)):

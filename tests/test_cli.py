@@ -86,10 +86,9 @@ def test_forward_oracle_report(tmp_path, field_file, capsys):
 
 def test_roundtrip_exit_codes(tmp_path, field_file, capsys):
     assert main(["roundtrip", "--input", str(field_file), "--nmax", "4"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("max coefficient error:")
-    assert main(["roundtrip", "--input", str(field_file), "--nmax", "4", "--rational"]) == 0
-    assert capsys.readouterr().out == "max coefficient error: 0\n"
+    assert capsys.readouterr().out == "max coefficient error: 0\n"  # an assembled set solves exactly
+    assert main(["roundtrip", "--input", str(field_file), "--nmax", "4", "--rational"]) == 2
+    assert capsys.readouterr() == ("", "error: eitdisk: unrecognized arguments: --rational\n")
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -326,6 +325,47 @@ def test_muntz_seq_prints_every_row(capsys):
         "R[1]: -5 10\n"
         "R[2]: 220/23 -220 9933/46\n"
     )
+
+
+# printed when the Muntz rows were built apart from R, so the one row pass is checked against them
+@pytest.mark.parametrize("seq, want", [
+    ("-1/4,1,5/2,7",
+     "L_0: 1*x^-1/4\n"
+     "L_1: -2/5*x^-1/4 7/5*x^1\n"
+     "L_2: 14/55*x^-1/4 -14/5*x^1 39/11*x^5/2\n"
+     "L_3: -182/1595*x^-1/4 21/10*x^1 -52/11*x^5/2 217/58*x^7\n"
+     "A[0]: 2\n"
+     "A[1]: 4/7 5/21\n"
+     "A[2]: 4/13 22/117 11/234\n"
+     "A[3]: 4/31 29/279 116/1953 58/3255\n"
+     "R[0]: 1/2\n"
+     "R[1]: -6/5 21/5\n"
+     "R[2]: 84/55 -84/5 234/11\n"
+     "R[3]: -546/319 63/2 -780/11 3255/58\n"),
+    ("0,1,2,3,4,5",
+     "L_0: 1*x^0\n"
+     "L_1: -1*x^0 2*x^1\n"
+     "L_2: 1*x^0 -6*x^1 6*x^2\n"
+     "L_3: -1*x^0 12*x^1 -30*x^2 20*x^3\n"
+     "L_4: 1*x^0 -20*x^1 90*x^2 -140*x^3 70*x^4\n"
+     "L_5: -1*x^0 30*x^1 -210*x^2 560*x^3 -630*x^4 252*x^5\n"
+     "A[0]: 1\n"
+     "A[1]: 1/2 1/6\n"
+     "A[2]: 1/3 1/6 1/30\n"
+     "A[3]: 1/4 3/20 1/20 1/140\n"
+     "A[4]: 1/5 2/15 2/35 1/70 1/630\n"
+     "A[5]: 1/6 5/42 5/84 5/252 1/252 1/2772\n"
+     "R[0]: 1\n"
+     "R[1]: -3 6\n"
+     "R[2]: 5 -30 30\n"
+     "R[3]: -7 84 -210 140\n"
+     "R[4]: 9 -180 810 -1260 630\n"
+     "R[5]: -11 330 -2310 6160 -6930 2772\n"),
+    ("3/2", "L_0: 1*x^3/2\nA[0]: 1/4\nR[0]: 4\n"),
+])
+def test_muntz_seq_prints_the_pinned_tables(capsys, seq, want):
+    assert main(["muntz", "--seq", seq]) == 0
+    assert capsys.readouterr() == (want, "")
 
 
 def test_muntz_seq_rows_match_build_muntz(capsys):

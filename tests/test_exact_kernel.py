@@ -521,7 +521,27 @@ def test_exact_tables_of_numpy_integers_invert_as_plain_ints(kind, forward):
     numpy_ints = {n: [[np.int64(v) for v in row] for row in ints[n]] for n in BLOCK_NAMES}
     want, got = (reconstruct(_with_exact(mset, tables)) for tables in (ints, numpy_ints))
     assert (got.p, got.q) == (want.p, want.q)
-    assert _with_exact(mset, numpy_ints).exact is numpy_ints  # the caller's own tables
+    assert _with_exact(mset, numpy_ints).exact == {n: [[Fraction(v) for v in row] for row in ints[n]]
+                                                   for n in BLOCK_NAMES}
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+@pytest.mark.parametrize("integers", [False, True])
+def test_exact_tables_changed_after_construction_change_nothing(kind, forward, integers):
+    mset = forward(_random_field(kind, 4, seed=14), 4)
+    den = math.lcm(*(q.denominator for n in BLOCK_NAMES for row in mset.exact[n] for q in row)) if integers else 1
+    want = {n: [[q * den for q in row] for row in mset.exact[n]] for n in BLOCK_NAMES}
+    tables = {n: [[np.int64(q) if integers else q for q in row] for row in want[n]] for n in BLOCK_NAMES}
+    held = _with_exact(mset, tables)
+    tables["cc"][0][1] = Fraction(5)
+    tables["cs"].clear()
+    assert held.exact == want
+    assert all(type(q) is Fraction and type(q.numerator) is type(q.denominator) is int
+               for n in BLOCK_NAMES for row in held.exact[n] for q in row)
+    report = validate(held)  # read off the view, as exact is
+    assert report.passed and report.checks == validate(_with_exact(mset, held.exact)).checks
+    assert not validate(_with_exact(mset, {**want, "cc": tables["cc"]})).passed
 
 
 @pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),

@@ -791,7 +791,7 @@ def test_hand_built_reconstruction_reads_each_entry_as_its_float():
                0.1, -1.5e300, 5e-324, np.float64(2.0 / 3.0)]
     p, q = {0: entries, 2: entries[::-1]}, {1: entries[3:]}
     rec = Reconstruction(CONDUCTIVITY, 3, p, q, {})
-    assert rec.p is p and rec.q is q  # the caller's own tables
+    assert (rec.p, rec.q) == tuple(rec._floats())  # the view's values
     got_p, got_q = rec._floats()
     for table, got in ((p, got_p), (q, got_q)):
         for k, cs in table.items():
@@ -801,6 +801,24 @@ def test_hand_built_reconstruction_reads_each_entry_as_its_float():
     exact = Reconstruction(CONDUCTIVITY, 3, {0: entries[:5]}, {}, {})
     assert exact._ints[0][0][2] is True
     assert [v.hex() for v in exact._floats()[0][0]] == [float(c).hex() for c in entries[:5]]
+
+
+def test_hand_built_reconstruction_tables_changed_after_construction_change_nothing():
+    p, q = {np.int64(1): [0.5, 0.25]}, {2: [Fraction(1, 3), 2]}
+    rec = Reconstruction(CONDUCTIVITY, 3, p, q, {})
+    p[1][0] = 99.0
+    q[2].append(7)
+    assert rec.p == {1: [0.5, 0.25]} and rec.q == {2: [Fraction(1, 3), 2]}
+    assert [type(k) for k in (*rec.p, *rec.q)] == [int, int]
+    assert [type(c) for c in (*rec.p[1], *rec.q[2])] == [float, float, Fraction, Fraction]
+    fresh = Reconstruction(CONDUCTIVITY, 3, rec.p, rec.q, {})  # built from what p and q show
+    r, phi = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 2.0 * math.pi, 7)
+    np.testing.assert_array_equal(rec(r, phi), fresh(r, phi))
+    assert rec.evaluate(0.5, 1.0) == fresh.evaluate(0.5, 1.0)
+    assert rec.to_field() == fresh.to_field()
+    written = eio.reconstruction_to_dict(rec)
+    assert written == eio.reconstruction_to_dict(fresh)
+    assert (written["p"], written["q"]) == ({"1": [0.5, 0.25]}, {"2": [1.0 / 3.0, 2.0]})
 
 
 def test_family_of_an_exact_solve_builds_neither_p_nor_q():
