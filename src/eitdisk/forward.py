@@ -20,14 +20,15 @@ where M_a(k) = integral r^{i+j+1} a_k dr (same for b), eta = 3 at (0,0),
 
 Every entry is pi times a rational number in the profile coefficients, so the
 assembly keeps the exact entries, in units of pi, as integers over one common
-denominator alongside the float view; the validators and the rational
-inversion path rely on them.
+denominator: the set's one store, which the validators and the inversion read
+and from which its float blocks are rounded.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -91,56 +92,82 @@ class DtnMatrixSet:
     ``index_origins(kind)``; an entry passed in that is not a real number is a
     DomainError (``errors.real_array``).  An exact set, assembled analytically
     or given ``exact=`` tables of rationals (not bools) in units of pi
-    (entry = fraction * pi), keeps one integer view, the four blocks as
-    integer numerators over one common denominator, which the validation,
-    projection and inversion read; ``exact`` is built from it on first read,
-    as lists of Fractions.  Sets loaded from serialized floats have
-    ``exact = None``.
+    (entry = fraction * pi) and no float blocks, has one store, an integer
+    view: the four blocks as integer numerators over one common denominator,
+    which the validation, projection and inversion read.  Its read-only float
+    blocks and ``exact`` (new lists of Fractions at each read) are built from
+    it on first read.  Sets loaded from serialized floats have ``exact = None``.
     """
 
-    __slots__ = ("kind", "N", "cc", "ss", "sc", "cs", "_exact", "_ints", "_deviations")
+    __slots__ = ("kind", "N", "_floats", "_exact", "_ints", "_deviations")
 
-    def __init__(self, kind, N, cc, ss, sc, cs, exact=None):
+    def __init__(self, kind, N, cc=None, ss=None, sc=None, cs=None, exact=None):
         self.kind = _checked_kind(kind)
         self.N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
         shapes = block_shapes(kind, self.N)
-        for name, block in (("cc", cc), ("ss", ss), ("sc", sc), ("cs", cs)):
-            arr = real_array(block, f"block {name} entry")
-            if arr.size == 0 and 0 in shapes[name]:
-                arr = arr.reshape(shapes[name])
-            if arr.shape != shapes[name]:
-                raise ShapeError(
-                    f"block {name} has shape {arr.shape}, expected {shapes[name]}"
-                )
-            setattr(self, name, arr)
-        self._exact = self._ints = self._deviations = None  # _deviations: validate's, if exact
-        if exact is not None:
-            for name in BLOCK_NAMES:
-                rows, cols = shapes[name]
-                table = exact[name]
-                if len(table) != rows or any(len(row) != cols for row in table):
-                    raise ShapeError(f"exact block {name} shape mismatch")
-                bad = [q for row in table for q in row if not rational(q)]
-                if bad:
-                    raise DomainError(f"exact block {name} has an entry that is not rational: {bad[0]!r}")
-            nums, den = _common_denominator([q for name in BLOCK_NAMES for row in exact[name] for q in row])
-            nums = iter(nums)
-            self._ints = {name: [[next(nums) for _ in row] for row in exact[name]]
-                          for name in BLOCK_NAMES}, den
+        self._floats, self._exact, self._ints, self._deviations = {}, None, None, None  # _deviations: validate's
+        if exact is None:
+            for name, block in zip(BLOCK_NAMES, (cc, ss, sc, cs)):
+                arr = real_array(block, f"block {name} entry")
+                if arr.size == 0 and 0 in shapes[name]:
+                    arr = arr.reshape(shapes[name])
+                if arr.shape != shapes[name]:
+                    raise ShapeError(f"block {name} has shape {arr.shape}, expected {shapes[name]}")
+                self._floats[name] = arr
+            return
+        if any(block is not None for block in (cc, ss, sc, cs)):
+            raise DomainError("an exact set's float blocks are built from its exact= tables; pass exact= alone")
+        exact = exact if isinstance(exact, Mapping) else {}  # not a mapping: every block is missing
+        if extra := [name for name in exact if name not in BLOCK_NAMES]:
+            raise ShapeError(f"unknown exact block {extra[0]!r}")
+        for name in BLOCK_NAMES:
+            (rows, cols), table = shapes[name], exact.get(name)
+            if not isinstance(table, (Sequence, np.ndarray)) or len(table) != rows or any(
+                    not isinstance(row, (Sequence, np.ndarray)) or len(row) != cols for row in table):
+                raise ShapeError(f"exact block {name} is not a table of {rows} rows of {cols} entries")
+            if bad := [q for row in table for q in row if not rational(q)]:
+                raise DomainError(f"exact block {name} has an entry that is not rational: {bad[0]!r}")
+        nums, den = _common_denominator([q for name in BLOCK_NAMES for row in exact[name] for q in row])
+        nums = iter(nums)
+        self._ints = {name: [[next(nums) for _ in row] for row in exact[name]] for name in BLOCK_NAMES}, den
 
     @property
     def exact(self):
-        """The blocks as lists of Fractions in units of pi, or None for a float set."""
+        """The blocks as new lists of the cached Fractions in units of pi, or None for a float set."""
         if self._exact is None and self._ints is not None:
             blocks, den = self._ints
-            self._exact = {name: [[Fraction(n, den) for n in row] for row in blocks[name]]
-                           for name in BLOCK_NAMES}
-        return self._exact
+            self._exact = {name: [[Fraction(n, den) for n in row] for row in blocks[name]] for name in BLOCK_NAMES}
+        return None if self._exact is None else {name: [*map(list, table)] for name, table in self._exact.items()}
+
+    cc, ss, sc, cs = (property(lambda self, name=name: self.block(name)) for name in BLOCK_NAMES)
+
+    def __getstate__(self):  # a copy or pickle of an exact set rebuilds its read-only blocks from the view
+        return None, {name: {} if name == "_floats" and self._ints else getattr(self, name) for name in self.__slots__}
 
     def block(self, name: str) -> np.ndarray:
+        """One block.  An exact set's is n / D * pi from its view, int / int rounded once (as float(Fraction(n, D))
+        is), built read-only on first read, or cc's array or cs's transposed if its table is theirs (two threads
+        may both build it; they get equal read-only arrays)."""
+        if name in self._floats:
+            return self._floats[name]
         if name not in BLOCK_NAMES:
             raise ShapeError(f"unknown block {name!r}")
-        return getattr(self, name)
+        tables, den = self._ints
+        if name == "ss" and tables["ss"] == tables["cc"]:
+            arr = self.block("cc")
+        elif name == "sc" and [*map(tuple, tables["sc"])] == [*zip(*tables["cs"])]:
+            arr = self.block("cs").T
+        else:
+            try:
+                arr = np.array([[n / den * math.pi for n in row] for row in tables[name]])
+            except OverflowError:
+                arr = np.array([math.inf])
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"block {name} has an entry beyond the range of a double")
+            arr = arr.reshape(block_shapes(self.kind, self.N)[name])
+            arr.flags.writeable = False
+        self._floats[name] = arr
+        return arr
 
     def symmetrized(self) -> "DtnMatrixSet":
         """Project onto the exact structural constraints by averaging.
@@ -167,29 +194,17 @@ class DtnMatrixSet:
         cs = self.cs / 2.0 + self.sc.T / 2.0
         if self.kind == CONDUCTIVITY:
             cs = cs / 2.0 - cs.T / 2.0
-        sc = cs.T.copy()
-        return DtnMatrixSet(self.kind, self.N, cc, ss, sc, cs, exact=None)
+        return DtnMatrixSet(self.kind, self.N, cc, ss, cs.T.copy(), cs)
 
 
 def _set_from_integers(kind, N, cc, ss, cs, den):
-    """An exact set from integer numerators over ``den`` in units of pi, with sc = cs^T.
-
-    Each distinct table becomes doubles once: sc's are cs's transposed, an ss that is cc copies cc's.
-    """
-    def floats(name, rows):
-        try:
-            # int / int is the double nearest n / den, as float(Fraction(n, den)) is
-            arr = np.array([[n / den * math.pi for n in row] for row in rows])
-        except OverflowError:
-            arr = np.array([math.inf])
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"block {name} has an entry beyond the range of a double")
-        return arr.reshape(block_shapes(kind, N)[name])
-
-    fcc = floats("cc", cc)
-    fss, fcs = fcc.copy() if ss is cc else floats("ss", ss), floats("cs", cs)
-    mset = DtnMatrixSet(kind, N, fcc, fss, fcs.T.copy(), fcs)
+    """An exact set from integer numerators over ``den`` in units of pi, with sc = cs^T; reading its
+    float blocks here makes an entry beyond the double range a DomainError here."""
+    mset = object.__new__(DtnMatrixSet)
+    mset.kind, mset.N, mset._floats, mset._exact, mset._deviations = kind, N, {}, None, None
     mset._ints = {"cc": cc, "ss": ss, "sc": [list(col) for col in zip(*cs)], "cs": cs}, den
+    for name in BLOCK_NAMES:
+        mset.block(name)
     return mset
 
 

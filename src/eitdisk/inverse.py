@@ -38,7 +38,7 @@ from .errors import (DomainError, InconsistentDataError, KindMismatchError, Rang
                      quotients, rational, real)
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
                      _least_order, _polar_point, _polar_points)
-from .forward import SCHROEDINGER, DtnMatrixSet, _checked_kind
+from .forward import BLOCK_NAMES, SCHROEDINGER, DtnMatrixSet, _checked_kind
 from .muntz import (  # inverse_matrix: re-exported, the benchmark's tracer patches it here
     WeightedFamily,
     _integer_rows,
@@ -131,11 +131,11 @@ def validate(mset: DtnMatrixSet, tol: float = 1e-9) -> ValidationReport:
     Sets assembled analytically carry exact rational blocks and report
     deviation exactly 0; float-loaded data is checked in floating point.
     Exact blocks are checked on the set's integer numerators over one common
-    denominator, and each deviation is divided by it once (the double nearest
-    the exact value, in units of pi) and multiplied by pi, so an exact set and
-    its float document deviate alike.  A NaN or negative ``tol`` is a DomainError.
-    An exact set keeps its deviations, which depend on no tolerance, and is
-    scanned once; a float set, whose blocks are writable arrays, every time.
+    denominator, its one store, and each deviation is divided by it once (the
+    double nearest the exact value, in units of pi) and multiplied by pi, so an
+    exact set and its float document deviate alike.  A NaN or negative ``tol`` is
+    a DomainError.  An exact set, whose view nothing changes, keeps its deviations,
+    which depend on no tolerance; a float set, whose blocks are writable, is scanned every time.
     """
     _check_tol(tol)
     devs = mset._deviations or _deviations(mset)
@@ -176,11 +176,9 @@ def _deviations(mset) -> tuple:
 
 def _blocks(mset, floats=False):
     """cc, ss, sc, cs and D: integer numerators over D of an exact set, or lists of floats and 1."""
-    ints = None if floats else mset._ints
-    if ints is None:
-        return (*(b.tolist() for b in (mset.cc, mset.ss, mset.sc, mset.cs)), 1)
-    blocks, den = ints
-    return (*(blocks[n] for n in ("cc", "ss", "sc", "cs")), den)
+    if floats or mset._ints is None:
+        return (*(mset.block(name).tolist() for name in BLOCK_NAMES), 1)
+    return (*map(mset._ints[0].get, BLOCK_NAMES), mset._ints[1])
 
 
 def _check_tol(tol):
@@ -331,9 +329,9 @@ class Reconstruction:
     ``errors.integer`` with the kind's least value (as in ``DtnMatrixSet``)
     and each condition row by ``errors.real``; tables passed in are checked
     (keys by ``errors.integer``, least 0 for p and 1 for q, coefficients by
-    ``errors.real``) and lifted into it.  p and q are built from the view on
-    first read, with int keys: Fractions for a series whose entries are all
-    rational, else doubles (n / D is each double itself; -0.0 reads as 0.0).
+    ``errors.real``) and lifted into it.  p and q are built from the view once,
+    with int keys, and each read returns new lists of them: Fractions for a series
+    whose entries are all rational, else doubles (n / D is each double itself; -0.0 reads as 0.0).
 
     Calling the reconstruction on arrays r, phi evaluates it there through the
     Jacobi recurrence (see ``muntz._jacobi_sum``), from a float table built on
@@ -358,7 +356,7 @@ class Reconstruction:
     def _coefficients(self, parity):
         if self._pq[parity] is None:
             self._pq[parity] = {k: _exact_or_rounded(*v) for k, v in self._ints[parity].items()}
-        return self._pq[parity]
+        return {k: list(c) for k, c in self._pq[parity].items()}
 
     def _floats(self) -> list:
         """p and q as doubles: n / D from the view, float(c) with no Fraction built."""
@@ -544,10 +542,9 @@ def reconstruct(
     report = validate(mset, tol)
     if not report.passed:
         raise InconsistentDataError(report)
-    # exact data that deviates nowhere is its own projection; "float" reads
-    # the float blocks, which symmetrized rebuilds from the exact tables
+    # exact data that deviates nowhere is its own projection: its float blocks are the view's rounding
     exact = arithmetic != "float" and mset._ints is not None
-    sym = mset if exact and report.max_deviation == 0 else mset.symmetrized()
+    sym = mset if mset._ints is not None and report.max_deviation == 0 else mset.symmetrized()
     return _invert(mset.kind, N, _blocks(sym, floats=not exact), exact, exact or arithmetic == "rational", reg_cap)
 
 

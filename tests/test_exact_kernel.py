@@ -387,8 +387,7 @@ def test_an_exact_set_and_its_float_document_deviate_alike(kind, forward):
     mset = forward(_random_field(kind, 5, seed=3), 5)
     exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
     exact["cc"][0][1] += Fraction(1, 10**6)
-    floats = {n: [[float(q) * math.pi for q in row] for row in exact[n]] for n in BLOCK_NAMES}
-    bumped = DtnMatrixSet(mset.kind, mset.N, **floats, exact=exact)
+    bumped = DtnMatrixSet(mset.kind, mset.N, exact=exact)
     document = eio.dtn_from_dict(json.loads(eio.dumps(eio.dtn_to_dict(bumped))))
     assert document.exact is None
     want = {c.name: c.deviation for c in validate(bumped).checks}
@@ -414,7 +413,7 @@ def test_validate_and_symmetrized_on_exact_sets_with_a_bumped_entry(kind, forwar
     for name, i, j in _bumped_positions(mset):
         exact = {n: [list(row) for row in mset.exact[n]] for n in BLOCK_NAMES}
         exact[name][i][j] += Fraction(1, 7)
-        bumped = DtnMatrixSet(mset.kind, mset.N, mset.cc, mset.ss, mset.sc, mset.cs, exact=exact)
+        bumped = DtnMatrixSet(mset.kind, mset.N, exact=exact)
         _assert_matches_reference(bumped)
         sym = bumped.symmetrized()
         for block, table in _reference_symmetrized(bumped).items():
@@ -460,7 +459,7 @@ def test_equal_infinities_keep_a_nan_deviation():
 # potential-kind validate on integer numerators, and the skipped projection ----------
 
 def _with_exact(mset, exact):
-    return DtnMatrixSet(mset.kind, mset.N, mset.cc, mset.ss, mset.sc, mset.cs, exact=exact)
+    return DtnMatrixSet(mset.kind, mset.N, exact=exact)
 
 
 def _bumped(mset, name, i, j, by):
@@ -561,16 +560,19 @@ def test_reconstruct_equals_the_symmetrized_reconstruction(kind, forward):
 
 @pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
                                           (POTENTIAL, schroedinger_dtn)])
-def test_float_arithmetic_reads_the_exact_tables_not_the_float_blocks(kind, forward):
+def test_float_blocks_beside_exact_tables_are_a_domain_error(kind, forward):
+    # an exact set has one store: its float blocks are the view's rounding, so none are taken beside it
     mset = forward(_random_field(kind, 5, seed=33), 5)
+    for blocks in ({n: mset.block(n) for n in BLOCK_NAMES}, {"ss": mset.ss}, {"cs": np.zeros((1, 1))}):
+        with pytest.raises(DomainError, match="pass exact= alone"):
+            DtnMatrixSet(mset.kind, 5, **blocks, exact=mset.exact)
+    want = reconstruct(mset.symmetrized(), arithmetic="float")
+    got = reconstruct(mset, arithmetic="float")
+    assert repr((got.p, got.q)) == repr((want.p, want.q))  # double for double
+    assert all(type(c) is float for table in (got.p, got.q) for cs in table.values() for c in cs)
     noisy = DtnMatrixSet(mset.kind, 5, *(mset.block(n) + 1e-3 * (1 + np.arange(mset.block(n).size))
-                                    .reshape(mset.block(n).shape) for n in BLOCK_NAMES),
-                         exact=mset.exact)
-    want = reconstruct(mset, arithmetic="float")
-    got = reconstruct(noisy, arithmetic="float")
-    assert (got.p, got.q) == (want.p, want.q)
-    floats_only = DtnMatrixSet(mset.kind, 5, noisy.cc, noisy.ss, noisy.sc, noisy.cs)
-    assert reconstruct(floats_only, tol=1.0, arithmetic="float").p != want.p
+                                         .reshape(mset.block(n).shape) for n in BLOCK_NAMES))
+    assert reconstruct(noisy, tol=1.0, arithmetic="float").p != got.p  # a float set reads its blocks
 
 
 @pytest.mark.parametrize("huge", [Fraction(10**400, 3), 10**400, Fraction(-(10**309))])
@@ -621,9 +623,15 @@ def test_integer_view_equals_the_fraction_tables(N):
             assert [[Fraction(n, den) for n in row] for row in blocks[name]] == expected[name]
             want = np.array([[float(q) * math.pi for q in row] for row in expected[name]])
             np.testing.assert_array_equal(mset.block(name).reshape(want.shape), want)
-        exact = mset.exact
-        assert exact == expected and mset.exact is exact
+        exact, again = mset.exact, mset.exact
+        assert exact == again == expected
         assert all(type(q) is Fraction for name in BLOCK_NAMES for row in exact[name] for q in row)
+        # two reads share their Fractions, not their lists
+        assert exact["cc"][0][0] is again["cc"][0][0]
+        assert exact is not again and exact["cc"] is not again["cc"] and exact["cc"][0] is not again["cc"][0]
+        exact["cc"][0][0] += 1
+        exact["cs"].clear()
+        assert mset.exact == expected
 
 
 @pytest.mark.parametrize("kind,forward,reference", _KINDS)
@@ -703,9 +711,75 @@ def test_a_consistent_set_beyond_the_double_range_solves_exactly_but_has_no_floa
     rec, base = reconstruct(huge), reconstruct(mset)
     assert rec.p == {k: [c * 10**400 for c in cs] for k, cs in base.p.items()}
     assert rec.q == {k: [c * 10**400 for c in cs] for k, cs in base.q.items()}
-    for call in (huge.symmetrized, lambda: reconstruct(huge, arithmetic="float")):
+    for call in (huge.symmetrized, lambda: reconstruct(huge, arithmetic="float"), lambda: huge.cc,
+                 lambda: eio.dtn_to_dict(huge)):
         with pytest.raises(DomainError, match="block cc has an entry beyond the range of a double"):
             call()
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+def test_an_exact_set_has_read_only_blocks_and_writes_a_document_that_validates(kind, forward):
+    mset = forward(_random_field(kind, 4, seed=77), 4)
+    copies = copy.deepcopy(mset), pickle.loads(pickle.dumps(mset))  # they rebuild the blocks assembly built
+    for data in (mset, mset.symmetrized(), DtnMatrixSet(mset.kind, 4, exact=mset.exact), *copies):
+        for name in BLOCK_NAMES:
+            with pytest.raises(ValueError):
+                data.block(name)[0, 0] = 99.0
+            with pytest.raises(ValueError):
+                getattr(data, name)[-1] += 1.0
+        document = eio.dtn_from_dict(json.loads(eio.dumps(eio.dtn_to_dict(data))))
+        assert validate(document).passed and document.exact is None
+        assert all(np.array_equal(document.block(n), mset.block(n)) for n in BLOCK_NAMES)
+        if kind == CONDUCTIVITY:  # ss is cc's table, so it reads cc's array
+            assert data.ss is data.cc
+        assert np.shares_memory(data.sc, data.cs)  # sc is cs transposed: no table is divided twice
+
+
+@pytest.mark.parametrize("kind,forward", [(CONDUCTIVITY, conductivity_dtn),
+                                          (POTENTIAL, schroedinger_dtn)])
+@pytest.mark.parametrize("N", [1, 4, 8])
+def test_a_set_from_exact_tables_alone_is_the_assembled_set(kind, forward, N):
+    mset = forward(_random_field(kind, N, seed=90 + N), N)
+    alone = DtnMatrixSet(mset.kind, N, exact=mset.exact)
+    assert alone._floats == {}  # its blocks are built on first read
+    report = validate(alone, tol=0.0)
+    assert report.passed and report.max_deviation == 0
+    rec, want = reconstruct(alone), reconstruct(mset)
+    assert (rec.p, rec.q) == (want.p, want.q)
+    assert all(type(c) is Fraction for table in (rec.p, rec.q) for cs in table.values() for c in cs)
+    assert eio.dumps(eio.dtn_to_dict(alone)) == eio.dumps(eio.dtn_to_dict(mset))
+
+
+def test_threads_reading_the_blocks_of_a_new_exact_set_all_get_the_assembled_arrays():
+    # each block is built on first read without a lock: racing threads may build it twice, equal and read-only
+    mset = conductivity_dtn(_random_field(CONDUCTIVITY, 8, seed=31), 8)
+    want = {n: mset.block(n).copy() for n in BLOCK_NAMES}
+    results, errors = [], []
+
+    def work(data, order):
+        try:
+            results.append({n: data.block(n) for n in order})
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            data = DtnMatrixSet(CONDUCTIVITY, 8, exact=mset.exact)
+            threads = [threading.Thread(target=work, args=(data, BLOCK_NAMES[i % 4:] + BLOCK_NAMES[:i % 4]))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and len(results) == 120
+    for blocks in results:
+        assert all(np.array_equal(blocks[n], want[n]) and not blocks[n].flags.writeable for n in BLOCK_NAMES)
 
 
 def test_extra_hankel_moments_equal_the_fraction_means():

@@ -82,10 +82,26 @@ def test_matrix_set_shape_checked():
 def test_an_exact_table_of_the_wrong_shape_is_a_shape_error(name, table):
     mset = conductivity_dtn(CONST_COND, 2)
     exact = {**mset.exact, name: table(mset.exact[name])}
-    with pytest.raises(ShapeError, match=f"^exact block {name} shape mismatch$"):
-        DtnMatrixSet(CONDUCTIVITY, 2, mset.cc, mset.ss, mset.sc, mset.cs, exact=exact)
+    with pytest.raises(ShapeError, match=f"^exact block {name} is not a table of 2 rows of 2 entries$"):
+        DtnMatrixSet(CONDUCTIVITY, 2, exact=exact)
     with pytest.raises(ShapeError, match="^unknown block 'xx'$"):
         mset.block("xx")
+
+
+@pytest.mark.parametrize("tables, name", [
+    (lambda m: {n: t for n, t in m.exact.items() if n != "ss"}, "ss"),  # a block missing
+    (lambda m: list(m.exact.values()), "cc"),  # not a mapping
+    (lambda m: {**m.exact, "sc": [1, 2]}, "sc"),  # rows that are ints
+    (lambda m: {**m.exact, "cs": 5}, "cs"),
+    (lambda m: {**m.exact, "cc": {0: [1, 2], 1: [3, 4]}}, "cc"),  # a mapping is not a sequence
+    (lambda m: {**m.exact, "ss": None}, "ss"),
+], ids=["missing", "list", "int-rows", "int", "dict", "none"])
+def test_a_malformed_exact_mapping_is_a_shape_error_naming_the_block(tables, name):
+    mset = conductivity_dtn(CONST_COND, 2)
+    with pytest.raises(ShapeError, match=f"^exact block {name} is not a table of 2 rows of 2 entries$"):
+        DtnMatrixSet(CONDUCTIVITY, 2, exact=tables(mset))
+    with pytest.raises(ShapeError, match="^unknown exact block 'xx'$"):
+        DtnMatrixSet(CONDUCTIVITY, 2, exact={**mset.exact, "xx": mset.exact["cc"]})
 
 
 @pytest.mark.parametrize("entry", [None, "x", 1j, 1 + 0j])

@@ -700,7 +700,12 @@ def test_exact_reconstruction_reads_its_integer_view(kind, forward, N):
     assert rec._pq == [None, None]  # neither reader built p or q
     assert (field.cos, field.sin) == (source.cos, source.sin)
     want_p, want_q = _fraction_solve(mset, N)
-    assert (rec.p, rec.q) == (want_p, want_q) and rec.p is rec.p
+    assert (rec.p, rec.q) == (want_p, want_q)
+    p, again = rec.p, rec.p  # two reads share their coefficients, not their tables or lists
+    assert p == again and p[0][0] is again[0][0] and p is not again and p[0] is not again[0]
+    p[0][0] += 1
+    p[1].clear()
+    assert rec.p == want_p
     assert all(type(c) is Fraction for table in (rec.p, rec.q) for cs in table.values() for c in cs)
     assert doc["p"] == {str(k): [float(c) for c in cs] for k, cs in want_p.items()}
     assert doc["q"] == {str(k): [float(c) for c in cs] for k, cs in want_q.items()}
