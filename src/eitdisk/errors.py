@@ -80,6 +80,11 @@ def rational(value) -> bool:
     return isinstance(value, numbers.Rational) and not isinstance(value, bool)
 
 
+def one_of(value, names) -> bool:
+    """Whether ``value`` is one of the strings ``names``: its type is tested first, so an array is never compared."""
+    return type(value) is str and value in names
+
+
 def real(value, what):
     """``value`` as an exact rational or a finite float; a DomainError if it is neither.
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, Record, ShapeError, double, integer, quotients, real, real_array
+from .errors import (DomainError, KindMismatchError, Record, ShapeError, double, integer, one_of, quotients, real,
+                     real_array)
 
 __all__ = [
     "CONDUCTIVITY",
@@ -142,7 +143,7 @@ class FourierRadialField(Record):
     __slots__ = _fields = ("kind", "cos", "sin")
 
     def __init__(self, kind, cos={}, sin={}):  # the default tables are only read
-        if kind not in _KINDS:
+        if not one_of(kind, _KINDS):
             raise KindMismatchError(f"unknown field kind {kind!r}")
         self._store(kind, _checked_profiles(cos, "cos"), _checked_profiles(sin, "sin"))
 
@@ -163,7 +164,7 @@ def _checked_profiles(profiles, parity):
 
 def _least_order(parity) -> int:
     """The least angular order of a parity, 0 for 'cos' and 1 for 'sin'; any other parity is a DomainError."""
-    if parity not in ("cos", "sin"):
+    if not one_of(parity, ("cos", "sin")):
         raise DomainError(f"parity must be 'cos' or 'sin', got {parity!r}")
     return 0 if parity == "cos" else 1
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, KindMismatchError, Record, ShapeError, integer, rational, real_array
+from .errors import DomainError, KindMismatchError, Record, ShapeError, integer, one_of, rational, real_array
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order,
                      eval_field_grid)
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
@@ -80,7 +80,7 @@ def index_origins(kind: str) -> dict:
 
 def _checked_kind(kind) -> str:
     """``kind`` if it is a matrix-set kind (conductivity or schroedinger), else a KindMismatchError."""
-    if kind not in (CONDUCTIVITY, SCHROEDINGER):
+    if not one_of(kind, (CONDUCTIVITY, SCHROEDINGER)):
         raise KindMismatchError(f"unknown matrix kind {kind!r}")
     return kind
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (DomainError, InconsistentDataError, KindMismatchError, RangeError, Record, double, integer,
-                     quotients, rational, real)
+                     one_of, quotients, rational, real)
 from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, RadialProfile, _common_denominator,
                      _least_order, _polar_point, _polar_points)
 from .forward import BLOCK_NAMES, SCHROEDINGER, DtnMatrixSet, _checked_kind
@@ -536,7 +536,7 @@ def reconstruct(
     "rational" and differs from it only in returning floats.
     reg_cap drops coefficients p_n, q_n with n > reg_cap.
     """
-    if arithmetic not in ("auto", "rational", "float"):
+    if not one_of(arithmetic, ("auto", "rational", "float")):
         raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
     N, reg_cap = _truncation(mset.N, N, 1 if mset.kind == CONDUCTIVITY else 0, reg_cap)
     report = validate(mset, tol)

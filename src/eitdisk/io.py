@@ -228,14 +228,53 @@ def grid_to_csv(rows) -> str:
     return _csv("x,y,value", rows)
 
 
+# Tables of ``_csv``: _SHIFT[searchsorted(_DECADES, |x|)] is k = 16 - floor(log10|x|) exactly, as 1e-4 .. 1e-1
+# round up, or 0 outside [1e-4, 1e16); _FORM[k] is the template of |x| (+ 1 with a fraction) among 7 per sign and end.
+_DECADES = np.array([float(f"1e{n}") for n in range(-4, 17)])
+_SHIFT = np.array([0, *range(20, 0, -1), 0])
+_FORM = np.array([6, *[4] * 16, 0, 1, 2, 3])
+_TEMPLATES = np.array([(sign + form if form else "%s") + end for end in ",\n" for sign in ("", "-")
+                       for form in ("0.%d", "0.0%d", "0.00%d", "0.000%d", "%d", "%d.%0*d", "")], dtype="S9")
+_TEN = 10.0 ** np.arange(21)
+_TEN_HI = _TEN * 134217729.0 - (_TEN * 134217729.0 - _TEN)  # Dekker's split: the high 26 bits
+_TEN_LO = _TEN - _TEN_HI
+_POW = 10 ** np.arange(19)
+_TRAILING = sum(np.arange(10 ** 4) % 10 ** j == 0 for j in range(1, 5))  # zeros ending 0..9999, 4 for 0
+
+
 def _csv(header, rows) -> str:
-    """The header line, then one line per row of floats, each formatted as ``format_float`` does."""
+    """The header line, then one line per row of floats, each formatted as ``format_float`` does.
+
+    For 1e-4 <= |x| < 1e16 and k = 16 - floor(log10|x|), |x| * 10**k = p + e exactly by Dekker's product,
+    as 10**k <= 10**22 is a double; p >= 1e16 > 2**53 is even, so the 17 digits D = p + rint(e) round half
+    to even as "%.17g" does, and a carry of D to 10**17 moves the point.  Others go through ``format_float``.
+    """
     names = header.split(",")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(names):
         raise FormatError(f"grid must be an array of ({', '.join(names)}) rows")
-    bad = rows[~np.isfinite(rows)]
-    if bad.size:
-        format_float(bad[0])  # raises the FormatError for the first non-finite value
-    line = ",".join(["%.17g"] * len(names)) + "\n"
-    return header + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
+    x = rows.ravel()
+    with np.errstate(all="ignore"):
+        k = _SHIFT[_DECADES.searchsorted(a := np.abs(x), "right")]
+        a[k == 0] = 0.0
+        hi = (c := a * 134217729.0) - (c - a)
+        p, lo, b_hi, b_lo = a * _TEN[k], a - hi, _TEN_HI[k], _TEN_LO[k]
+        d = p.astype(np.int64) + np.rint(((hi * b_hi - p) + hi * b_lo + lo * b_hi) + lo * b_lo).astype(np.int64)
+    del a, c, hi, p, lo, b_hi, b_lo  # here and below, arrays are dropped early to lower a grid's peak memory
+    carry = d == 10 ** 17
+    d[carry], k = 10 ** 16, k - carry
+    z = _TRAILING[d % 10 ** 4]
+    for s in (4, 8, 12):  # D's trailing zeros, four digits at a time
+        j = np.flatnonzero(z == s)
+        z[j] += _TRAILING[d[j] // _POW[s] % 10 ** 4]
+    z = np.minimum(z, k)
+    q, r = np.divmod(d // _POW[z], _POW[(k - z) * (k < 17)])  # below 1, q is D without its zeros
+    code = (_FORM[k] + (frac := r != 0) + 7 * (x < 0)).reshape(rows.shape)
+    code[:, -1] += 14
+    args = np.stack([q, k - z, r], 1)[np.stack([np.ones_like(frac), frac, frac], 1)].tolist()
+    slow = np.flatnonzero(k == 0)
+    for at, v in zip((slow + 2 * np.cumsum(frac)[slow]).tolist(), x[slow].tolist()):
+        args[at] = format_float(v)  # raises the FormatError for the first non-finite value
+    fmt = _TEMPLATES[code].tobytes().translate(None, b"\0").decode()
+    del d, k, z, q, r, code
+    return header + "\n" + fmt % tuple(args)

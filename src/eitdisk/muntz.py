@@ -55,7 +55,7 @@ class ExponentSequence(Record):
         lambdas = tuple(lambdas)  # errors the caller's own iterator raises pass through unwrapped
         try:
             lams = tuple(Fraction(x) for x in lambdas)
-        except (ValueError, OverflowError) as exc:  # NaN, an infinity or a malformed string
+        except (TypeError, ValueError, OverflowError) as exc:  # None or another type, NaN, an infinity, a bad string
             raise DomainError(f"exponents must be finite rationals: {exc}") from None
         if not lams:
             raise DomainError("exponent sequence must be non-empty")

@@ -763,7 +763,7 @@ def test_hand_built_reconstruction_rejects_a_bad_order_key(key):
         Reconstruction(CONDUCTIVITY, 3, {}, {key: [1.0]}, {})
 
 
-@pytest.mark.parametrize("kind", ["nonsense", POTENTIAL, "half-disk", None])
+@pytest.mark.parametrize("kind", ["nonsense", POTENTIAL, "half-disk", None, np.array([CONDUCTIVITY, SCHROEDINGER])])
 def test_hand_built_reconstruction_takes_only_matrix_set_kinds(kind):
     with pytest.raises(KindMismatchError, match="unknown matrix kind"):
         Reconstruction(kind, 3, {0: [1.0]}, {}, {})

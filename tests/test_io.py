@@ -246,6 +246,57 @@ def test_grid_to_csv_matches_per_value_formatting():
     assert eio.grid_to_csv(np.zeros((0, 3))) == "x,y,value\n"
 
 
+def _reference_csv(header, rows):
+    """The CSV text formatted value by value with "%.17g", the bytes ``_csv``'s integer kernel must write."""
+    return header + "\n" + "".join(",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in rows.tolist())
+
+
+def _csv_vector(name):
+    """Seeded values on each edge of the kernel's range [1e-4, 1e16), its rounding and its layout, by name."""
+    rng = np.random.default_rng(32)
+    if name == "bit patterns":
+        values = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+        return values[np.isfinite(values)]
+    if name == "beside powers of ten":
+        powers = [float(f"1e{k}") for k in range(-6, 19)]
+        return np.array([math.nextafter(v, t) for v in powers for t in (0.0, math.inf)] + powers)
+    if name == "half-way":  # x * 10**(16 - X) = D + 1/2 for a 17-digit D: x = m / 2**(17 - X), m * 5**(16 - X) odd
+        values = []
+        for X in range(-5, 18):
+            five = Fraction(5) ** (16 - X)
+            low, high = math.ceil(2 * 10**16 / five), min(math.floor(2 * 10**17 / five), 2**53)
+            for m in (rng.integers(low, high, 40) | 1).tolist() if low < high else ():  # none from X = 16 on
+                x = math.ldexp(m, X - 17)
+                assert (Fraction(x) * 10 ** (16 - X)).denominator == 2
+                values.append(x)
+        return np.array(values)
+    if name == "extremes":
+        return np.array([0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 2.0**53, 1e-4, 1e-5])
+    if name == "integers":
+        return np.concatenate([rng.integers(0, 2**53, 3000), rng.integers(0, 10**17, 3000), 2 ** np.arange(54),
+                               10 ** np.arange(18)]).astype(float)
+    assert name == "short decimals"  # trailing zeros to strip, in the fraction or the integer part
+    return rng.integers(1, 10**6, 6000) * 10.0 ** rng.integers(-12, 14, 6000)
+
+
+@pytest.mark.parametrize("name", ["bit patterns", "beside powers of ten", "half-way", "extremes", "integers",
+                                  "short decimals"])
+def test_grid_to_csv_writes_the_bytes_of_per_value_formatting(name):
+    values = _csv_vector(name)
+    if name != "bit patterns":  # which hold both signs
+        values = np.concatenate([values, -values])
+    rows = np.resize(values, (len(values) + 2) // 3 * 3).reshape(-1, 3)
+    assert eio.grid_to_csv(rows) == _reference_csv("x,y,value", rows)
+
+
+@pytest.mark.parametrize("header, shape", [("x,y,value", (0, 3)), ("x,y,value", (1, 3)), ("x,y,value", (1536, 3)),
+                                           ("re_z,im_z,re_psi,im_psi", (64, 4))])  # the last: --map-debug
+def test_csv_of_each_shape_writes_the_bytes_of_per_value_formatting(header, shape):
+    rng = np.random.default_rng(shape[0])
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 18, shape)
+    assert eio._csv(header, rows) == _reference_csv(header, rows)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_grid_to_csv_rejects_non_finite_values(bad):
     rows = np.ones((5, 3))

@@ -37,7 +37,7 @@ def test_sequence_validation():
         ExponentSequence([HALF, HALF])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), None])
 def test_sequence_rejects_non_finite_exponents(bad):
     with pytest.raises(DomainError, match="finite"):
         ExponentSequence([HALF, bad])

@@ -9,14 +9,15 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import eitdisk
 from eitdisk.conformal import ArcSpec
 from eitdisk.errors import DomainError, KindMismatchError
 from eitdisk.fields import FourierRadialField, RadialProfile
-from eitdisk.forward import BoundaryMode
-from eitdisk.inverse import MomentData, ValidationCheck, ValidationReport
+from eitdisk.forward import BoundaryMode, conductivity_dtn
+from eitdisk.inverse import MomentData, ValidationCheck, ValidationReport, reconstruct
 from eitdisk.muntz import ExponentSequence, MuntzPolynomial, TriangularMatrix, WeightedFamily
 from eitdisk.quadrature import QuadratureSpec
 
@@ -152,6 +153,8 @@ def test_copies_of_a_profile_recompute_its_moments():
     (lambda: FourierRadialField(), TypeError,
      "FourierRadialField.__init__() missing 1 required positional argument: 'kind'"),
     (lambda: FourierRadialField("nonsense", {"x": 1}), KindMismatchError, "unknown field kind 'nonsense'"),
+    (lambda: FourierRadialField(np.array(["potential", "conductivity"])), KindMismatchError,
+     "unknown field kind array(['potential', 'conductivity'], dtype='<U12')"),
     (lambda: FourierRadialField("potential", sin={0: []}), DomainError,
      "sin orders must be positive (integers only), not 0"),
     (lambda: FourierRadialField("potential", {}, {}, {}), TypeError,
@@ -159,6 +162,8 @@ def test_copies_of_a_profile_recompute_its_moments():
     (lambda: BoundaryMode("cos"), TypeError,
      "BoundaryMode.__init__() missing 1 required positional argument: 'frequency'"),
     (lambda: BoundaryMode("tan", -1), DomainError, "parity must be 'cos' or 'sin', got 'tan'"),
+    (lambda: BoundaryMode(np.array(["cos", "sin"]), 1), DomainError,
+     "parity must be 'cos' or 'sin', got array(['cos', 'sin'], dtype='<U3')"),
     (lambda: BoundaryMode("sin", 0), DomainError, "sin frequencies must be positive (integers only), not 0"),
     (lambda: MomentData(1, "cos", ()), TypeError,
      "MomentData.__init__() missing 1 required positional argument: 'origin_shift'"),
@@ -185,6 +190,9 @@ def test_copies_of_a_profile_recompute_its_moments():
     (lambda: ArcSpec(), TypeError, "ArcSpec.__init__() missing 1 required positional argument: 'alpha'"),
     (lambda: ArcSpec(alpha=0.5, beta=1), TypeError, "ArcSpec.__init__() got an unexpected keyword argument 'beta'"),
     (lambda: ArcSpec(2.0), DomainError, "alpha must lie in (0, pi/2), got 2.0"),
+    (lambda: reconstruct(conductivity_dtn(FourierRadialField("conductivity", {0: [(0, 1)]}), 1),
+                         arithmetic=np.array(["auto", "float"])), DomainError,
+     "unknown arithmetic mode array(['auto', 'float'], dtype='<U5')"),
 ])
 def test_bad_arguments_raise_the_same_errors(build, error, message):
     with pytest.raises(error) as info:
