@@ -34,8 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, KindMismatchError, Record, ShapeError, integer, one_of, rational, real_array
-from .fields import (CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order,
-                     eval_field_grid)
+from .fields import CONDUCTIVITY, POTENTIAL, FourierRadialField, _common_denominator, _least_order
 from .quadrature import QuadratureSpec, gauss_legendre_01, polar_moments, trapezoid_periodic
 
 __all__ = [
@@ -311,7 +310,7 @@ def energy_oracle(  # public; the tests and the benchmark's tracer call it by na
     potential kind: integral of field * u_f * u_g.  Here u is the harmonic
     extension r^n cos(n phi) or r^n sin(n phi) of the boundary mode.  Uses
     tensor Gauss-Legendre x periodic-trapezoid quadrature in polar coordinates,
-    through the same kernel as ``oracle_dtn``.
+    through the same kernel as ``oracle_dtn``, with no polar grid.
     """
     mc, ms = _disk_moments(field, f.frequency + g.frequency, quad)
     return float(_mode_product(field.kind, mc, ms, f.parity, f.frequency, g.parity, g.frequency))
@@ -320,8 +319,9 @@ def energy_oracle(  # public; the tests and the benchmark's tracer call it by na
 def oracle_dtn(field: FourierRadialField, N: int, quad: QuadratureSpec = QuadratureSpec()) -> DtnMatrixSet:
     """All four blocks by the quadrature of ``energy_oracle``, as a float set.
 
-    The field is evaluated once on the polar grid and every block is read off
-    one table of weighted polar moments, at O(R Phi N) + O(R N^2) cost.
+    Every block is read off one table of weighted polar moments, formed from
+    the P profiles' values at the R radii and their cos(k phi) or sin(k phi)
+    at the Phi angles with no polar grid, at O(P Phi N) + O(R P N) + O(R N^2).
     """
     kind = CONDUCTIVITY if field.kind == CONDUCTIVITY else SCHROEDINGER
     N = integer(N, 1 if kind == CONDUCTIVITY else 0, "max frequency N")
@@ -339,10 +339,15 @@ def oracle_dtn(field: FourierRadialField, N: int, quad: QuadratureSpec = Quadrat
 
 
 def _disk_moments(field, top, quad):
-    """``polar_moments`` of the field on the full-disk grid, angular orders up to ``top``."""
+    """``polar_moments`` of the field on the full-disk rule, angular orders up to ``top``, from the factors
+    of its series: each profile's values at the Gauss radii and its cos(k phi) or sin(k phi) at the nodes."""
     r, wr = gauss_legendre_01(quad.n_r)
     phi, wphi = trapezoid_periodic(quad.n_phi)
-    return polar_moments(eval_field_grid(field, r, phi), r, wr, phi, wphi, top + 1, top)
+    terms = [(trig, k, prof) for trig, table in ((np.cos, field.cos), (np.sin, field.sin)) for k, prof in table.items()]
+    radial, angular = np.empty((r.size, len(terms))), np.empty((len(terms), phi.size))
+    for j, (trig, k, prof) in enumerate(terms):
+        radial[:, j], angular[j] = prof.values_at(r), trig(k * phi)
+    return polar_moments((radial, angular), r, wr, phi, wphi, top + 1, top)
 
 
 def _mode_product(kind, mc, ms, fp, n, gp, k):

@@ -85,11 +85,14 @@ def trapezoid_closed(n: int, a: float = 0.0, b: float = math.pi):
 def polar_moments(values, r, wr, phi, wphi, pmax: int, dmax: int):
     """(cos, sin) moments sum_ij wr_i wphi_j r_i^p values_ij cos|sin(d phi_j), p <= pmax, d <= dmax.
 
-    One (R x Phi) @ (Phi x 2D) product forms every angular transform; the
-    radial sums are a second, small product.
+    ``values`` is the R x Phi grid, whose angular transforms are one
+    (R x Phi) @ (Phi x 2D) product, or its factors (R x P, P x Phi), whose
+    are (R x P) @ ((P x Phi) @ (Phi x 2D)): the same sums, each of the P
+    rows transformed once.  The radial sums are a second, small product.
     """
     angle = np.outer(phi, np.arange(dmax + 1))
     trig = np.hstack([np.cos(angle), np.sin(angle)]) * wphi[:, None]
     radial = wr[:, None] * r[:, None] ** np.arange(pmax + 1)
-    moments = radial.T @ (values @ trig)
+    transforms = values[0] @ (values[1] @ trig) if isinstance(values, tuple) else values @ trig
+    moments = radial.T @ transforms
     return moments[:, : dmax + 1], moments[:, dmax + 1 :]

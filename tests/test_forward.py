@@ -24,8 +24,10 @@ from eitdisk import (
     oracle_dtn,
     schroedinger_dtn,
 )
+from eitdisk.cli import _oracle_report
 from eitdisk.forward import BLOCK_NAMES
 from eitdisk.quadrature import QuadratureSpec
+from test_acceptance import _random_polynomial_field
 
 QUAD = QuadratureSpec(64, 512)
 
@@ -297,11 +299,27 @@ def _random_field(kind, seed):
     return FourierRadialField(kind, cos, sin)
 
 
-@pytest.mark.parametrize("kind", [CONDUCTIVITY, "schroedinger"])
-def test_oracle_dtn_matches_per_entry_reference(kind):
+def _no_profiles(kind, seed):
+    return FourierRadialField(kind)
+
+
+def _orders_above_2n(kind, seed):
+    """A random field with profiles at orders above 2N = 16, which no entry reads but the rule still sums."""
+    field = _random_field(kind, seed)
+    return FourierRadialField(kind, {**field.cos, 17: [[0, 0.75], [3, -0.5]], 40: [[2, 1.25]]},
+                              {**field.sin, 23: [[1, -1.5]]})
+
+
+@pytest.mark.parametrize("kind, make", [
+    (CONDUCTIVITY, _random_field), ("schroedinger", _random_field),
+    (CONDUCTIVITY, _no_profiles), ("schroedinger", _no_profiles),  # every block is zero
+    (CONDUCTIVITY, _orders_above_2n), ("schroedinger", _orders_above_2n),
+], ids=["conductivity", "schroedinger", "conductivity-no-profiles", "schroedinger-no-profiles",
+        "conductivity-orders-above-2N", "schroedinger-orders-above-2N"])
+def test_oracle_dtn_matches_per_entry_reference(kind, make):
     # N = 8; the potential blocks sc (8 x 9) and cs (9 x 8) are not square,
     # and its cc and cs blocks start with the mode-0 row cos(0 phi)
-    field = _random_field(CONDUCTIVITY if kind == CONDUCTIVITY else POTENTIAL, 5)
+    field = make(CONDUCTIVITY if kind == CONDUCTIVITY else POTENTIAL, 5)
     mset = oracle_dtn(field, 8, QUAD)
     assert mset.kind == kind and mset.exact is None
     for name in BLOCK_NAMES:
@@ -316,6 +334,17 @@ def test_oracle_dtn_agrees_with_assembly():
         numeric, analytic = oracle_dtn(field, 6, QUAD), forward(field, 6)
         for name in BLOCK_NAMES:
             np.testing.assert_allclose(numeric.block(name), analytic.block(name), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, forward", [(CONDUCTIVITY, conductivity_dtn), (POTENTIAL, schroedinger_dtn)],
+                         ids=[CONDUCTIVITY, POTENTIAL])
+def test_oracle_dtn_stays_within_1e_10_of_the_exact_assembly(kind, forward):
+    # criterion 3's fields, N = 8 on the default 64 x 512 rule: a margin of 100x
+    # below criterion 3's 1e-8 over a largest reading of about 5e-11
+    for seed in range(1, 61):
+        field = _random_polynomial_field(kind, np.random.default_rng(seed))
+        deviation = _oracle_report(field, forward(field, 8), QUAD)["max_scaled_deviation"]
+        assert deviation <= 1e-10, (seed, deviation)
 
 
 def test_energy_oracle_is_one_entry_of_the_block():
