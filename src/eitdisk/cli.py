@@ -49,7 +49,7 @@ MAX_GRID = 1024
 def main(argv=None) -> int:
     try:
         argv = _attach_seq_value(sys.argv[1:] if argv is None else argv)
-        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _build_parser().parse_args(argv)
         for flag in ("quad_r", "quad_phi", "nr", "nphi"):  # before any input is read
             if hasattr(args, flag):
                 _check_cap(getattr(args, flag), "--" + flag.replace("_", "-"), MAX_GRID)
@@ -85,22 +85,16 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(f"{self.prog}: {message}")
 
 
-@functools.cache  # once per process and command: parse_args leaves the parser unchanged
-def _build_parser(command):
-    """The parser with ``command``'s subparser only, or with all of ``_COMMANDS`` for None.
-
-    A process that runs one command builds one subparser; its help and error
-    texts are those of the full parser, which serves everything else (no
-    arguments, an unknown command, an option first).
-    """
+@functools.cache  # once per process: parse_args leaves the parser unchanged
+def _build_parser():
+    """The parser with one subparser per entry of ``_COMMANDS``."""
     parser = _Parser(prog="eitdisk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, options) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

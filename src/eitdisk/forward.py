@@ -197,13 +197,10 @@ class DtnMatrixSet:
 
 
 def _set_from_integers(kind, N, cc, ss, cs, den):
-    """An exact set from integer numerators over ``den`` in units of pi, with sc = cs^T; reading its
-    float blocks here makes an entry beyond the double range a DomainError here."""
+    """An exact set from integer numerators over ``den`` in units of pi, with sc = cs^T."""
     mset = object.__new__(DtnMatrixSet)
     mset.kind, mset.N, mset._floats, mset._exact, mset._deviations = kind, N, {}, None, None
     mset._ints = {"cc": cc, "ss": ss, "sc": [list(col) for col in zip(*cs)], "cs": cs}, den
-    for name in BLOCK_NAMES:
-        mset.block(name)
     return mset
 
 

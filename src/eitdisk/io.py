@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, double, real_array
 from .fields import FourierRadialField, RadialProfile
 from .forward import BLOCK_NAMES, DtnMatrixSet, index_origins
 from .inverse import Reconstruction
@@ -206,7 +206,7 @@ def reconstruction_to_dict(rec: Reconstruction) -> dict:
 def arc_data_to_dict(data: HalfDiskData, alpha: float | None = None) -> dict:
     doc = {}
     if alpha is not None:
-        doc["alpha"] = float(alpha)
+        doc["alpha"] = double(alpha, "alpha")
     doc["N"] = data.N
     doc["data"] = data.values.tolist()
     return doc
@@ -250,7 +250,7 @@ def _csv(header, rows) -> str:
     to even as "%.17g" does, and a carry of D to 10**17 moves the point.  Others go through ``format_float``.
     """
     names = header.split(",")
-    rows = np.asarray(rows, dtype=float)
+    rows = real_array(rows, "grid entry")
     if rows.ndim != 2 or rows.shape[1] != len(names):
         raise FormatError(f"grid must be an array of ({', '.join(names)}) rows")
     x = rows.ravel()

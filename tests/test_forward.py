@@ -1,6 +1,7 @@
 """Analytic assembly of the boundary-data blocks against the energy-form oracle."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -225,6 +226,60 @@ def test_assembly_linear_in_field():
         )
 
 
+def _quarter_turned_fields(kind, seed):
+    """A random rational field F with orders 0-4 and G(r, phi) = F(r, phi - pi/2).
+
+    cos(k (phi - pi/2)) = c cos(k phi) + s sin(k phi) and sin(k (phi - pi/2)) =
+    c sin(k phi) - s cos(k phi), with (c, s) = (cos(k pi/2), sin(k pi/2)), one
+    of them 0: so each profile of G is one profile of F, times +-1.
+    """
+    rng = random.Random(seed)
+
+    def terms(k):
+        return [(k + 2 * j, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for j in range(2)]
+
+    cos, sin = {k: terms(k) for k in range(5)}, {k: terms(k) for k in range(1, 5)}
+    def times(sign, profile):
+        return [(p, sign * v) for p, v in profile]
+
+    gcos, gsin = {}, {}
+    for k, a in cos.items():
+        b = sin.get(k, [])
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+        gcos[k], gsin[k] = (times(c, a), times(c, b)) if s == 0 else (times(-s, b), times(s, a))
+    del gsin[0]
+    return FourierRadialField(kind, cos, sin), FourierRadialField(kind, gcos, gsin)
+
+
+def _full_matrix(mset):
+    """[[cc, cs], [sc, ss]] in Fractions, rows and columns the cosine modes, then the sine modes."""
+    e = mset.exact
+    return [cc + cs for cc, cs in zip(e["cc"], e["cs"])] + [sc + ss for sc, ss in zip(e["sc"], e["ss"])]
+
+
+@pytest.mark.parametrize("N", [4, 8, 12])
+@pytest.mark.parametrize("kind, forward", [(CONDUCTIVITY, conductivity_dtn), (POTENTIAL, schroedinger_dtn)],
+                         ids=["conductivity", "schroedinger"])
+def test_a_quarter_turn_of_the_field_turns_the_data_matrix_exactly(kind, forward, N):
+    # u_f(R x) has boundary values f(phi + pi/2) = T f, so M_G = T M_F T^T;
+    # T's entries are cos(n pi/2) and sin(n pi/2), 0 or +-1
+    F, G = _quarter_turned_fields(kind, seed=N)
+    mset = forward(F, N)
+    first = index_origins(mset.kind)["cc"][0]
+    modes = [("cos", n) for n in range(first, N + 1)] + [("sin", n) for n in range(1, N + 1)]
+    where = {mode: i for i, mode in enumerate(modes)}
+    T = [[0] * len(modes) for _ in modes]
+    for i, (parity, n) in enumerate(modes):
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]
+        T[i][where[parity, n]] = c
+        if s:  # cos(n (phi + pi/2)) = c cos - s sin, sin(n (phi + pi/2)) = s cos + c sin
+            T[i][where["sin" if parity == "cos" else "cos", n]] = -s if parity == "cos" else s
+    M = _full_matrix(mset)
+    TM = [[sum(t * m for t, m in zip(row, col) if t) for col in zip(*M)] for row in T]
+    want = [[sum(a * t for a, t in zip(row, trow) if t) for trow in T] for row in TM]
+    assert _full_matrix(forward(G, N)) == want
+
+
 def test_symmetrized_idempotent_on_exact_sets():
     field = FourierRadialField(
         CONDUCTIVITY, {1: RadialProfile(((1, 1.0),))}, {2: RadialProfile(((2, 1.0),))}
@@ -361,7 +416,7 @@ def test_energy_oracle_is_one_entry_of_the_block():
 
 def test_assembly_rejects_overflowing_entry():
     huge = FourierRadialField(CONDUCTIVITY, {0: RadialProfile(((0, 1.7e308),))}, {})
+    with pytest.raises(DomainError, match="range of a double"):  # at the first float read
+        conductivity_dtn(huge, 3).cc
     with pytest.raises(DomainError, match="range of a double"):
-        conductivity_dtn(huge, 3)
-    with pytest.raises(DomainError, match="range of a double"):
-        schroedinger_dtn(FourierRadialField(POTENTIAL, huge.cos, {}), 3)
+        schroedinger_dtn(FourierRadialField(POTENTIAL, huge.cos, {}), 3).cc

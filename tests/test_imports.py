@@ -2,7 +2,8 @@
 
 Every name a module imports is used in it or listed in its ``__all__``.  The
 only exceptions are two re-exported bindings that the benchmark's tracer
-patches (``bench/selftest.py`` pins them).
+patches (``bench/selftest.py`` pins them).  Every module parses as Python
+3.10, the least version ``pyproject.toml`` declares.
 """
 
 import ast
@@ -30,8 +31,19 @@ def _unused_imports(path):
     return imported - used - exported
 
 
+def _modules():
+    return sorted(pathlib.Path(eitdisk.__file__).parent.glob("*.py"))
+
+
 def test_every_imported_name_is_used_or_exported():
-    modules = sorted(p for p in pathlib.Path(eitdisk.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    modules = [p for p in _modules() if p.name != "__init__.py"]
     assert len(modules) > 10
     unused = {(path.stem, name) for path in modules for name in _unused_imports(path)}
     assert unused == _TRACED_BINDINGS
+
+
+def test_every_module_parses_as_python_3_10():
+    modules = _modules()
+    assert len(modules) > 10
+    for path in modules:  # a SyntaxError names the module and the line
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from eitdisk import (
     CONDUCTIVITY,
     ArcSpec,
     ConformalMap,
+    DomainError,
     FormatError,
     FourierRadialField,
     HalfDiskData,
@@ -203,13 +205,22 @@ def test_grid_csv_layout():
     assert text.endswith("\n")
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: eio.dtn_from_dict([]), "matrix document must be a JSON object"),
-    (lambda: eio.arc_data_from_dict([]), "data document must be a JSON object"),
-    (lambda: eio.grid_to_csv([[1.0, 2.0]]), "grid must be an array of \\(x, y, value\\) rows"),
-], ids=["dtn_from_dict", "arc_data_from_dict", "grid_to_csv"])
-def test_documents_and_grids_of_the_wrong_form_are_format_errors(call, message):
-    with pytest.raises(FormatError, match=f"^{message}$"):
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: eio.dtn_from_dict([]), FormatError, "matrix document must be a JSON object"),
+    (lambda: eio.arc_data_from_dict([]), FormatError, "data document must be a JSON object"),
+    (lambda: eio.grid_to_csv([[1.0, 2.0]]), FormatError, "grid must be an array of (x, y, value) rows"),
+    (lambda: eio.grid_to_csv(np.array([[1 + 2j, 0.5, 0.25]])), DomainError,
+     "grid entry (1+2j) is not a real number"),
+    (lambda: eio.grid_to_csv([["1.5", 0.5, 0.25]]), DomainError, "grid entry '1.5' is not a real number"),
+    (lambda: eio.grid_to_csv([["a", 0.5, 0.25]]), DomainError, "grid entry 'a' is not a real number"),
+    (lambda: eio.grid_to_csv([[1.0, 0.5, 0.25], [1.0]]), ShapeError, "grid entry rows are not all of one length"),
+    (lambda: eio.arc_data_to_dict(HalfDiskData([[1.0]]), 10**400), DomainError,
+     "alpha is beyond the range of a double"),
+    (lambda: eio.arc_data_to_dict(HalfDiskData([[1.0]]), "0.5"), DomainError, "alpha '0.5' is not a real number"),
+], ids=["dtn_from_dict", "arc_data_from_dict", "grid_to_csv", "complex-grid-entry", "numeric-string-grid-entry",
+        "string-grid-entry", "ragged-grid", "huge-alpha", "string-alpha"])
+def test_documents_and_grids_of_the_wrong_form_raise_one_package_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -383,7 +383,8 @@ def test_levels_are_at_most_three_nested_and_end_at_the_cap(n_phi, kind):
 def test_high_cosine_orders_are_sampled_where_the_rule_is_exact(monkeypatch, order):
     # at N = 8 the cosine orders order - 7 .. order + 7 of the integrand
     # include 128, which every node of the 32- and 64-interval levels aliases
-    # to order 0: a cosine field is read off the exact assembly instead
+    # to order 0: a cosine field is read off the exact assembly instead, and
+    # the oracle and a field with a sine term are sampled once at the cap
     field = FourierRadialField(
         CONDUCTIVITY,
         {0: RadialProfile(((0, 1.0),)), order: RadialProfile(((order, 1.0), (order + 2, -0.5)))},
@@ -393,8 +394,18 @@ def test_high_cosine_orders_are_sampled_where_the_rule_is_exact(monkeypatch, ord
     angles = _counting_grid(monkeypatch)
     got = half_disk_data(field, 8).values
     assert angles == []
-    assert got.tobytes() == (conductivity_dtn(field, 8).cc / 2).tobytes()
+    exact = conductivity_dtn(field, 8).cc / 2
+    assert got.tobytes() == exact.tobytes()
     _assert_close_to_reference(got, want)
+    oracle = half_disk_forward_oracle(field, 8, 8)
+    assert angles == [513]
+    assert oracle == want[7, 7]
+    assert abs(oracle - exact[7, 7]) <= 1e-13 * np.max(np.abs(exact))
+    angles.clear()
+    with_sine = FourierRadialField(CONDUCTIVITY, field.cos, {order: RadialProfile(((order, 1.0),))})
+    got = half_disk_data(with_sine, 8).values
+    assert angles == [513]
+    assert got.tobytes() == _one_grid_sine_data(with_sine, 8, HALF_DISK_QUAD).tobytes()
 
 
 @pytest.mark.parametrize("n_phi", [1, 300])
